@@ -7,7 +7,6 @@
 package bench
 
 import (
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -18,7 +17,6 @@ import (
 	"infilter/internal/eia"
 	"infilter/internal/experiment"
 	"infilter/internal/flow"
-	"infilter/internal/flowtools"
 	"infilter/internal/netaddr"
 	"infilter/internal/netflow"
 	"infilter/internal/nns"
@@ -604,226 +602,15 @@ func BenchmarkParallelPipeline(b *testing.B) {
 	}
 }
 
-// --- Tentpole: end-to-end batched ingest throughput ---
-
-// ingestBenchWorkload builds a trained BI engine plus pre-encoded export
-// datagrams of legal traffic: replay sources equal training sources, so
-// every record takes the cheapest (Match) path and the measurement
-// isolates per-record ingest overhead — syscalls, decode, handoff — not
-// analysis cost. eiaCfg selects the EIA configuration (the bloom-tier
-// sub-benchmark enables the probabilistic fast tier; everything else
-// runs exact-only). fam selects the stream's address families: "v4"
-// encodes over NetFlow v5 (the pre-dual-stack wire format, unchanged so
-// the gated baselines stay comparable), "v6" and "mixed" encode over
-// IPFIX with per-family templates, mixed alternating the family every
-// datagram. The returned setup datagrams (IPFIX templates) must be sent
-// once before the timed replay; every returned data datagram carries
-// exactly netflow.MaxRecords records.
-func ingestBenchWorkload(b *testing.B, eiaCfg eia.Config, fam string) (*analysis.ParallelEngine, [][]byte, [][]byte) {
-	b.Helper()
-	start := time.Date(2005, 4, 1, 0, 0, 0, 0, time.UTC)
-	v6pfx := netaddr.MustParsePrefix("2001:db8:1000::/48")
-	recs := make([]flow.Record, 600)
-	labeled := make([]analysis.LabeledRecord, len(recs))
-	for i := range recs {
-		key := flow.Key{
-			// 61.0.0.0/11 spread: the training prefix of the testbed.
-			Src: (netaddr.MustParseIPv4("61.0.0.0") + netaddr.IPv4(uint32(i)<<8|1)).Addr(),
-			Dst: netaddr.MustParseAddr("192.0.2.1"), Proto: flow.ProtoTCP,
-			SrcPort: uint16(1024 + i), DstPort: 80,
-		}
-		if fam == "v6" || (fam == "mixed" && (i/netflow.MaxRecords)%2 == 1) {
-			key.Src = v6pfx.Nth(uint64(i)<<8 | 1)
-			key.Dst = netaddr.MustParseAddr("2001:db8::1")
-		}
-		recs[i] = flow.Record{
-			Key:     key,
-			Packets: 10, Bytes: 4000,
-			Start: start, End: start.Add(time.Second),
-		}
-		labeled[i] = analysis.LabeledRecord{Peer: 1, Record: recs[i]}
-	}
-	engine, err := analysis.TrainParallel(analysis.ParallelConfig{
-		Config: analysis.Config{Mode: analysis.ModeBasic, EIA: eiaCfg},
-		Shards: 1,
-	}, labeled)
-	if err != nil {
-		b.Fatal(err)
-	}
-	boot := start.Add(-time.Hour)
-	var setup, raws [][]byte
-	var enc netflow.WireEncoder
-	if fam == "v4" {
-		enc = netflow.NewV5Encoder(boot, 1)
-	} else {
-		enc = netflow.NewIPFIXEncoder(1)
-	}
-	for i := 0; i < len(recs); i += netflow.MaxRecords {
-		end := i + netflow.MaxRecords
-		if end > len(recs) {
-			end = len(recs)
-		}
-		for _, dg := range enc.Encode(recs[i:end], start) {
-			if dg.Flows == 0 {
-				setup = append(setup, dg.Raw) // template datagram
-			} else {
-				raws = append(raws, dg.Raw)
-			}
-		}
-	}
-	return engine, raws, setup
-}
-
-// benchIngestE2E replays UDP export datagrams through a live collector
-// into the analysis engine and reports end-to-end records/sec. The
-// sender paces against the collector's receive counter so the kernel
-// socket buffer never overflows (no drops, so the drain barrier below
-// terminates); the pacing window stays under the ~200 KiB default
-// SO_RCVBUF the classic collector runs with.
-func benchIngestE2E(b *testing.B, eiaCfg eia.Config, fam string, newIngest func(*analysis.ParallelEngine) ingestPath) {
-	engine, raws, setup := ingestBenchWorkload(b, eiaCfg, fam)
-	defer engine.Close()
-	path := newIngest(engine)
-	defer path.close()
-	port, err := path.listen()
-	if err != nil {
-		b.Fatal(err)
-	}
-	conn, err := net.Dial("udp", "127.0.0.1:"+itoa(port))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer conn.Close()
-	// Announce the IPFIX templates (if any) once, outside the timed loop.
-	for _, raw := range setup {
-		if _, err := conn.Write(raw); err != nil {
-			b.Fatal(err)
-		}
-	}
-	sender, err := newBurstSender(conn.(*net.UDPConn))
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	const recsPerDatagram = netflow.MaxRecords
-	// In-flight bound: the classic collector runs on the default ~208 KiB
-	// SO_RCVBUF, which the kernel accounts in skb truesize (~2 KiB per
-	// 1.5 KiB datagram) — keep well under it so neither path ever drops.
-	const window = 1024
-	b.ResetTimer()
-	sent := 0
-	for i := 0; sent < b.N; {
-		k, err := sender.send(raws, i, burstDatagrams)
-		if err != nil {
-			b.Fatal(err)
-		}
-		i += k
-		sent += k * recsPerDatagram
-		for sent-path.received() > window {
-			time.Sleep(20 * time.Microsecond)
-		}
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for path.received() < sent {
-		if time.Now().After(deadline) {
-			b.Fatalf("received %d of %d records (datagrams dropped?)", path.received(), sent)
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-	// Drain on processed records, not engine.Flush: the final partial
-	// batch may still be waiting out the collector's flush timeout, in
-	// which case nothing has been submitted for it yet.
-	for engine.Stats().Processed < sent {
-		if time.Now().After(deadline) {
-			b.Fatalf("processed %d of %d records", engine.Stats().Processed, sent)
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(sent)/b.Elapsed().Seconds(), "records/sec")
-	if st := engine.Stats(); st.Processed < sent || st.Attacks != 0 {
-		b.Fatalf("pipeline processed %d/%d records, %d attacks (want 0)", st.Processed, sent, st.Attacks)
-	}
-}
-
-// ingestPath abstracts the two collector generations for the benchmark.
-type ingestPath struct {
-	listen   func() (int, error)
-	received func() int
-	close    func() error
-}
-
-// BenchmarkIngestE2E contrasts the classic per-record online path (one
-// blocking read per datagram, one engine.Submit per record) with the
-// batched path (recvmmsg reader, one SubmitBatch per accumulated batch,
-// one EIA snapshot per batch), plus the batched path with the EIA Bloom
-// fast tier enabled — the all-Match workload is the tier's worst case
-// (every check probes the filters and still walks the trie), so
-// batched-bloom ≈ batched proves enabling the tier costs the expected
-// path nothing material. batched-v6 and batched-mixed replay the same
-// workload as IPFIX streams of 16-byte-address records (all-v6, and
-// alternating family per datagram), covering the dual-stack decode and
-// check path end to end. The records/sec ratios are gated by
-// scripts/bench.sh.
-func BenchmarkIngestE2E(b *testing.B) {
-	batchedIngest := func(engine *analysis.ParallelEngine) ingestPath {
-		c := flowtools.New(flowtools.Config{
-			ReadBuffer: 4 << 20,
-		}, func(batch flowtools.Batch) {
-			engine.SubmitBatch(1, batch.Records)
-		})
-		return ingestPath{
-			listen:   func() (int, error) { return c.Listen(0) },
-			received: func() int { r, _ := c.Stats(); return r },
-			close:    c.Close,
-		}
-	}
-	b.Run("per-record", func(b *testing.B) {
-		benchIngestE2E(b, eia.Config{}, "v4", func(engine *analysis.ParallelEngine) ingestPath {
-			c := flowtools.New(flowtools.Config{MaxRecords: 1}, func(batch flowtools.Batch) {
-				for _, r := range batch.Records {
-					engine.Submit(1, r)
-				}
-			})
-			return ingestPath{
-				listen:   func() (int, error) { return c.Listen(0) },
-				received: func() int { r, _ := c.Stats(); return r },
-				close:    c.Close,
-			}
-		})
-	})
-	b.Run("batched", func(b *testing.B) {
-		benchIngestE2E(b, eia.Config{}, "v4", batchedIngest)
-	})
-	b.Run("batched-bloom", func(b *testing.B) {
-		benchIngestE2E(b, eia.Config{BloomBitsPerEntry: 10}, "v4", batchedIngest)
-	})
-	b.Run("batched-v6", func(b *testing.B) {
-		benchIngestE2E(b, eia.Config{}, "v6", batchedIngest)
-	})
-	b.Run("batched-mixed", func(b *testing.B) {
-		benchIngestE2E(b, eia.Config{}, "mixed", batchedIngest)
-	})
-}
-
 // --- Substrate micro-benchmarks ---
 
 // BenchmarkEIACheck measures the Basic InFilter hot path.
 func BenchmarkEIACheck(b *testing.B) {
-	set := eia.NewSet(eia.Config{})
-	for as := 1; as <= blocks.DefaultSources; as++ {
-		alloc, err := blocks.EIAAllocation(as)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, sb := range alloc {
-			set.AddPrefix(eia.PeerAS(as), sb.Prefix())
-		}
-	}
+	store := eia.NewStore(benchEIASet(b))
 	src := netaddr.MustParseIPv4("61.40.1.7")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		set.Check(eia.PeerAS(i%10+1), (src + netaddr.IPv4(i%1024)).Addr())
+		store.Check(eia.PeerAS(i%10+1), (src + netaddr.IPv4(i%1024)).Addr())
 	}
 }
 
@@ -843,70 +630,46 @@ func benchEIASet(b *testing.B) *eia.Set {
 	return set
 }
 
-// rwmutexEIA is the pre-refactor concurrent EIA store: a Set behind a
-// sync.RWMutex, every Check paying an RLock. It exists only as the
-// benchmark baseline for the copy-on-write snapshot store that replaced
-// it.
-type rwmutexEIA struct {
-	mu  sync.RWMutex
-	set *eia.Set
-}
-
-func (s *rwmutexEIA) Check(peer eia.PeerAS, src netaddr.Addr) eia.Verdict {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.set.Check(peer, src)
-}
-
-// BenchmarkEIACheckParallel contrasts the RWMutex-guarded store with the
-// lock-free copy-on-write snapshot store on the read-only hot path at
-// 1, 4 and 16 concurrent readers. The RWMutex baseline degrades as
-// readers contend on the lock's shared cache line; the snapshot store's
-// atomic pointer load keeps per-check cost flat.
+// BenchmarkEIACheckParallel runs the lock-free copy-on-write snapshot
+// store's read-only hot path at 1, 4 and 16 concurrent readers: the
+// atomic pointer load keeps per-check cost flat as readers are added.
 func BenchmarkEIACheckParallel(b *testing.B) {
 	src := netaddr.MustParseIPv4("61.40.1.7")
-	run := func(b *testing.B, readers int, check func(eia.PeerAS, netaddr.Addr) eia.Verdict) {
-		b.ResetTimer()
-		var wg sync.WaitGroup
-		for w := 0; w < readers; w++ {
-			n := b.N / readers
-			if w < b.N%readers {
-				n++
-			}
-			wg.Add(1)
-			go func(n int) {
-				defer wg.Done()
-				for i := 0; i < n; i++ {
-					check(eia.PeerAS(i%10+1), (src + netaddr.IPv4(i%1024)).Addr())
-				}
-			}(n)
-		}
-		wg.Wait()
-	}
 	for _, readers := range []int{1, 4, 16} {
-		b.Run("rwmutex-"+itoa(readers), func(b *testing.B) {
-			locked := &rwmutexEIA{set: benchEIASet(b)}
-			run(b, readers, locked.Check)
-		})
 		b.Run("cow-"+itoa(readers), func(b *testing.B) {
 			store := eia.NewStore(benchEIASet(b))
-			run(b, readers, store.Check)
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for w := 0; w < readers; w++ {
+				n := b.N / readers
+				if w < b.N%readers {
+					n++
+				}
+				wg.Add(1)
+				go func(n int) {
+					defer wg.Done()
+					for i := 0; i < n; i++ {
+						store.Check(eia.PeerAS(i%10+1), (src + netaddr.IPv4(i%1024)).Addr())
+					}
+				}(n)
+			}
+			wg.Wait()
 		})
 	}
 }
 
 // BenchmarkEIACheckBatch contrasts per-record Check with the batched
-// CheckBatch on a 256-record column: one iteration classifies the whole
-// batch, so ns/op is directly comparable between the sub-benchmarks. The
-// delta is the amortized snapshot load and trie-walk setup.
+// CheckBatch on a 256-record single-peer column: one iteration classifies
+// the whole batch, so ns/op is directly comparable between the
+// sub-benchmarks. The delta is the amortized snapshot load and trie-walk
+// setup.
 func BenchmarkEIACheckBatch(b *testing.B) {
 	const n = 256
-	peers := make([]eia.PeerAS, n)
+	const peer = eia.PeerAS(7)
 	srcs := make([]netaddr.Addr, n)
 	verdicts := make([]eia.Verdict, n)
 	src := netaddr.MustParseIPv4("61.40.1.7")
-	for i := range peers {
-		peers[i] = eia.PeerAS(i%10 + 1)
+	for i := range srcs {
 		srcs[i] = (src + netaddr.IPv4(i%1024)).Addr()
 	}
 	b.Run("per-record", func(b *testing.B) {
@@ -914,7 +677,7 @@ func BenchmarkEIACheckBatch(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < n; j++ {
-				verdicts[j] = store.Check(peers[j], srcs[j])
+				verdicts[j] = store.Check(peer, srcs[j])
 			}
 		}
 	})
@@ -922,7 +685,7 @@ func BenchmarkEIACheckBatch(b *testing.B) {
 		store := eia.NewStore(benchEIASet(b))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			store.CheckBatch(peers, srcs, verdicts)
+			store.CheckBatch(peer, srcs, verdicts)
 		}
 	})
 }
@@ -1026,10 +789,8 @@ func benchBloomWorkloadMixed(b *testing.B, n int, cfg eia.Config) (*eia.Store, [
 // with alternating families (-mixed-). The trie walk chases dependent
 // pointers through a structure whose footprint grows with the set; the
 // blocked Bloom probe touches one cache line per filter per length
-// class regardless of scale or family width. scripts/bench.sh gates
-// bloom-1000x <= 1.2x bloom-10x while the trie baseline is left to
-// degrade, and gates the v4 per-check cost against the pre-dual-stack
-// baseline so the 128-bit key can't silently tax the v4 hot path.
+// class regardless of scale or family width, so bloom-1000x should stay
+// within ~1.2x of bloom-10x while the trie baseline degrades.
 func BenchmarkEIACheckBloomTier(b *testing.B) {
 	const base = 1000 // prefixes at 1x
 	workloads := []struct {
@@ -1066,8 +827,8 @@ func BenchmarkEIACheckBloomTier(b *testing.B) {
 // network scan fanning out over `scale` distinct target hosts on one
 // port. The streaming sketch's state is bounded (KMV registers capped
 // by SketchK, register tables by MaxRegisters), so a scan 100x wider
-// must cost about the same per suspect — bench.sh gates sketch-1000x at
-// <= 1.2x sketch-10x. The ring rows are recorded for contrast: the ring
+// must cost about the same per suspect (sketch-1000x within ~1.2x of
+// sketch-10x). The ring rows are recorded for contrast: the ring
 // is also flat per suspect, but only because its 200-entry window has
 // long since saturated and is silently forgetting the scan it is
 // supposed to be counting (see TestSketchDivergesOnlyBeyondRingCapacity).

@@ -134,11 +134,22 @@ func TestBatchedShutdownDrainsPartialBatch(t *testing.T) {
 }
 
 // TestAdminMetricsBatchedIngest scrapes the infilter_ingest_* families
-// of the batched path: batch-size histogram, flush-reason counters and
+// of the ingest path: batch-size histogram, flush-reason counters and
 // the records/sec gauge, against exactly known traffic. With batch-size
 // 8, every 10-record datagram overfills one batch, so batches delivered
-// and flush{reason=full} both equal the datagram count.
+// and flush{reason=full} both equal the datagram count. Batch-size 1 is
+// per-datagram delivery through the same path: one full flush per
+// datagram, never waiting on a batch-timeout half an hour away.
 func TestAdminMetricsBatchedIngest(t *testing.T) {
+	for name, batching := range map[string][]string{
+		"readers=2/batch=8": {"-readers", "2", "-batch-size", "8", "-batch-timeout", "5ms"},
+		"batch=1":           {"-batch-size", "1", "-batch-timeout", "30m"},
+	} {
+		t.Run(name, func(t *testing.T) { testAdminMetricsIngest(t, batching) })
+	}
+}
+
+func testAdminMetricsIngest(t *testing.T, batching []string) {
 	var alerts atomic.Int64
 	consumer := idmef.NewConsumer(func(idmef.Alert) { alerts.Add(1) })
 	alertPort, err := consumer.Listen(0)
@@ -151,14 +162,13 @@ func TestAdminMetricsBatchedIngest(t *testing.T) {
 	if err := os.WriteFile(eiaPath, []byte("1 61.0.0.0/11\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	args := []string{
+	args := append([]string{
 		"-ports", "0", "-mode", "BI",
 		"-alert", fmt.Sprintf("127.0.0.1:%d", alertPort),
 		"-admin-addr", "127.0.0.1:0",
 		"-eia-file", eiaPath,
-		"-readers", "2", "-batch-size", "8", "-batch-timeout", "5ms",
 		"-stats", "1h", "-queue-depth", "64",
-	}
+	}, batching...)
 
 	const datagrams, perDatagram = 3, 10
 	const total = int64(datagrams * perDatagram)

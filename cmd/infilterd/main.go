@@ -18,7 +18,7 @@
 // multi-datagram reads), and decoded records are handed to the pipeline
 // in batches of up to -batch-size records. A partially filled batch is
 // flushed after -batch-timeout, so trickle traffic keeps per-record
-// detection latency. -batch-size 0 selects the classic per-record path.
+// detection latency. -batch-size 1 hands every datagram over as it decodes.
 //
 // Flows are analyzed by a sharded analysis.ParallelEngine: each peer AS
 // maps to one worker shard (-workers, default one per port), fed through a
@@ -97,8 +97,7 @@ const (
 	ttlCheckpointName = "ttl.ckpt"
 )
 
-// ingester is the daemon's view of the unified flowtools.Collector
-// (batched or per-record depending on Config.MaxRecords).
+// ingester is the daemon's view of the flowtools.Collector.
 type ingester interface {
 	Listen(port int) (int, error)
 	Stats() (received, malformed int)
@@ -138,7 +137,7 @@ func runWith(ctx context.Context, args []string, onReady func(ports []int, admin
 		workers     = fs.Int("workers", 0, "analysis shards; flows route by peer AS (0: one per port)")
 		queueDepth  = fs.Int("queue-depth", analysis.DefaultQueueDepth, "bounded per-shard queue depth (backpressure)")
 		readers     = fs.Int("readers", 1, "UDP reader sockets per port (>1 uses SO_REUSEPORT; Linux only)")
-		batchSize   = fs.Int("batch-size", flowtools.DefaultBatchRecords, "flow records per ingest batch handed to the pipeline (0: per-record path)")
+		batchSize   = fs.Int("batch-size", flowtools.DefaultBatchRecords, "flow records per ingest batch handed to the pipeline (1: every datagram as it decodes)")
 		batchWait   = fs.Duration("batch-timeout", flowtools.DefaultFlushTimeout, "max wait before a partial ingest batch is flushed")
 		stateDir    = fs.String("state-dir", "", "warm-restart directory: EIA and NNS state checkpointed here and loaded on startup (empty: disabled)")
 		ckptPeriod  = fs.Duration("checkpoint-interval", checkpoint.DefaultInterval, "period between background checkpoints (with -state-dir)")
@@ -152,7 +151,6 @@ func runWith(ctx context.Context, args []string, onReady func(ports []int, admin
 		hhStages    = fs.Int("heavy-hitter-stages", scan.DefaultHeavyHitterStages, "heavy-hitter sketch stages")
 		hhDecay     = fs.Int("heavy-hitter-decay-every", scan.DefaultHeavyHitterDecayEvery, "suspect flows between heavy-hitter counter-halving passes")
 		sketchK     = fs.Int("scan-sketch-k", sketch.DefaultK, "KMV registers per scan sketch (larger: more accurate distinct counts)")
-		exactScan   = fs.Bool("scan-exact-buffer", false, "use the bounded exact ring buffer for scan analysis instead of the streaming sketch")
 		ttlTol      = fs.Int("ttl-tolerance", 0, "TTL-profile hop tolerance for the second-opinion detector (0 disables the stage; EI mode only)")
 
 		clusterListen = fs.String("cluster-listen", "", "TCP address for inbound EIA snapshot replication (enables cluster mode)")
@@ -177,11 +175,8 @@ func runWith(ctx context.Context, args []string, onReady func(ports []int, admin
 	if err != nil {
 		return err
 	}
-	if *batchSize < 0 || *batchWait <= 0 {
-		return fmt.Errorf("bad batch settings: -batch-size %d -batch-timeout %s", *batchSize, *batchWait)
-	}
-	if *readers > 1 && *batchSize == 0 {
-		return fmt.Errorf("-readers %d needs the batched ingest path (-batch-size > 0)", *readers)
+	if *batchSize < 1 || *batchWait <= 0 {
+		return fmt.Errorf("bad batch settings: -batch-size %d (want >= 1) -batch-timeout %s", *batchSize, *batchWait)
 	}
 	shards := *workers
 	if shards <= 0 {
@@ -315,11 +310,8 @@ func runWith(ctx context.Context, args []string, onReady func(ports []int, admin
 	engine, err := analysis.NewParallelEngine(analysis.ParallelConfig{
 		Config: analysis.Config{
 			Mode: mode,
-			Scan: scan.Config{
-				ExactBuffer: *exactScan,
-				SketchK:     *sketchK,
-			},
-			TTL: scan.TTLConfig{Tolerance: *ttlTol},
+			Scan: scan.Config{SketchK: *sketchK},
+			TTL:  scan.TTLConfig{Tolerance: *ttlTol},
 			HeavyHitter: scan.HeavyHitterConfig{
 				Threshold:  *hhThreshold,
 				Stages:     *hhStages,
@@ -485,18 +477,14 @@ func runWith(ctx context.Context, args []string, onReady func(ports []int, admin
 			}
 		}
 	}
-	// Ingest path: one unified collector; batch shape is configuration.
-	// Batched by default (one SubmitBatch per delivered batch, classified
-	// against one EIA snapshot); -batch-size 0 runs the classic
-	// per-record path (MaxRecords 1 delivers every datagram immediately,
-	// submitted record by record).
-	ingestCfg := flowtools.Config{
+	// Ingest path: every delivered batch — the records of one port, so of
+	// one peer — is one SubmitBatch, classified against one EIA snapshot.
+	collector := flowtools.New(flowtools.Config{
 		Readers:      *readers,
 		MaxRecords:   *batchSize,
 		FlushTimeout: *batchWait,
 		ReadBuffer:   4 << 20,
-	}
-	handler := func(b flowtools.Batch) {
+	}, func(b flowtools.Batch) {
 		peer, ok := lookupPeer(b.Port)
 		if !ok {
 			return
@@ -505,31 +493,11 @@ func runWith(ctx context.Context, args []string, onReady func(ports []int, admin
 		if err := engine.SubmitBatch(peer, b.Records); err != nil {
 			return // engine closed: shutdown in progress
 		}
-	}
-	if *batchSize <= 0 {
-		ingestCfg.MaxRecords = 1
-		handler = func(b flowtools.Batch) {
-			peer, ok := lookupPeer(b.Port)
-			if !ok {
-				return
-			}
-			archive(b.Records)
-			for _, r := range b.Records {
-				if err := engine.Submit(peer, r); err != nil {
-					return // engine closed: shutdown in progress
-				}
-			}
-		}
-	}
-	collector := flowtools.New(ingestCfg, handler)
+	})
 	collector.SetMetrics(flowtools.NewIngestMetrics(reg))
 	collector.SetTemplateCache(templates)
-	if *batchSize > 0 {
-		log.Printf("batched ingest: %d reader(s)/port, batch-size %d, batch-timeout %s",
-			collector.Readers(), *batchSize, *batchWait)
-	} else {
-		log.Printf("per-record ingest (-batch-size 0)")
-	}
+	log.Printf("batched ingest: %d reader(s)/port, batch-size %d, batch-timeout %s",
+		collector.Readers(), *batchSize, *batchWait)
 
 	bound := make([]int, 0, len(ports))
 	for i, p := range ports {

@@ -89,10 +89,11 @@ func TestLoadEIAFile(t *testing.T) {
 	if set.Len() != 3 {
 		t.Errorf("loaded %d prefixes", set.Len())
 	}
-	if got := set.Check(1, netaddr.MustParseAddr("61.1.1.1")); got != eia.Match {
+	store := eia.NewStore(set)
+	if got := store.Check(1, netaddr.MustParseAddr("61.1.1.1")); got != eia.Match {
 		t.Errorf("check = %v", got)
 	}
-	if got := set.Check(1, netaddr.MustParseAddr("70.1.1.1")); got != eia.WrongPeer {
+	if got := store.Check(1, netaddr.MustParseAddr("70.1.1.1")); got != eia.WrongPeer {
 		t.Errorf("check = %v", got)
 	}
 }
@@ -761,8 +762,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-no-such-flag"},
 		{"-eia-file", filepath.Join(t.TempDir(), "missing")},
 		{"-batch-size", "-1"},
+		{"-batch-size", "0"}, // the per-record fork is gone: 1 is the minimum
 		{"-batch-timeout", "0s"},
-		{"-readers", "2", "-batch-size", "0"},
 	} {
 		if err := run(context.Background(), args); err == nil {
 			t.Errorf("run(%v): want error", args)

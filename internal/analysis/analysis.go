@@ -6,7 +6,8 @@
 //
 // There is exactly one pipeline implementation (see core.go): Engine
 // drives it synchronously through a single shard, ParallelEngine through
-// N queue-fed shards. Serial and parallel behavior agree by construction.
+// N queue-fed shards whose only unit of work is the single-peer record
+// batch.
 package analysis
 
 import (
@@ -150,10 +151,10 @@ func (p *pipeline) decide(peer eia.PeerAS, rec flow.Record) (d Decision, scanFla
 }
 
 // decideVerdict is the post-EIA tail of the pipeline: everything decide
-// does after the EIA-set classification. The batched path computes
-// verdicts for a whole batch up front (eia.Store.CheckBatch) and feeds
-// them here one record at a time; the caller owns the flow counter, EIA
-// stage timing and hit/miss accounting for that phase. The record is
+// does after the EIA-set classification. The batch loop computes verdicts
+// for a whole batch up front (eia.Store.CheckBatch) and feeds them here
+// one record at a time; the caller owns the flow counter, EIA stage
+// timing and hit/miss accounting for that phase. The record is
 // passed by pointer (it is large) and not retained or mutated.
 func (p *pipeline) decideVerdict(peer eia.PeerAS, rec *flow.Record, v eia.Verdict) (d Decision, scanFlagged bool) {
 	m := p.metrics
@@ -276,6 +277,13 @@ func (s *Stats) record(d Decision, scanFlagged bool) {
 	}
 }
 
+// reset zeroes the counters in place, keeping the ByStage map's storage,
+// so a scratch Stats can be reused batch after batch.
+func (s *Stats) reset() {
+	clear(s.ByStage)
+	*s = Stats{ByStage: s.ByStage}
+}
+
 // merge adds other's counters into s.
 func (s *Stats) merge(other Stats) {
 	s.Processed += other.Processed
@@ -289,13 +297,13 @@ func (s *Stats) merge(other Stats) {
 }
 
 // Engine is the per-deployment analysis state: the one-shard synchronous
-// case of the shared pipeline core. Process runs the caller's goroutine
-// through the same code path a ParallelEngine worker executes. Process is
-// not safe for concurrent use (the single shard's scan buffer assumes one
-// driver); use ParallelEngine to process flows from many ingresses at
-// once.
+// case of the shared pipeline core. Process runs one flow on the caller's
+// goroutine and returns its Decision; ProcessBatch runs the batch loop a
+// ParallelEngine worker runs. Neither is safe for concurrent use (the
+// single shard's scan buffer assumes one driver); use ParallelEngine to
+// process flows from many ingresses at once.
 type Engine struct {
-	c *core
+	*core
 }
 
 // NewEngine assembles an engine from pre-trained components. detector may
@@ -306,7 +314,7 @@ func NewEngine(cfg Config, set *eia.Set, detector *nns.Detector) (*Engine, error
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{c: c}, nil
+	return &Engine{core: c}, nil
 }
 
 // LabeledRecord pairs a flow record with the peer AS it entered through.
@@ -327,46 +335,18 @@ func Train(cfg Config, normal []LabeledRecord) (*Engine, error) {
 	return NewEngine(cfg, set, detector)
 }
 
-// SetAlertSink installs a callback receiving an IDMEF alert per detected
-// attack. Pass nil to disable.
-func (e *Engine) SetAlertSink(fn func(idmef.Alert)) { e.c.alertFn = fn }
-
-// SetClock overrides the engine's clock (tests and replay).
-func (e *Engine) SetClock(now func() time.Time) { e.c.setClock(now) }
-
-// EIASet exposes the engine's EIA snapshot store (monitoring, tests,
-// checkpointing).
-func (e *Engine) EIASet() *eia.Store { return e.c.store }
-
-// Detector exposes the engine's trained NNS detector (nil in ModeBasic).
-func (e *Engine) Detector() *nns.Detector { return e.c.detector }
-
-// TTLProfile exposes the engine's shared TTL-profile table for
-// monitoring and checkpointing; nil when the stage is disabled.
-func (e *Engine) TTLProfile() *scan.TTLProfile { return e.c.ttl }
-
-// Stats returns a copy of the engine counters.
-func (e *Engine) Stats() Stats { return e.c.mergedStats() }
-
 // Process runs one flow through the normal-processing phase (§5.2, Figure
 // 12) and returns the decision.
 func (e *Engine) Process(peer eia.PeerAS, rec flow.Record) Decision {
-	return e.c.process(e.c.shards[0], peer, rec)
+	return e.process(e.shards[0], peer, rec)
 }
 
-// ProcessBatch runs a labeled batch through the single shard: the whole
-// batch is classified against one EIA snapshot (refreshed after any
-// mid-batch promotion), then each record continues through the same
-// post-EIA stages Process runs. Observationally identical to calling
-// Process per record, in order.
-func (e *Engine) ProcessBatch(batch []LabeledRecord) {
-	s := e.c.shards[0]
-	if cap(s.items) < len(batch) {
-		s.items = make([]shardItem, len(batch))
-	}
-	items := s.items[:len(batch)]
-	for i, lr := range batch {
-		items[i] = shardItem{peer: lr.Peer, rec: lr.Record}
-	}
-	e.c.processBatch(s, items)
+// ProcessBatch runs a batch of flows that all entered through peer
+// through the single shard — the same batch loop a ParallelEngine worker
+// runs per queue message: the whole batch is classified against one EIA
+// snapshot (refreshed after any mid-batch promotion), then each record
+// continues through the same post-EIA stages Process runs.
+// Observationally identical to calling Process per record, in order.
+func (e *Engine) ProcessBatch(peer eia.PeerAS, recs []flow.Record) {
+	e.processBatch(e.shards[0], peer, recs)
 }

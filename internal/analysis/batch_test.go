@@ -3,10 +3,8 @@ package analysis
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"infilter/internal/eia"
@@ -17,24 +15,29 @@ import (
 	"infilter/internal/testutil"
 )
 
-// batchSizes are the batch widths the ISSUE pins for the equivalence
-// gate: degenerate single-record batches, a typical datagram's worth,
-// and batches wide enough to span EIA promotions mid-batch (the suspect
-// streams are 60 records at PromoteThreshold 4, so a 256-wide batch
-// forces the tail re-check path).
+// batchSizes are the batch widths the equivalence gate pins: degenerate
+// single-record batches, a typical datagram's worth, and batches wide
+// enough to span EIA promotions mid-batch (the suspect bursts promote at
+// PromoteThreshold 4, so wide runs force the tail re-check path).
 var batchSizes = []int{1, 16, 256}
 
-// interleaveRoundRobin flattens the per-peer streams into the one global
-// order the serial reference replays: round-robin over peers, each peer's
-// own order preserved.
-func interleaveRoundRobin(w parallelWorkload) []LabeledRecord {
+// mixedStream flattens the per-peer streams into the one global
+// mixed-peer order the serial reference replays: rounds over the peers,
+// each contributing a burst whose length varies from 1 to 90 records, so
+// the order has same-peer runs of every width and each peer's own order
+// is preserved.
+func mixedStream(w parallelWorkload) []LabeledRecord {
 	var out []LabeledRecord
-	for i := 0; ; i++ {
+	next := make(map[eia.PeerAS]int)
+	for round := 0; ; round++ {
 		any := false
 		for p := 1; p <= workloadPeers; p++ {
-			stream := w.streams[eia.PeerAS(p)]
-			if i < len(stream) {
-				out = append(out, LabeledRecord{Peer: eia.PeerAS(p), Record: stream[i]})
+			peer := eia.PeerAS(p)
+			stream := w.streams[peer]
+			burst := 1 + (round*37+p*11)%90
+			for ; burst > 0 && next[peer] < len(stream); burst-- {
+				out = append(out, LabeledRecord{Peer: peer, Record: stream[next[peer]]})
+				next[peer]++
 				any = true
 			}
 		}
@@ -44,69 +47,221 @@ func interleaveRoundRobin(w parallelWorkload) []LabeledRecord {
 	}
 }
 
-// runSerialReference replays the interleave per record and returns the
-// reference outcome every batched variant must reproduce.
-func runSerialReference(t *testing.T, w parallelWorkload, interleave []LabeledRecord) (Stats, int, []byte) {
+// forEachRun is how a mixed-peer stream reaches the single-peer batch
+// entry points: it cuts stream into chunks of at most size records (what
+// one ingest batch would carry) and hands fn every maximal same-peer run
+// inside each chunk, in stream order.
+func forEachRun(stream []LabeledRecord, size int, fn func(peer eia.PeerAS, recs []flow.Record)) {
+	var recs []flow.Record
+	for off := 0; off < len(stream); off += size {
+		chunk := stream[off:min(off+size, len(stream))]
+		for i := 0; i < len(chunk); {
+			peer := chunk[i].Peer
+			recs = recs[:0]
+			for ; i < len(chunk) && chunk[i].Peer == peer; i++ {
+				recs = append(recs, chunk[i].Record)
+			}
+			fn(peer, recs)
+		}
+	}
+}
+
+// alertLog records, per peer, the byte stream of alerts an engine raised:
+// stage, endpoints and NNS distance of every flagged flow in emission
+// order. One peer's flows stay on one shard in FIFO order, so its stream
+// is deterministic at any shard count (the global message id is not, and
+// is left out).
+type alertLog struct {
+	mu     sync.Mutex
+	byPeer map[eia.PeerAS][]byte
+}
+
+func (l *alertLog) sink(a idmef.Alert) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.byPeer == nil {
+		l.byPeer = make(map[eia.PeerAS][]byte)
+	}
+	peer := eia.PeerAS(a.Assessment.PeerAS)
+	l.byPeer[peer] = fmt.Appendf(l.byPeer[peer], "%s %s:%d>%s:%d d=%d\n", a.Assessment.Stage,
+		a.Source.Address, a.Source.Port, a.Target.Address, a.Target.Port, a.Assessment.Distance)
+}
+
+// outcome is everything observable about a replay: merged counters, the
+// per-peer alert streams and the EIA end-state.
+type outcome struct {
+	stats  Stats
+	alerts map[eia.PeerAS][]byte
+	eia    []byte
+}
+
+func outcomeOf(t *testing.T, e interface {
+	Stats() Stats
+	EIASet() *eia.Store
+}, log *alertLog) outcome {
 	t.Helper()
-	serial, err := Train(w.cfg, w.labeled)
+	var eiaState bytes.Buffer
+	if _, err := e.EIASet().WriteTo(&eiaState); err != nil {
+		t.Fatal(err)
+	}
+	return outcome{stats: e.Stats(), alerts: log.byPeer, eia: eiaState.Bytes()}
+}
+
+// requireSameOutcome fails unless got reproduces want byte for byte.
+func requireSameOutcome(t *testing.T, got, want outcome) {
+	t.Helper()
+	if !reflect.DeepEqual(got.stats, want.stats) {
+		t.Errorf("stats = %+v, serial per-record = %+v", got.stats, want.stats)
+	}
+	if !reflect.DeepEqual(got.alerts, want.alerts) {
+		for p := 1; p <= workloadPeers; p++ {
+			g, w := got.alerts[eia.PeerAS(p)], want.alerts[eia.PeerAS(p)]
+			if !bytes.Equal(g, w) {
+				t.Errorf("peer %d alert stream differs from the serial per-record stream:\ngot:\n%s\nwant:\n%s", p, g, w)
+				break
+			}
+		}
+	}
+	if !bytes.Equal(got.eia, want.eia) {
+		t.Error("EIA end-state differs from the serial per-record end-state")
+	}
+}
+
+// runSerialReference replays the stream through Engine.Process — the
+// synchronous per-record path, the one piece of verdict code the batch
+// loop does not run — and returns the reference outcome every batched
+// variant must reproduce, plus the per-record decisions.
+func runSerialReference(t *testing.T, cfg Config, w parallelWorkload, detector *nns.Detector, stream []LabeledRecord) (outcome, []Decision) {
+	t.Helper()
+	serial, err := NewEngine(cfg, freshTrainedSet(cfg, w.labeled), detector)
 	if err != nil {
 		t.Fatal(err)
 	}
-	alerts := 0
-	serial.SetAlertSink(func(a idmef.Alert) { alerts++ })
-	for _, lr := range interleave {
-		serial.Process(lr.Peer, lr.Record)
+	var log alertLog
+	serial.SetAlertSink(log.sink)
+	decisions := make([]Decision, len(stream))
+	for i, lr := range stream {
+		decisions[i] = serial.Process(lr.Peer, lr.Record)
 	}
-	var eiaState bytes.Buffer
-	if _, err := serial.EIASet().WriteTo(&eiaState); err != nil {
-		t.Fatal(err)
-	}
-	st := serial.Stats()
-	if st.Attacks == 0 || st.Promotions == 0 || st.Suspects == 0 {
+	ref := outcomeOf(t, serial, &log)
+	if st := ref.stats; st.Attacks == 0 || st.Suspects == 0 {
 		t.Fatalf("degenerate workload: %+v", st)
 	}
-	return st, alerts, eiaState.Bytes()
+	return ref, decisions
 }
 
-// TestSerialBatchMatchesPerRecord replays the same interleave through
-// Engine.ProcessBatch at every pinned batch size: verdict counters,
-// alert counts and the EIA end-state must be identical to per-record
-// processing. Batch size 256 spans promotions, so a pass proves the
-// mid-batch snapshot refresh (tail re-check) works.
-func TestSerialBatchMatchesPerRecord(t *testing.T) {
-	w := buildParallelWorkload(t)
-	interleave := interleaveRoundRobin(w)
-	want, wantAlerts, wantEIA := runSerialReference(t, w, interleave)
-	detector := mustDetector(t, w)
+// runSerialBatches replays stream through a fresh serial Engine's batch
+// loop, as same-peer runs of at most size records.
+func runSerialBatches(t *testing.T, cfg Config, w parallelWorkload, detector *nns.Detector, stream []LabeledRecord, size int) outcome {
+	t.Helper()
+	eng, err := NewEngine(cfg, freshTrainedSet(cfg, w.labeled), detector)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log alertLog
+	eng.SetAlertSink(log.sink)
+	forEachRun(stream, size, eng.ProcessBatch)
+	return outcomeOf(t, eng, &log)
+}
 
-	for _, size := range batchSizes {
-		t.Run(fmt.Sprintf("batch=%d", size), func(t *testing.T) {
-			eng, err := NewEngine(w.cfg, freshTrainedSet(w.cfg, w.labeled), detector)
+// runParallel feeds a fresh ParallelEngine through feed, drains it and
+// returns what it did.
+func runParallel(t *testing.T, cfg Config, w parallelWorkload, detector *nns.Detector, shards int, feed func(*ParallelEngine)) outcome {
+	t.Helper()
+	pe, err := NewParallelEngine(
+		ParallelConfig{Config: cfg, Shards: shards, QueueDepth: 16},
+		freshTrainedSet(cfg, w.labeled), detector)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log alertLog
+	pe.SetAlertSink(log.sink)
+	feed(pe)
+	pe.Flush()
+	got := outcomeOf(t, pe, &log)
+	if err := pe.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// runPerPeerStreams replays the workload with one submitting goroutine
+// per peer, each cutting its own stream into batches of at most size
+// records.
+func runPerPeerStreams(t *testing.T, cfg Config, w parallelWorkload, detector *nns.Detector, shards, size int) outcome {
+	t.Helper()
+	return runParallel(t, cfg, w, detector, shards, func(pe *ParallelEngine) {
+		var wg sync.WaitGroup
+		for p := 1; p <= workloadPeers; p++ {
+			wg.Add(1)
+			go func(peer eia.PeerAS) {
+				defer wg.Done()
+				stream := w.streams[peer]
+				for off := 0; off < len(stream); off += size {
+					if err := pe.SubmitBatch(peer, stream[off:min(off+size, len(stream))]); err != nil {
+						t.Errorf("SubmitBatch: %v", err)
+						return
+					}
+				}
+			}(eia.PeerAS(p))
+		}
+		wg.Wait()
+	})
+}
+
+// runMixedStream replays stream from one goroutine as same-peer runs of
+// at most size records. Batch 1 degenerates every run to what Submit
+// stages, so it goes through Submit.
+func runMixedStream(t *testing.T, cfg Config, w parallelWorkload, detector *nns.Detector, stream []LabeledRecord, shards, size int) outcome {
+	t.Helper()
+	return runParallel(t, cfg, w, detector, shards, func(pe *ParallelEngine) {
+		forEachRun(stream, size, func(peer eia.PeerAS, recs []flow.Record) {
+			var err error
+			if size == 1 {
+				err = pe.Submit(peer, recs[0])
+			} else {
+				err = pe.SubmitBatch(peer, recs)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			alerts := 0
-			eng.SetAlertSink(func(a idmef.Alert) { alerts++ })
-			for off := 0; off < len(interleave); off += size {
-				end := off + size
-				if end > len(interleave) {
-					end = len(interleave)
-				}
-				eng.ProcessBatch(interleave[off:end])
+		})
+	})
+}
+
+// midRunPromotions counts the promotions that land with records of the
+// same run still unconsumed — the case that forces the batch loop to
+// re-classify its tail against the new snapshot.
+func midRunPromotions(stream []LabeledRecord, decisions []Decision, size int) int {
+	n, i := 0, 0
+	forEachRun(stream, size, func(_ eia.PeerAS, recs []flow.Record) {
+		for j := range recs {
+			if decisions[i+j].Promoted && j+1 < len(recs) {
+				n++
 			}
-			if got := eng.Stats(); !reflect.DeepEqual(got, want) {
-				t.Errorf("batched stats = %+v, per-record = %+v", got, want)
+		}
+		i += len(recs)
+	})
+	return n
+}
+
+// TestSerialBatchMatchesPerRecord replays the mixed stream through
+// Engine.ProcessBatch at every pinned batch size: counters, per-peer
+// alert streams and the EIA end-state must be identical to per-record
+// Engine.Process. The wider sizes span promotions, so a pass proves the
+// mid-batch snapshot refresh (tail re-check) works.
+func TestSerialBatchMatchesPerRecord(t *testing.T) {
+	w := buildParallelWorkload(t)
+	stream := mixedStream(w)
+	detector := mustDetector(t, w)
+	want, decisions := runSerialReference(t, w.cfg, w, detector, stream)
+
+	for _, size := range batchSizes {
+		t.Run(fmt.Sprintf("batch=%d", size), func(t *testing.T) {
+			if size > 1 && midRunPromotions(stream, decisions, size) == 0 {
+				t.Fatal("no promotion lands mid-run: the tail re-check is not exercised")
 			}
-			if alerts != wantAlerts {
-				t.Errorf("batched alerts = %d, per-record = %d", alerts, wantAlerts)
-			}
-			var eiaState bytes.Buffer
-			if _, err := eng.EIASet().WriteTo(&eiaState); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(eiaState.Bytes(), wantEIA) {
-				t.Error("batched EIA end-state differs from per-record end-state")
-			}
+			requireSameOutcome(t, runSerialBatches(t, w.cfg, w, detector, stream, size), want)
 		})
 	}
 }
@@ -114,108 +269,65 @@ func TestSerialBatchMatchesPerRecord(t *testing.T) {
 // TestParallelBatchMatchesSerial is the batched arm of the concurrency
 // stress test: one goroutine per peer replays its stream through
 // SubmitBatch in size-bounded chunks, across shard counts. The merged
-// counters, alert counts and EIA end-state must match the per-record
-// serial reference, as TestParallelEngineMatchesSerial demands of
-// per-record Submit.
+// counters, per-peer alert streams and EIA end-state must match the
+// per-record serial reference, as TestParallelEngineMatchesSerial
+// demands of per-record Submit.
 func TestParallelBatchMatchesSerial(t *testing.T) {
 	w := buildParallelWorkload(t)
-	interleave := interleaveRoundRobin(w)
-	want, wantAlerts, wantEIA := runSerialReference(t, w, interleave)
 	detector := mustDetector(t, w)
+	want, _ := runSerialReference(t, w.cfg, w, detector, mixedStream(w))
 
 	for _, shards := range []int{1, 3, workloadPeers} {
 		for _, size := range batchSizes {
 			t.Run(fmt.Sprintf("shards=%d/batch=%d", shards, size), func(t *testing.T) {
-				pe, err := NewParallelEngine(
-					ParallelConfig{Config: w.cfg, Shards: shards, QueueDepth: 16},
-					freshTrainedSet(w.cfg, w.labeled), detector)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var alerts atomic.Int64
-				pe.SetAlertSink(func(a idmef.Alert) { alerts.Add(1) })
-
-				var wg sync.WaitGroup
-				for p := 1; p <= workloadPeers; p++ {
-					wg.Add(1)
-					go func(peer eia.PeerAS) {
-						defer wg.Done()
-						stream := w.streams[peer]
-						for off := 0; off < len(stream); off += size {
-							end := off + size
-							if end > len(stream) {
-								end = len(stream)
-							}
-							if err := pe.SubmitBatch(peer, stream[off:end]); err != nil {
-								t.Errorf("SubmitBatch: %v", err)
-								return
-							}
-						}
-					}(eia.PeerAS(p))
-				}
-				wg.Wait()
-				pe.Flush()
-				got := pe.Stats()
-				var eiaState bytes.Buffer
-				if _, err := pe.EIASet().WriteTo(&eiaState); err != nil {
-					t.Fatal(err)
-				}
-				if err := pe.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("batched stats = %+v, serial = %+v", got, want)
-				}
-				if int(alerts.Load()) != wantAlerts {
-					t.Errorf("batched alerts = %d, serial = %d", alerts.Load(), wantAlerts)
-				}
-				if !bytes.Equal(eiaState.Bytes(), wantEIA) {
-					t.Error("batched EIA end-state differs from serial end-state")
-				}
+				got := runPerPeerStreams(t, w.cfg, w, detector, shards, size)
+				requireSameOutcome(t, got, want)
 			})
 		}
 	}
 }
 
-// TestSubmitLabeledBatchMatchesSerial drives the mixed-peer entry point:
-// the global interleave is chunked and fanned out by the engine itself.
-func TestSubmitLabeledBatchMatchesSerial(t *testing.T) {
+// TestMixedStreamMatchesSerial is the equivalence gate in the shape the
+// daemon produces: one mixed-peer dual-stack stream, cut into ingest-sized
+// chunks and submitted as maximal same-peer runs, against the serial
+// Engine.Process stream.
+func TestMixedStreamMatchesSerial(t *testing.T) {
 	w := buildParallelWorkload(t)
-	interleave := interleaveRoundRobin(w)
-	want, wantAlerts, _ := runSerialReference(t, w, interleave)
+	stream := mixedStream(w)
 	detector := mustDetector(t, w)
+	want, _ := runSerialReference(t, w.cfg, w, detector, stream)
 
-	for _, size := range batchSizes {
-		t.Run(fmt.Sprintf("batch=%d", size), func(t *testing.T) {
-			pe, err := NewParallelEngine(
-				ParallelConfig{Config: w.cfg, Shards: 3, QueueDepth: 16},
-				freshTrainedSet(w.cfg, w.labeled), detector)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var alerts atomic.Int64
-			pe.SetAlertSink(func(a idmef.Alert) { alerts.Add(1) })
-			for off := 0; off < len(interleave); off += size {
-				end := off + size
-				if end > len(interleave) {
-					end = len(interleave)
-				}
-				if err := pe.SubmitLabeledBatch(interleave[off:end]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			pe.Flush()
-			got := pe.Stats()
-			if err := pe.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("labeled-batch stats = %+v, serial = %+v", got, want)
-			}
-			if int(alerts.Load()) != wantAlerts {
-				t.Errorf("labeled-batch alerts = %d, serial = %d", alerts.Load(), wantAlerts)
-			}
-		})
+	for _, shards := range []int{1, 3} {
+		for _, size := range batchSizes {
+			t.Run(fmt.Sprintf("shards=%d/batch=%d", shards, size), func(t *testing.T) {
+				got := runMixedStream(t, w.cfg, w, detector, stream, shards, size)
+				requireSameOutcome(t, got, want)
+			})
+		}
+	}
+}
+
+// TestBatchLoopSteadyStateAllocs pins the batch loop's allocation
+// budget: once a shard's scratch has grown to the batch width, an
+// all-Match 256-record batch allocates nothing — no per-batch Stats map,
+// which matters now that a lone Submit is a one-record batch.
+func TestBatchLoopSteadyStateAllocs(t *testing.T) {
+	set := eia.NewSet(eia.Config{})
+	set.AddPrefix(1, netaddr.MustParsePrefix("61.0.0.0/11"))
+	eng, err := NewEngine(Config{Mode: ModeBasic}, set, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]flow.Record, 256)
+	for i := range recs {
+		recs[i] = flow.Record{Key: flow.Key{Src: netaddr.IPv4(61<<24 | uint32(i)).Addr()}}
+	}
+	eng.ProcessBatch(1, recs) // grow the scratch
+	if got := testing.AllocsPerRun(100, func() { eng.ProcessBatch(1, recs) }); got != 0 {
+		t.Errorf("all-Match batch allocates %.1f times per batch, want 0", got)
+	}
+	if st := eng.Stats(); st.Suspects != 0 || st.Processed == 0 {
+		t.Fatalf("batch was not all-Match: %+v", st)
 	}
 }
 
@@ -230,62 +342,7 @@ func mustDetector(t *testing.T, w parallelWorkload) *nns.Detector {
 	return detector
 }
 
-// TestBatchFanOutPartition is the property test for batch fan-out: for
-// random batches, the per-shard sub-batches are a partition of the input
-// preserving per-peer order — no record duplicated, dropped, or
-// reordered within a peer.
-func TestBatchFanOutPartition(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 50; trial++ {
-		shards := 1 + rng.Intn(8)
-		n := rng.Intn(400)
-		batch := make([]LabeledRecord, n)
-		for i := range batch {
-			// SrcPort carries the input index so every record is unique
-			// and its original position recoverable.
-			batch[i] = LabeledRecord{
-				Peer: eia.PeerAS(rng.Intn(12)),
-				Record: flow.Record{Key: flow.Key{
-					Src:     netaddr.IPv4(rng.Uint32()).Addr(),
-					SrcPort: uint16(i),
-				}},
-			}
-		}
-		sub := fanOut(batch, make([][]shardItem, shards))
-
-		var flat []shardItem
-		for si, items := range sub {
-			for _, it := range items {
-				if int(it.peer)%shards != si {
-					t.Fatalf("trial %d: peer %d routed to shard %d of %d", trial, it.peer, si, shards)
-				}
-				flat = append(flat, it)
-			}
-		}
-		if len(flat) != n {
-			t.Fatalf("trial %d: %d records out, %d in", trial, len(flat), n)
-		}
-		seen := make(map[uint16]bool, n)
-		lastIdx := make(map[eia.PeerAS]int)
-		for _, it := range flat {
-			idx := it.rec.Key.SrcPort
-			if seen[idx] {
-				t.Fatalf("trial %d: record %d duplicated", trial, idx)
-			}
-			seen[idx] = true
-			orig := batch[idx]
-			if it.peer != orig.Peer || it.rec != orig.Record {
-				t.Fatalf("trial %d: record %d mutated in fan-out", trial, idx)
-			}
-			if last, ok := lastIdx[it.peer]; ok && int(idx) < last {
-				t.Fatalf("trial %d: peer %d reordered (%d after %d)", trial, it.peer, idx, last)
-			}
-			lastIdx[it.peer] = int(idx)
-		}
-	}
-}
-
-// TestParallelEngineBatchWorkerLeak cycles engines through the batched
+// TestParallelEngineBatchWorkerLeak cycles engines through both submit
 // entry points — including Close with batches still queued — and fails
 // on any worker goroutine left behind.
 func TestParallelEngineBatchWorkerLeak(t *testing.T) {
@@ -294,10 +351,6 @@ func TestParallelEngineBatchWorkerLeak(t *testing.T) {
 	recs := make([]flow.Record, 32)
 	for i := range recs {
 		recs[i] = flow.Record{Key: flow.Key{Src: netaddr.MustParseAddr("99.1.1.1")}}
-	}
-	labeled := make([]LabeledRecord, 32)
-	for i := range labeled {
-		labeled[i] = LabeledRecord{Peer: eia.PeerAS(i % 5), Record: recs[i%len(recs)]}
 	}
 	testutil.ExpectNoGoroutineGrowth(t, func() {
 		for i := 0; i < 5; i++ {
@@ -310,7 +363,7 @@ func TestParallelEngineBatchWorkerLeak(t *testing.T) {
 				if err := pe.SubmitBatch(eia.PeerAS(j%4+1), recs); err != nil {
 					t.Fatal(err)
 				}
-				if err := pe.SubmitLabeledBatch(labeled); err != nil {
+				if err := pe.Submit(eia.PeerAS(j%5), recs[0]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -321,8 +374,8 @@ func TestParallelEngineBatchWorkerLeak(t *testing.T) {
 			if err := pe.SubmitBatch(1, recs); err != ErrEngineClosed {
 				t.Fatalf("SubmitBatch after Close = %v, want ErrEngineClosed", err)
 			}
-			if err := pe.SubmitLabeledBatch(labeled); err != ErrEngineClosed {
-				t.Fatalf("SubmitLabeledBatch after Close = %v, want ErrEngineClosed", err)
+			if err := pe.Submit(1, recs[0]); err != ErrEngineClosed {
+				t.Fatalf("Submit after Close = %v, want ErrEngineClosed", err)
 			}
 		}
 	})

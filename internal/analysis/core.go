@@ -17,12 +17,16 @@ import (
 )
 
 // core is the single pipeline implementation behind both engines: one
-// decide path (pipeline.decide), one stats accounting, one alert emitter.
-// Engine is a core with exactly one shard driven synchronously;
-// ParallelEngine is a core with N shards driven from queues. Because the
-// serial engine is the one-shard degenerate case of the same code, the
-// serial/parallel equivalence property holds by construction — there is
-// no second implementation to drift.
+// post-EIA decide path (pipeline.decideVerdict), one stats accounting,
+// one alert emitter. Engine is a core with exactly one shard driven
+// synchronously; ParallelEngine is a core with N shards driven from
+// queues. Both embed it, so the accessors below are defined once.
+//
+// Work reaches a verdict in one of two ways only: processBatch, the
+// single-peer record batch every queued message and Engine.ProcessBatch
+// run, and process, the synchronous one-flow form behind Engine.Process
+// that hands the Decision back to its caller. The equivalence suites
+// compare the two, which is what keeps them from drifting.
 //
 // Shared state is concurrency-safe by composition: the EIA store is a
 // lock-free copy-on-write snapshot store, the NNS detector is read-only
@@ -40,11 +44,6 @@ type core struct {
 	now      func() time.Time
 }
 
-type shardItem struct {
-	peer eia.PeerAS
-	rec  flow.Record
-}
-
 // shard is one driver's private state: its own Scan Analysis buffer
 // (suspect interleaving is per-shard, matching the per-ingress deployment
 // of the paper's prototype) and its own counters, merged only when Stats
@@ -57,11 +56,11 @@ type shard struct {
 
 	// Batch scratch, touched only by the shard's single driver: the
 	// column views CheckBatch classifies (one snapshot load per batch)
-	// and, on the serial engine, the staging slice ProcessBatch fills.
-	items    []shardItem
-	peers    []eia.PeerAS
+	// and the counters a batch accumulates before merging into stats
+	// under one lock (reset, not reallocated, between batches).
 	srcs     []netaddr.Addr
 	verdicts []eia.Verdict
+	batch    Stats
 
 	mu    sync.Mutex
 	stats Stats
@@ -120,6 +119,7 @@ func newCore(cfg Config, set *eia.Set, detector *nns.Detector, shards int, metri
 				ttl:      c.ttl,
 				promote:  cfg.PromotionFilter,
 			},
+			batch: Stats{ByStage: make(map[idmef.Stage]int)},
 			stats: Stats{ByStage: make(map[idmef.Stage]int)},
 		}
 		if metrics != nil {
@@ -133,9 +133,11 @@ func newCore(cfg Config, set *eia.Set, detector *nns.Detector, shards int, metri
 	return c, nil
 }
 
-// process runs one flow through shard s: decide, fold the outcome into
-// the shard's counters, emit the alert. This is the one normal-processing
-// implementation both engines execute.
+// process runs one flow through shard s synchronously and returns its
+// Decision: classify, decide, fold the outcome into the shard's counters,
+// emit the alert. Only Engine.Process uses it — callers that want the
+// per-flow Decision (experiments, the equivalence suites' reference
+// stream) — while everything queued goes through processBatch.
 func (c *core) process(s *shard, peer eia.PeerAS, rec flow.Record) Decision {
 	start := c.now()
 	d, scanFlagged := s.pl.decide(peer, rec)
@@ -150,85 +152,25 @@ func (c *core) process(s *shard, peer eia.PeerAS, rec flow.Record) Decision {
 	return d
 }
 
-// processBatch runs a batch of flows through shard s, observationally
-// identical to calling process on each item in order. The EIA stage is
-// amortized: one CheckBatch classifies the whole batch against a single
-// published snapshot (one atomic load, one trie-walk setup), with the
-// measured stage cost attributed evenly across the batch so per-record
-// stage telemetry keeps its one-observation-per-flow invariant. When a
-// record's decision completes a promotion — publishing a new snapshot —
-// the still-unconsumed tail is re-classified against it, so a batch never
+// processBatch is the batch loop: it runs the records of one batch, all
+// observed at peer, through shard s, observationally identical to calling
+// process on each record in order. The EIA stage is amortized: one
+// CheckBatch classifies the whole batch against a single published
+// snapshot (one atomic load, one trie-walk setup), with the measured
+// stage cost attributed evenly across the batch so per-record stage
+// telemetry keeps its one-observation-per-flow invariant. When a record's
+// decision completes a promotion — publishing a new snapshot — the
+// still-unconsumed tail is re-classified against it, so a batch never
 // reports staler verdicts than the per-record path would. Hit/miss
-// counters fold in at consumption time (CountVerdict), once per record,
-// tail re-checks notwithstanding. Stats are accumulated locally and
-// merged under one lock per batch.
-func (c *core) processBatch(s *shard, items []shardItem) {
-	n := len(items)
-	if n == 0 {
-		return
-	}
-	if cap(s.peers) < n {
-		s.peers = make([]eia.PeerAS, n)
-		s.srcs = make([]netaddr.Addr, n)
-		s.verdicts = make([]eia.Verdict, n)
-	}
-	peers, srcs, verdicts := s.peers[:n], s.srcs[:n], s.verdicts[:n]
-	for i := range items {
-		peers[i] = items[i].peer
-		srcs[i] = items[i].rec.Key.Src
-	}
-	m := s.pl.metrics
-	var t time.Time
-	if m != nil {
-		t = time.Now()
-	}
-	c.store.CheckBatch(peers, srcs, verdicts)
-	var eiaShare time.Duration
-	if m != nil {
-		eiaShare = time.Since(t) / time.Duration(n)
-	}
-
-	batch := Stats{ByStage: make(map[idmef.Stage]int)}
-	var tally verdictTally
-	for i := range items {
-		if m != nil {
-			m.flows.Inc()
-			m.observeStage(stageEIA, eiaShare)
-		}
-		tally.add(srcs[i], verdicts[i])
-		// No per-record Decision.Latency on the batch path: the decision is
-		// not returned to any caller here, and stage telemetry already gets
-		// its per-flow observations (amortized for EIA, direct for scan/NNS
-		// inside decideVerdict), so two clock reads per record would buy
-		// nothing and dominate the cheap legal-flow case.
-		d, scanFlagged := s.pl.decideVerdict(items[i].peer, &items[i].rec, verdicts[i])
-		batch.record(d, scanFlagged)
-		if d.Attack {
-			c.emitAlert(items[i].peer, items[i].rec, d)
-		}
-		if d.Promoted && i+1 < n {
-			c.store.CheckBatch(peers[i+1:], srcs[i+1:], verdicts[i+1:])
-		}
-	}
-	tally.settle(c.store)
-	s.mu.Lock()
-	s.stats.merge(batch)
-	s.mu.Unlock()
-}
-
-// processPeerBatch is processBatch for the dominant ingest shape: a
-// whole batch of records observed at one peer (the batch one reader
-// socket hands over). It skips the per-item staging processBatch needs
-// for mixed-peer input — no shardItem conversion, only the source-column
-// fill — and classifies through CheckBatchPeer. Observationally
-// identical to calling process(s, peer, rec) on each record in order.
-func (c *core) processPeerBatch(s *shard, peer eia.PeerAS, recs []flow.Record) {
+// counters fold in at consumption time (verdictTally), once per record,
+// tail re-checks notwithstanding. Stats accumulate in the shard's scratch
+// block and merge under one lock per batch.
+func (c *core) processBatch(s *shard, peer eia.PeerAS, recs []flow.Record) {
 	n := len(recs)
 	if n == 0 {
 		return
 	}
 	if cap(s.srcs) < n {
-		s.peers = make([]eia.PeerAS, n)
 		s.srcs = make([]netaddr.Addr, n)
 		s.verdicts = make([]eia.Verdict, n)
 	}
@@ -241,13 +183,13 @@ func (c *core) processPeerBatch(s *shard, peer eia.PeerAS, recs []flow.Record) {
 	if m != nil {
 		t = time.Now()
 	}
-	c.store.CheckBatchPeer(peer, srcs, verdicts)
+	c.store.CheckBatch(peer, srcs, verdicts)
 	var eiaShare time.Duration
 	if m != nil {
 		eiaShare = time.Since(t) / time.Duration(n)
 	}
 
-	batch := Stats{ByStage: make(map[idmef.Stage]int)}
+	batch := &s.batch
 	var tally verdictTally
 	for i := range recs {
 		if m != nil {
@@ -255,19 +197,25 @@ func (c *core) processPeerBatch(s *shard, peer eia.PeerAS, recs []flow.Record) {
 			m.observeStage(stageEIA, eiaShare)
 		}
 		tally.add(srcs[i], verdicts[i])
+		// No per-record Decision.Latency on the batch path: the decision is
+		// not returned to any caller here, and stage telemetry already gets
+		// its per-flow observations (amortized for EIA, direct for scan/NNS
+		// inside decideVerdict), so two clock reads per record would buy
+		// nothing and dominate the cheap legal-flow case.
 		d, scanFlagged := s.pl.decideVerdict(peer, &recs[i], verdicts[i])
 		batch.record(d, scanFlagged)
 		if d.Attack {
 			c.emitAlert(peer, recs[i], d)
 		}
 		if d.Promoted && i+1 < n {
-			c.store.CheckBatchPeer(peer, srcs[i+1:], verdicts[i+1:])
+			c.store.CheckBatch(peer, srcs[i+1:], verdicts[i+1:])
 		}
 	}
 	tally.settle(c.store)
 	s.mu.Lock()
-	s.stats.merge(batch)
+	s.stats.merge(*batch)
 	s.mu.Unlock()
+	batch.reset()
 }
 
 // verdictTally accumulates a batch's consumed verdicts per address
@@ -306,9 +254,36 @@ func (c *core) emitAlert(peer eia.PeerAS, rec flow.Record, d Decision) {
 	))
 }
 
-// mergedStats returns the counters merged across shards. It may run
+// SetAlertSink installs a callback receiving an IDMEF alert per detected
+// attack (nil disables). It must be called before the first flow is
+// processed; on a ParallelEngine the callback runs on worker goroutines
+// and must be safe for concurrent use.
+func (c *core) SetAlertSink(fn func(idmef.Alert)) { c.alertFn = fn }
+
+// SetClock overrides the engine's clock (tests and replay); nil is
+// ignored. It must be called before the first flow is processed; on a
+// ParallelEngine the clock is read concurrently by every worker and must
+// be safe for concurrent use.
+func (c *core) SetClock(now func() time.Time) {
+	if now != nil {
+		c.now = now
+	}
+}
+
+// EIASet exposes the engine's shared EIA snapshot store (monitoring,
+// tests, checkpointing).
+func (c *core) EIASet() *eia.Store { return c.store }
+
+// Detector exposes the engine's trained NNS detector (nil in ModeBasic).
+func (c *core) Detector() *nns.Detector { return c.detector }
+
+// TTLProfile exposes the engine's shared TTL-profile table for
+// monitoring and checkpointing; nil when the stage is disabled.
+func (c *core) TTLProfile() *scan.TTLProfile { return c.ttl }
+
+// Stats returns the counters merged across shards. It may be called
 // concurrently with processing; the snapshot is consistent per shard.
-func (c *core) mergedStats() Stats {
+func (c *core) Stats() Stats {
 	out := Stats{ByStage: make(map[idmef.Stage]int)}
 	for _, s := range c.shards {
 		s.mu.Lock()
@@ -316,12 +291,6 @@ func (c *core) mergedStats() Stats {
 		s.mu.Unlock()
 	}
 	return out
-}
-
-func (c *core) setClock(now func() time.Time) {
-	if now != nil {
-		c.now = now
-	}
 }
 
 // trainComponents builds the trained state both engines start from:

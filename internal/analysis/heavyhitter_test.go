@@ -31,7 +31,7 @@ func trainedEngineHH(t *testing.T, threshold int) *Engine {
 
 func TestHeavyHitterStageDisabledByDefault(t *testing.T) {
 	eng := trainedEngine(t, ModeEnhanced)
-	if eng.c.shards[0].pl.hh != nil {
+	if eng.shards[0].pl.hh != nil {
 		t.Fatal("default config built a heavy-hitter stage")
 	}
 }

@@ -9,9 +9,7 @@ import (
 
 	"infilter/internal/eia"
 	"infilter/internal/flow"
-	"infilter/internal/idmef"
 	"infilter/internal/nns"
-	"infilter/internal/scan"
 )
 
 // ParallelConfig assembles a ParallelEngine.
@@ -38,28 +36,19 @@ type ParallelConfig struct {
 // DefaultQueueDepth is the per-shard queue bound when none is configured.
 const DefaultQueueDepth = 256
 
-// shardBatch is one queue message, in one of three shapes: a single flow
-// (payload in single), a mixed-peer item batch (items), or a single-peer
-// record batch (recs + peer — the dominant ingest shape, kept as plain
-// records so SubmitBatch stages it with one bulk copy instead of a
-// per-record struct fill). A non-nil pooled/pooledRecs returns the
-// batch's backing slice to its pool once the worker has consumed it.
+// shardBatch is the one queue message shape: a batch of records observed
+// at one peer, staged in a pooled slice (recs aliases *pooled) that the
+// worker hands back to recSlicePool once it has consumed the batch.
 type shardBatch struct {
-	single     shardItem
-	items      []shardItem
-	pooled     *[]shardItem
-	recs       []flow.Record
-	peer       eia.PeerAS
-	pooledRecs *[]flow.Record
+	peer   eia.PeerAS
+	recs   []flow.Record
+	pooled *[]flow.Record
 }
 
-// itemSlicePool and recSlicePool recycle batch staging slices between
-// Submit*Batch calls and the workers that drain them, keeping the
-// steady-state batch path allocation-free.
-var (
-	itemSlicePool = sync.Pool{New: func() any { return new([]shardItem) }}
-	recSlicePool  = sync.Pool{New: func() any { return new([]flow.Record) }}
-)
+// recSlicePool recycles batch staging slices between Submit/SubmitBatch
+// and the workers that drain them, keeping the steady-state submit path
+// allocation-free.
+var recSlicePool = sync.Pool{New: func() any { return new([]flow.Record) }}
 
 // ErrEngineClosed is returned by Submit after Close.
 var ErrEngineClosed = errors.New("analysis: parallel engine closed")
@@ -77,7 +66,7 @@ var ErrEngineClosed = errors.New("analysis: parallel engine closed")
 // must be called before the first Submit; the installed alert sink is
 // invoked from worker goroutines and must itself be concurrency-safe.
 type ParallelEngine struct {
-	c *core
+	*core
 
 	submitted atomic.Int64
 	processed atomic.Int64
@@ -102,7 +91,7 @@ func NewParallelEngine(cfg ParallelConfig, set *eia.Set, detector *nns.Detector)
 	if err != nil {
 		return nil, err
 	}
-	e := &ParallelEngine{c: c}
+	e := &ParallelEngine{core: c}
 	for i, s := range c.shards {
 		s.queue = make(chan shardBatch, cfg.QueueDepth)
 		if cfg.Metrics != nil {
@@ -127,47 +116,19 @@ func TrainParallel(cfg ParallelConfig, normal []LabeledRecord) (*ParallelEngine,
 	return NewParallelEngine(cfg, set, detector)
 }
 
-// SetAlertSink installs a callback receiving an IDMEF alert per detected
-// attack. It must be called before the first Submit; the callback runs on
-// worker goroutines and must be safe for concurrent use.
-func (e *ParallelEngine) SetAlertSink(fn func(idmef.Alert)) { e.c.alertFn = fn }
-
-// SetClock overrides the engine's clock (tests and replay). It must be
-// called before the first Submit; the clock is read concurrently by every
-// worker and must be safe for concurrent use.
-func (e *ParallelEngine) SetClock(now func() time.Time) { e.c.setClock(now) }
-
-// EIASet exposes the engine's shared EIA snapshot store (monitoring,
-// tests, checkpointing).
-func (e *ParallelEngine) EIASet() *eia.Store { return e.c.store }
-
-// Detector exposes the engine's trained NNS detector (nil in ModeBasic).
-func (e *ParallelEngine) Detector() *nns.Detector { return e.c.detector }
-
-// TTLProfile exposes the engine's shared TTL-profile table for
-// monitoring and checkpointing; nil when the stage is disabled.
-func (e *ParallelEngine) TTLProfile() *scan.TTLProfile { return e.c.ttl }
-
 // Shards returns the number of worker shards.
-func (e *ParallelEngine) Shards() int { return len(e.c.shards) }
+func (e *ParallelEngine) Shards() int { return len(e.shards) }
 
 // shardFor routes a peer AS to its worker.
 func (e *ParallelEngine) shardFor(peer eia.PeerAS) *shard {
-	return e.c.shards[int(peer)%len(e.c.shards)]
+	return e.shards[int(peer)%len(e.shards)]
 }
 
-// Submit enqueues one flow for its peer's shard, blocking while the
-// shard's queue is full (backpressure). It returns ErrEngineClosed after
-// Close.
+// Submit enqueues one flow for its peer's shard as a one-record batch,
+// blocking while the shard's queue is full (backpressure). It returns
+// ErrEngineClosed after Close.
 func (e *ParallelEngine) Submit(peer eia.PeerAS, rec flow.Record) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return ErrEngineClosed
-	}
-	e.submitted.Add(1)
-	e.enqueue(e.shardFor(peer), shardBatch{single: shardItem{peer: peer, rec: rec}})
-	return nil
+	return e.SubmitBatch(peer, []flow.Record{rec})
 }
 
 // SubmitBatch enqueues a batch of flows that all entered through peer —
@@ -188,47 +149,8 @@ func (e *ParallelEngine) SubmitBatch(peer eia.PeerAS, recs []flow.Record) error 
 	p := recSlicePool.Get().(*[]flow.Record)
 	staged := append((*p)[:0], recs...) // one bulk copy; caller keeps recs
 	*p = staged
-	e.enqueue(e.shardFor(peer), shardBatch{recs: staged, peer: peer, pooledRecs: p})
+	e.enqueue(e.shardFor(peer), shardBatch{peer: peer, recs: staged, pooled: p})
 	return nil
-}
-
-// SubmitLabeledBatch fans a mixed-peer batch out to the shards in one
-// pass: each shard receives the sub-batch of records routed to it,
-// preserving the input order within every peer (fanOut). Sub-batches are
-// enqueued in shard order; flows for different peers in one call carry no
-// cross-peer ordering guarantee, exactly as with concurrent Submits.
-func (e *ParallelEngine) SubmitLabeledBatch(batch []LabeledRecord) error {
-	if len(batch) == 0 {
-		return nil
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return ErrEngineClosed
-	}
-	e.submitted.Add(int64(len(batch)))
-	sub := fanOut(batch, make([][]shardItem, len(e.c.shards)))
-	for i, items := range sub {
-		if len(items) == 0 {
-			continue
-		}
-		e.enqueue(e.c.shards[i], shardBatch{items: items})
-	}
-	return nil
-}
-
-// fanOut partitions a labeled batch into per-shard sub-batches, appending
-// each record to sub[peer mod len(sub)] in input order. The result is a
-// partition of the input — no record duplicated, dropped, or reordered
-// relative to other records of the same peer. sub's existing contents are
-// preserved (callers pass emptied scratch slices to reuse capacity).
-func fanOut(batch []LabeledRecord, sub [][]shardItem) [][]shardItem {
-	n := len(sub)
-	for _, lr := range batch {
-		i := int(lr.Peer) % n
-		sub[i] = append(sub[i], shardItem{peer: lr.Peer, rec: lr.Record})
-	}
-	return sub
 }
 
 // enqueue places one message on s's queue, counting (then waiting out)
@@ -246,33 +168,12 @@ func (e *ParallelEngine) enqueue(s *shard, sb shardBatch) {
 func (e *ParallelEngine) worker(s *shard) {
 	defer e.wg.Done()
 	for sb := range s.queue {
-		switch {
-		case sb.recs != nil:
-			n := int64(len(sb.recs))
-			e.c.processPeerBatch(s, sb.peer, sb.recs)
-			if sb.pooledRecs != nil {
-				*sb.pooledRecs = (*sb.pooledRecs)[:0]
-				recSlicePool.Put(sb.pooledRecs)
-			}
-			e.processed.Add(n)
-		case sb.items != nil:
-			n := int64(len(sb.items))
-			e.c.processBatch(s, sb.items)
-			if sb.pooled != nil {
-				*sb.pooled = (*sb.pooled)[:0]
-				itemSlicePool.Put(sb.pooled)
-			}
-			e.processed.Add(n)
-		default:
-			e.c.process(s, sb.single.peer, sb.single.rec)
-			e.processed.Add(1)
-		}
+		e.processBatch(s, sb.peer, sb.recs)
+		*sb.pooled = sb.recs[:0]
+		recSlicePool.Put(sb.pooled)
+		e.processed.Add(int64(len(sb.recs)))
 	}
 }
-
-// Stats returns the engine counters merged across shards. It may be called
-// concurrently with Submit; the snapshot is consistent per shard.
-func (e *ParallelEngine) Stats() Stats { return e.c.mergedStats() }
 
 // Flush blocks until every flow submitted before the call has been
 // processed. It is a drain barrier for tests and benchmarks; it does not
@@ -296,7 +197,7 @@ func (e *ParallelEngine) Close() error {
 	}
 	e.closed = true
 	e.mu.Unlock()
-	for _, s := range e.c.shards {
+	for _, s := range e.shards {
 		close(s.queue)
 	}
 	e.wg.Wait()

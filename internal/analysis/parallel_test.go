@@ -17,10 +17,11 @@ import (
 	"infilter/internal/trace"
 )
 
-// parallelWorkload is a deterministic multi-ingress replay: per-peer
-// training traffic plus a per-peer stream mixing expected flows, benign
-// suspects from an unexpected block (driving NNS assessment and EIA
-// promotion) and exploit flows from a spoofed source.
+// parallelWorkload is a deterministic dual-stack multi-ingress replay:
+// per-peer training traffic plus a per-peer stream mixing expected flows,
+// benign suspects from an unexpected block (driving NNS assessment and
+// EIA promotion) and exploit flows from a spoofed source, each in both
+// address families.
 type parallelWorkload struct {
 	cfg     Config
 	labeled []LabeledRecord // training set
@@ -50,21 +51,53 @@ func buildParallelWorkload(t *testing.T) parallelWorkload {
 		trainPfx := netaddr.MustParsePrefix(fmt.Sprintf("%d.0.0.0/8", 20+p))
 		suspectPfx := netaddr.MustParsePrefix(fmt.Sprintf("%d.77.4.0/24", 120+p))
 
-		for _, r := range flowsFromPackets(t, int64(p), 250, trainPfx) {
+		// The v6 side reuses v4-generated flows with their addresses moved
+		// into per-peer /48s (NNS never looks at addresses): one trained
+		// site, one unexpected site that gets promoted at /48.
+		trainPfx6 := netaddr.MustParsePrefix(fmt.Sprintf("2001:db8:%x::/48", p))
+		suspectPfx6 := netaddr.MustParsePrefix(fmt.Sprintf("2001:db8:%x::/48", 0x100+p))
+
+		train := flowsFromPackets(t, int64(p), 250, trainPfx)
+		train = append(train, asV6(flowsFromPackets(t, int64(50+p), 40, trainPfx), trainPfx6)...)
+		for _, r := range train {
 			w.labeled = append(w.labeled, LabeledRecord{Peer: peer, Record: r})
 		}
 		var stream []flow.Record
 		// Expected flows (mostly Match — the cheap path).
 		stream = append(stream, flowsFromPackets(t, int64(100+p), 50, trainPfx)...)
-		// Benign suspects from one unexpected /24: NNS-assessed, vouched,
-		// promoted after the threshold, then Matching.
+		stream = append(stream, asV6(flowsFromPackets(t, int64(150+p), 20, trainPfx), trainPfx6)...)
+		// Benign suspects from one unexpected /24 and one unexpected /48:
+		// NNS-assessed, vouched, promoted after the threshold, then
+		// Matching.
 		stream = append(stream, flowsFromPackets(t, int64(200+p), 60, suspectPfx)...)
+		stream = append(stream, asV6(flowsFromPackets(t, int64(250+p), 30, suspectPfx), suspectPfx6)...)
 		// Exploit flows from a spoofed, untrained source.
-		stream = append(stream,
-			attackFlowRecords(t, trace.AttackHTTPExploit, int64(300+p), fmt.Sprintf("%d.9.9.9", 200+p))...)
+		exploit := attackFlowRecords(t, trace.AttackHTTPExploit, int64(300+p), fmt.Sprintf("%d.9.9.9", 200+p))
+		stream = append(stream, exploit...)
+		stream = append(stream, asV6(exploit, netaddr.MustParsePrefix(fmt.Sprintf("2001:db8:%x::/48", 0x200+p)))...)
 		w.streams[peer] = stream
 	}
 	return w
+}
+
+// asV6 returns copies of recs with their endpoints moved into IPv6: each
+// source keeps its low 32 bits inside site (a /48), each destination
+// inside one fixed target site.
+func asV6(recs []flow.Record, site netaddr.Prefix) []flow.Record {
+	into := func(base netaddr.Addr, a netaddr.Addr) netaddr.Addr {
+		b := base.As16()
+		v4, _ := a.V4()
+		b[12], b[13], b[14], b[15] = byte(v4>>24), byte(v4>>16), byte(v4>>8), byte(v4)
+		return netaddr.AddrFrom16(b)
+	}
+	target := netaddr.MustParseAddr("2001:db8:ffff::")
+	out := make([]flow.Record, len(recs))
+	for i, r := range recs {
+		r.Key.Src = into(site.Addr(), r.Key.Src)
+		r.Key.Dst = into(target, r.Key.Dst)
+		out[i] = r
+	}
+	return out
 }
 
 // freshTrainedSet rebuilds the EIA set exactly as Train does, so serial

@@ -3,26 +3,29 @@ package analysis
 import (
 	"fmt"
 	"math"
-	"reflect"
-	"sync"
 	"testing"
 
 	"infilter/internal/eia"
 	"infilter/internal/flow"
 	"infilter/internal/idmef"
 	"infilter/internal/netaddr"
-	"infilter/internal/nns"
 	"infilter/internal/scan"
 )
 
+// scanEquivProbes is each peer's scan width in the equivalence workload.
+const scanEquivProbes = 20
+
 // buildScanEquivWorkload is the small-cardinality workload of the
 // sketch-vs-ring equivalence gate: per-peer streams that interleave
-// legal flows with a 40-probe network scan from one foreign source.
-// Forty suspects fit both the 200-entry ring (no eviction) and the
-// KMV registers' exact range (40 < k = 256), so the two backends must
-// emit byte-identical verdicts — any divergence is a bug, not noise.
-// Promotion is pushed out of reach so the scanning source can never be
-// laundered into the EIA set mid-stream.
+// legal flows with a 20-probe network scan from one foreign source. Each
+// peer's scan has its own destination port and hosts, so its trip
+// decisions do not depend on which other peers share its shard's
+// analyzer, and all 160 suspects together fit both the 200-entry ring
+// (no eviction) and the KMV registers' exact range (20 < k = 256) with no
+// decay rotation — so either backend, at any shard count, must emit
+// byte-identical verdicts; any divergence is a bug, not noise. Promotion
+// is pushed out of reach so the scanning source can never be laundered
+// into the EIA set mid-stream.
 func buildScanEquivWorkload(t *testing.T) parallelWorkload {
 	t.Helper()
 	cfg := Config{
@@ -41,17 +44,17 @@ func buildScanEquivWorkload(t *testing.T) parallelWorkload {
 		legal := flowsFromPackets(t, int64(1000+p), 30, trainPfx)
 		scanSrc := netaddr.MustParseAddr(fmt.Sprintf("%d.9.9.9", 200+p))
 		var stream []flow.Record
-		for i := 0; i < 40; i++ {
+		for i := 0; i < scanEquivProbes; i++ {
 			if i < len(legal) {
 				stream = append(stream, legal[i])
 			}
 			stream = append(stream, flow.Record{
 				Key: flow.Key{
 					Src:     scanSrc,
-					Dst:     netaddr.MustParseAddr(fmt.Sprintf("192.0.2.%d", i+1)),
+					Dst:     netaddr.MustParseAddr(fmt.Sprintf("192.0.%d.%d", 2+p, i+1)),
 					Proto:   flow.ProtoUDP,
 					SrcPort: uint16(40000 + i),
-					DstPort: 1434,
+					DstPort: uint16(1434 + p),
 					InputIf: 1,
 				},
 				Packets: 1, Bytes: 404,
@@ -63,88 +66,40 @@ func buildScanEquivWorkload(t *testing.T) parallelWorkload {
 	return w
 }
 
-// runScanEquivEngine replays the workload through a ParallelEngine with
-// one shard per peer (so each shard's suspect stream is exactly one
-// peer's, in submission order — the only deterministic sharding) and
-// returns the merged stats plus per-stage alert tallies.
-func runScanEquivEngine(t *testing.T, w parallelWorkload, detector *nns.Detector, exact bool, size int) (Stats, map[idmef.Stage]int) {
-	t.Helper()
-	cfg := w.cfg
-	cfg.Scan.ExactBuffer = exact
-	pe, err := NewParallelEngine(
-		ParallelConfig{Config: cfg, Shards: workloadPeers, QueueDepth: 16},
-		freshTrainedSet(cfg, w.labeled), detector)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	stages := make(map[idmef.Stage]int)
-	pe.SetAlertSink(func(a idmef.Alert) {
-		mu.Lock()
-		stages[a.Assessment.Stage]++
-		mu.Unlock()
-	})
-
-	var wg sync.WaitGroup
-	for p := 1; p <= workloadPeers; p++ {
-		wg.Add(1)
-		go func(peer eia.PeerAS) {
-			defer wg.Done()
-			stream := w.streams[peer]
-			for off := 0; off < len(stream); off += size {
-				end := off + size
-				if end > len(stream) {
-					end = len(stream)
-				}
-				if err := pe.SubmitBatch(peer, stream[off:end]); err != nil {
-					t.Errorf("SubmitBatch: %v", err)
-					return
-				}
-			}
-		}(eia.PeerAS(p))
-	}
-	wg.Wait()
-	pe.Flush()
-	got := pe.Stats()
-	if err := pe.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return got, stages
-}
-
 // TestSketchMatchesRingOracleThroughParallelEngine is the end-to-end
 // arm of the sketch-vs-ring equivalence: at small cardinalities the
 // streaming backend must reproduce the exact ring oracle's verdicts
-// flow for flow, through the full concurrent pipeline, at every pinned
-// batch width. Run under -race this also exercises the sketch
+// flow for flow. The reference is the ring under the serial per-record
+// Engine.Process; both backends then run the same mixed-peer stream
+// through the batch loop of a ParallelEngine at 1 and 3 shards and every
+// pinned batch width. Run under -race this also exercises the sketch
 // registers' single-driver-per-shard ownership.
 func TestSketchMatchesRingOracleThroughParallelEngine(t *testing.T) {
 	w := buildScanEquivWorkload(t)
+	stream := mixedStream(w)
 	detector := mustDetector(t, w)
 
-	want, wantStages := runScanEquivEngine(t, w, detector, true, 1)
-	if want.ByStage[idmef.StageScan] == 0 || want.Suspects == 0 {
-		t.Fatalf("degenerate workload: ring oracle stats %+v", want)
+	ring := w.cfg
+	ring.Scan.ExactBuffer = true
+	want, _ := runSerialReference(t, ring, w, detector, stream)
+	if want.stats.ByStage[idmef.StageScan] == 0 {
+		t.Fatalf("degenerate workload: ring oracle stats %+v", want.stats)
 	}
-	if want.Promotions != 0 {
-		t.Fatalf("workload promoted the scanning source: %+v", want)
+	if want.stats.Promotions != 0 {
+		t.Fatalf("workload promoted the scanning source: %+v", want.stats)
 	}
 
-	for _, exact := range []bool{true, false} {
+	for _, cfg := range []Config{ring, w.cfg} {
 		backend := "sketch"
-		if exact {
+		if cfg.Scan.ExactBuffer {
 			backend = "ring"
 		}
-		for _, size := range batchSizes {
-			t.Run(fmt.Sprintf("%s/batch=%d", backend, size), func(t *testing.T) {
-				got, stages := runScanEquivEngine(t, w, detector, exact, size)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("stats = %+v, ring oracle = %+v", got, want)
-				}
-				if !reflect.DeepEqual(stages, wantStages) {
-					t.Errorf("alert stages = %v, ring oracle = %v", stages, wantStages)
-				}
-			})
+		for _, shards := range []int{1, 3} {
+			for _, size := range batchSizes {
+				t.Run(fmt.Sprintf("%s/shards=%d/batch=%d", backend, shards, size), func(t *testing.T) {
+					requireSameOutcome(t, runMixedStream(t, cfg, w, detector, stream, shards, size), want)
+				})
+			}
 		}
 	}
 }

@@ -68,8 +68,7 @@ type Config struct {
 	// Bloom positives always confirm against the exact trie — so verdicts
 	// are identical with the tier on or off; the knob trades memory for
 	// fewer fallback walks (10 bits/entry ≈ 1% false-positive rate).
-	// Zero (the default) disables the tier. Set-level checks (Set.Check)
-	// never use it.
+	// Zero (the default) disables the tier.
 	BloomBitsPerEntry int
 	// BloomHashes fixes the probe count per Bloom query. Zero (the
 	// default) derives the information-optimal count from
@@ -105,18 +104,32 @@ func (c Config) promoteBits(fam netaddr.Family) int {
 	return c.PromoteMaskBits
 }
 
-type pendingKey struct {
-	peer PeerAS
-	pfx  netaddr.Prefix
+// classify is the one lookup-result → verdict switch (paper §5.2 case
+// analysis) for a flow observed at peer: callers write
+// peer.classify(index.Lookup(src)), and both the per-flow check and the
+// batch classifier inline it, so there is no second copy to drift. It
+// takes the lookup's results rather than the trie because the inlined
+// Lookup alone nearly fills the compiler's inline budget — a helper that
+// also held the call could not be inlined into the batch loops.
+func (peer PeerAS) classify(expected PeerAS, ok bool) Verdict {
+	switch {
+	case !ok:
+		return Unknown
+	case expected == peer:
+		return Match
+	default:
+		return WrongPeer
+	}
 }
 
-// Set holds the per-peer EIA sets with a longest-prefix global index.
-// It is not safe for concurrent use.
+// Set is the load-time builder of the per-peer EIA sets: training,
+// file/checkpoint decoding and Merge fill one, then NewStore adopts it.
+// Checking, vouching and publication live on Store only. It is not safe
+// for concurrent use.
 type Set struct {
 	cfg     Config
 	index   *netaddr.PrefixTrie[PeerAS]
 	perPeer map[PeerAS]int // prefixes per peer, for introspection
-	pending map[pendingKey]int
 }
 
 // NewSet returns an empty EIA set.
@@ -125,7 +138,6 @@ func NewSet(cfg Config) *Set {
 		cfg:     cfg.withDefaults(),
 		index:   netaddr.NewPrefixTrie[PeerAS](),
 		perPeer: make(map[PeerAS]int),
-		pending: make(map[pendingKey]int),
 	}
 }
 
@@ -140,48 +152,6 @@ func (s *Set) AddPrefix(peer PeerAS, p netaddr.Prefix) {
 	}
 	s.index.Insert(p, peer)
 	s.perPeer[peer]++
-}
-
-// ExpectedPeer returns the peer AS whose EIA set contains src, by
-// longest-prefix match.
-func (s *Set) ExpectedPeer(src netaddr.Addr) (PeerAS, bool) {
-	return s.index.Lookup(src)
-}
-
-// Check classifies a flow's source address observed at peer.
-func (s *Set) Check(peer PeerAS, src netaddr.Addr) Verdict {
-	expected, ok := s.index.Lookup(src)
-	switch {
-	case !ok:
-		return Unknown
-	case expected == peer:
-		return Match
-	default:
-		return WrongPeer
-	}
-}
-
-// RecordLegal notes that a flow from src observed at peer passed the
-// deeper (scan + NNS) analysis despite failing the EIA check. After the
-// promotion threshold, the source's subnet is added to peer's EIA set so
-// the route change stops raising suspicions. Reports whether promotion
-// happened on this call.
-func (s *Set) RecordLegal(peer PeerAS, src netaddr.Addr) bool {
-	pfx := netaddr.MustPrefix(src, s.cfg.promoteBits(src.Family()))
-	k := pendingKey{peer: peer, pfx: pfx}
-	s.pending[k]++
-	if s.pending[k] >= s.cfg.PromoteThreshold {
-		delete(s.pending, k)
-		s.AddPrefix(peer, pfx)
-		return true
-	}
-	return false
-}
-
-// PendingCount exposes the current promotion progress for a source subnet
-// at a peer, for tests and monitoring.
-func (s *Set) PendingCount(peer PeerAS, src netaddr.Addr) int {
-	return s.pending[pendingKey{peer: peer, pfx: netaddr.MustPrefix(src, s.cfg.promoteBits(src.Family()))}]
 }
 
 // Len returns the total number of prefixes across all peers.

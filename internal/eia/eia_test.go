@@ -23,8 +23,9 @@ func TestCheckVerdicts(t *testing.T) {
 		{1, "70.1.2.3", WrongPeer},
 		{1, "9.9.9.9", Unknown},
 	}
+	st := NewStore(s)
 	for _, tt := range tests {
-		if got := s.Check(tt.peer, netaddr.MustParseAddr(tt.src)); got != tt.want {
+		if got := st.Check(tt.peer, netaddr.MustParseAddr(tt.src)); got != tt.want {
 			t.Errorf("Check(%d, %s) = %v, want %v", tt.peer, tt.src, got, tt.want)
 		}
 	}
@@ -43,11 +44,12 @@ func TestExpectedPeerLongestPrefixWins(t *testing.T) {
 	s := NewSet(Config{})
 	s.AddPrefix(1, netaddr.MustParsePrefix("4.0.0.0/8"))
 	s.AddPrefix(2, netaddr.MustParsePrefix("4.2.101.0/24"))
+	st := NewStore(s)
 	// The §3.2 worked example: 4.2.101.20 routes via the /24's peer.
-	if p, ok := s.ExpectedPeer(netaddr.MustParseAddr("4.2.101.20")); !ok || p != 2 {
+	if p, ok := st.ExpectedPeer(netaddr.MustParseAddr("4.2.101.20")); !ok || p != 2 {
 		t.Errorf("ExpectedPeer = %d, %v; want 2", p, ok)
 	}
-	if p, ok := s.ExpectedPeer(netaddr.MustParseAddr("4.9.9.9")); !ok || p != 1 {
+	if p, ok := st.ExpectedPeer(netaddr.MustParseAddr("4.9.9.9")); !ok || p != 1 {
 		t.Errorf("ExpectedPeer = %d, %v; want 1", p, ok)
 	}
 }
@@ -60,9 +62,6 @@ func TestAddPrefixRehoming(t *testing.T) {
 		t.Fatalf("peer 1 count = %d", s.PeerPrefixCount(1))
 	}
 	s.AddPrefix(2, p) // route change: same block now enters via peer 2
-	if got := s.Check(2, netaddr.MustParseAddr("61.1.1.1")); got != Match {
-		t.Errorf("after rehoming Check = %v, want Match", got)
-	}
 	if s.PeerPrefixCount(1) != 0 || s.PeerPrefixCount(2) != 1 {
 		t.Errorf("counts after rehome: peer1=%d peer2=%d", s.PeerPrefixCount(1), s.PeerPrefixCount(2))
 	}
@@ -71,10 +70,13 @@ func TestAddPrefixRehoming(t *testing.T) {
 	if s.Len() != 1 || s.PeerPrefixCount(2) != 1 {
 		t.Errorf("idempotent add broke counts: len=%d", s.Len())
 	}
+	if got := NewStore(s).Check(2, netaddr.MustParseAddr("61.1.1.1")); got != Match {
+		t.Errorf("after rehoming Check = %v, want Match", got)
+	}
 }
 
 func TestPromotionAfterThreshold(t *testing.T) {
-	s := NewSet(Config{PromoteThreshold: 3, PromoteMaskBits: 24})
+	s := NewStore(NewSet(Config{PromoteThreshold: 3, PromoteMaskBits: 24}))
 	s.AddPrefix(1, netaddr.MustParsePrefix("61.0.0.0/11"))
 	src := netaddr.MustParseAddr("61.10.1.7")
 
@@ -108,7 +110,7 @@ func TestPromotionAfterThreshold(t *testing.T) {
 }
 
 func TestPromotionCountsPerPeerAndSubnet(t *testing.T) {
-	s := NewSet(Config{PromoteThreshold: 2})
+	s := NewStore(NewSet(Config{PromoteThreshold: 2}))
 	s.AddPrefix(1, netaddr.MustParsePrefix("61.0.0.0/11"))
 	a := netaddr.MustParseAddr("61.10.1.1")
 	b := netaddr.MustParseAddr("61.22.1.1") // different /24
@@ -135,10 +137,11 @@ func TestTrainBuildsSets(t *testing.T) {
 	if s.Len() != 2 {
 		t.Errorf("trained %d prefixes, want 2", s.Len())
 	}
-	if got := s.Check(1, netaddr.MustParseAddr("61.1.2.200")); got != Match {
+	st := NewStore(s)
+	if got := st.Check(1, netaddr.MustParseAddr("61.1.2.200")); got != Match {
 		t.Errorf("Check in trained /24 = %v", got)
 	}
-	if got := s.Check(1, netaddr.MustParseAddr("61.9.9.9")); got != Unknown {
+	if got := st.Check(1, netaddr.MustParseAddr("61.9.9.9")); got != Unknown {
 		t.Errorf("Check outside trained subnets = %v", got)
 	}
 	peers := s.Peers()
@@ -150,7 +153,7 @@ func TestTrainBuildsSets(t *testing.T) {
 func TestTrainDefaultMask(t *testing.T) {
 	s := NewSet(Config{PromoteMaskBits: 16})
 	s.Train([]TrainingSource{{Peer: 1, Src: netaddr.MustParseAddr("61.1.2.3")}}, 0)
-	if got := s.Check(1, netaddr.MustParseAddr("61.1.200.200")); got != Match {
+	if got := NewStore(s).Check(1, netaddr.MustParseAddr("61.1.200.200")); got != Match {
 		t.Errorf("default mask not honored: %v", got)
 	}
 }
@@ -171,19 +174,20 @@ func TestTable3Preload(t *testing.T) {
 	if s.Len() != blocks.NumUsedSubBlocks {
 		t.Fatalf("preloaded %d prefixes", s.Len())
 	}
+	st := NewStore(s)
 	// 1a = 3.0.0.0/11 belongs to peer AS 1; 113e (index 900) to AS 10.
-	if got := s.Check(1, netaddr.MustParseAddr("3.1.2.3")); got != Match {
+	if got := st.Check(1, netaddr.MustParseAddr("3.1.2.3")); got != Match {
 		t.Errorf("3.1.2.3 at AS1 = %v", got)
 	}
 	sb := blocks.MustParseNotation("113e")
-	if got := s.Check(10, sb.Prefix().First()); got != Match {
+	if got := st.Check(10, sb.Prefix().First()); got != Match {
 		t.Errorf("113e at AS10 = %v", got)
 	}
-	if got := s.Check(4, netaddr.MustParseAddr("3.1.2.3")); got != WrongPeer {
+	if got := st.Check(4, netaddr.MustParseAddr("3.1.2.3")); got != WrongPeer {
 		t.Errorf("3.1.2.3 at AS4 = %v", got)
 	}
 	// 205/8 onward was not allocated to any source.
-	if got := s.Check(1, netaddr.MustParseAddr("205.1.1.1")); got != Unknown {
+	if got := st.Check(1, netaddr.MustParseAddr("205.1.1.1")); got != Unknown {
 		t.Errorf("205.1.1.1 = %v", got)
 	}
 }

@@ -84,7 +84,7 @@ func TestV4VerdictStreamEquivalence(t *testing.T) {
 	}
 
 	got := make([]Verdict, n)
-	store.CheckBatch(peers, srcs, got)
+	checkByPeer(store, peers, srcs, got)
 
 	gotStream := make([]byte, n)
 	wantStream := make([]byte, n)

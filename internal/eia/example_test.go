@@ -15,12 +15,14 @@ func Example() {
 	set.AddPrefix(1, netaddr.MustParsePrefix("61.0.0.0/11"))
 	set.AddPrefix(2, netaddr.MustParsePrefix("70.0.0.0/11"))
 
+	store := eia.NewStore(set)
+
 	legit := netaddr.MustParseAddr("61.5.5.5")
 	spoofed := netaddr.MustParseAddr("70.9.9.9")
 
-	fmt.Println("61.5.5.5 at peer 1:", set.Check(1, legit))
-	fmt.Println("70.9.9.9 at peer 1:", set.Check(1, spoofed))
-	fmt.Println("9.9.9.9  at peer 1:", set.Check(1, netaddr.MustParseAddr("9.9.9.9")))
+	fmt.Println("61.5.5.5 at peer 1:", store.Check(1, legit))
+	fmt.Println("70.9.9.9 at peer 1:", store.Check(1, spoofed))
+	fmt.Println("9.9.9.9  at peer 1:", store.Check(1, netaddr.MustParseAddr("9.9.9.9")))
 	// Output:
 	// 61.5.5.5 at peer 1: match
 	// 70.9.9.9 at peer 1: wrong-peer

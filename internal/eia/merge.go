@@ -30,8 +30,7 @@ import (
 // mutated afterwards (decode a fresh Set per replication round, as the
 // cluster receiver does).
 //
-// The result inherits a's Config. Pending promotion counters are
-// transient, node-local state and are not merged.
+// The result inherits a's Config.
 func Merge(a, b *Set) *Set {
 	base, overlay := a, b
 	if base.index.Len() < overlay.index.Len() {
@@ -52,10 +51,5 @@ func Merge(a, b *Set) *Set {
 		index = index.InsertPersistent(p, peer)
 		return true
 	})
-	return &Set{
-		cfg:     a.cfg,
-		index:   index,
-		perPeer: per,
-		pending: make(map[pendingKey]int),
-	}
+	return &Set{cfg: a.cfg, index: index, perPeer: per}
 }

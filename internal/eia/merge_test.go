@@ -116,10 +116,11 @@ func TestMergeConflictResolvesToLowestPeer(t *testing.T) {
 	b.AddPrefix(5, p6)
 
 	for name, m := range map[string]*Set{"ab": Merge(a, b), "ba": Merge(b, a)} {
-		if got, _ := m.ExpectedPeer(netaddr.MustParseAddr("10.1.2.3")); got != 1 {
+		st := NewStore(m)
+		if got, _ := st.ExpectedPeer(netaddr.MustParseAddr("10.1.2.3")); got != 1 {
 			t.Errorf("%s: v4 conflict resolved to peer %d, want 1", name, got)
 		}
-		if got, _ := m.ExpectedPeer(netaddr.MustParseAddr("2001:db8::9")); got != 2 {
+		if got, _ := st.ExpectedPeer(netaddr.MustParseAddr("2001:db8::9")); got != 2 {
 			t.Errorf("%s: v6 conflict resolved to peer %d, want 2", name, got)
 		}
 		if m.PeerPrefixCount(3) != 0 || m.PeerPrefixCount(5) != 0 {

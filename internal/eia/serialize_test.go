@@ -44,8 +44,9 @@ func TestSetWriteReadRoundTrip(t *testing.T) {
 		{1, "70.5.5.5", WrongPeer},
 		{1, "9.9.9.9", Unknown},
 	}
+	st := NewStore(loaded)
 	for _, c := range checks {
-		if got := loaded.Check(c.peer, netaddr.MustParseAddr(c.src)); got != c.want {
+		if got := st.Check(c.peer, netaddr.MustParseAddr(c.src)); got != c.want {
 			t.Errorf("loaded Check(%d,%s) = %v, want %v", c.peer, c.src, got, c.want)
 		}
 	}
@@ -93,7 +94,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if loaded.Len() != s.Len() {
 		t.Fatalf("loaded %d prefixes, want %d", loaded.Len(), s.Len())
 	}
-	if got := loaded.Check(3, netaddr.MustParseAddr("4.2.101.20")); got != Match {
+	if got := NewStore(loaded).Check(3, netaddr.MustParseAddr("4.2.101.20")); got != Match {
 		t.Errorf("loaded Check = %v, want Match", got)
 	}
 	// A checkpoint is also a valid plain EIA file (header is a comment).
@@ -128,6 +129,7 @@ func TestCheckpointV1GoldenUpgrade(t *testing.T) {
 	if s.Len() != 4 {
 		t.Fatalf("restored %d prefixes, want 4", s.Len())
 	}
+	st := NewStore(s)
 	for _, c := range []struct {
 		peer PeerAS
 		src  string
@@ -140,16 +142,16 @@ func TestCheckpointV1GoldenUpgrade(t *testing.T) {
 		{2, "61.5.5.5", WrongPeer},
 		{1, "9.9.9.9", Unknown},
 	} {
-		if got := s.Check(c.peer, netaddr.MustParseAddr(c.src)); got != c.want {
+		if got := st.Check(c.peer, netaddr.MustParseAddr(c.src)); got != c.want {
 			t.Errorf("restored Check(%d,%s) = %v, want %v", c.peer, c.src, got, c.want)
 		}
 	}
 
 	// The restarted daemon keeps learning — including v6 now — and its
 	// next checkpoint flush rewrites the file in the v2 format.
-	s.AddPrefix(2, netaddr.MustParsePrefix("2001:db8:4000::/48"))
+	st.AddPrefix(2, netaddr.MustParsePrefix("2001:db8:4000::/48"))
 	var buf bytes.Buffer
-	if err := s.WriteCheckpoint(&buf); err != nil {
+	if err := st.WriteCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
 	want := "# infilter-eia-checkpoint v2\n" +
@@ -168,7 +170,7 @@ func TestCheckpointV1GoldenUpgrade(t *testing.T) {
 	if reloaded.Len() != 5 {
 		t.Errorf("reloaded %d prefixes, want 5", reloaded.Len())
 	}
-	if got := reloaded.Check(2, netaddr.MustParseAddr("2001:db8:4000::99")); got != Match {
+	if got := NewStore(reloaded).Check(2, netaddr.MustParseAddr("2001:db8:4000::99")); got != Match {
 		t.Errorf("reloaded v6 Check = %v, want Match", got)
 	}
 }

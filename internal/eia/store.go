@@ -92,8 +92,10 @@ type snapshot struct {
 // the swap is indistinguishable from the flow having arrived slightly
 // sooner.
 //
-// All methods are safe for concurrent use. The Set passed to NewStore
-// must not be used directly afterwards (the store adopts its trie).
+// Store is the one handle that checks, vouches and publishes; a Set only
+// builds the initial contents. All methods are safe for concurrent use.
+// The Set passed to NewStore must not be used directly afterwards (the
+// store adopts its trie).
 type Store struct {
 	cfg     Config
 	snap    atomic.Pointer[snapshot]
@@ -101,6 +103,13 @@ type Store struct {
 
 	mu      sync.Mutex // writer side: pending counters + snapshot publication
 	pending map[pendingKey]int
+}
+
+// pendingKey identifies one promotion candidate: a source subnet vouched
+// at a peer it is not (yet) expected at.
+type pendingKey struct {
+	peer PeerAS
+	pfx  netaddr.Prefix
 }
 
 // NewStore adopts set's contents as the first published snapshot; a nil
@@ -115,10 +124,7 @@ func NewStore(set *Set) *Store {
 	}
 	st := &Store{
 		cfg:     set.cfg,
-		pending: make(map[pendingKey]int, len(set.pending)),
-	}
-	for k, v := range set.pending {
-		st.pending[k] = v
+		pending: make(map[pendingKey]int),
 	}
 	// The tier is always rebuilt from the adopted trie, never carried
 	// over: a Set restored from a checkpoint (which serializes only
@@ -163,16 +169,7 @@ func (c *Store) Check(peer PeerAS, src netaddr.Addr) Verdict {
 			m.BloomFallbacks.Inc()
 		}
 	}
-	expected, ok := snap.index.Lookup(src)
-	var v Verdict
-	switch {
-	case !ok:
-		v = Unknown
-	case expected == peer:
-		v = Match
-	default:
-		v = WrongPeer
-	}
+	v := peer.classify(snap.index.Lookup(src))
 	if m != nil {
 		if v == Match {
 			m.Hits.Pick(src.Is6()).Inc()
@@ -186,80 +183,27 @@ func (c *Store) Check(peer PeerAS, src netaddr.Addr) Verdict {
 	return v
 }
 
-// CheckBatch classifies a batch of (peer, source) observations against a
-// single published snapshot: one atomic load amortized over the whole
-// batch, then one longest-prefix walk per entry over the same immutable
-// trie. The three slices must have equal length; out[i] receives the
-// verdict for (peers[i], srcs[i]).
+// CheckBatch classifies a batch of sources observed at one peer — the
+// only unit of work between the collector and a verdict, since a local
+// export port maps to one peering link — against a single published
+// snapshot: one atomic load amortized over the whole batch, then one
+// longest-prefix walk per entry over the same immutable trie. The two
+// slices must have equal length; out[i] receives the verdict for
+// (peer, srcs[i]).
 //
 // Unlike Check, CheckBatch does NOT fold outcomes into the hit/miss
-// counters: a batched pipeline may refresh the still-unconsumed tail of a
-// batch after a mid-batch promotion swaps in a new snapshot, and counting
-// at check time would then count those entries twice. Consumers count
-// each verdict exactly once, at consumption time, via CountVerdict.
+// counters: the batch loop refreshes the still-unconsumed tail of a batch
+// after a mid-batch promotion swaps in a new snapshot, and counting at
+// check time would then count those entries twice. Consumers count each
+// verdict exactly once, at consumption time, via AddVerdictCounts.
 //
 // When the Bloom tier is enabled, batch checks adapt to the batch's
 // traffic mix: after bloomBypassAfter consecutive probes deferred to the
 // exact walk, the rest of the batch skips the probe (see the constant's
 // doc). Verdicts are identical with or without the bypass.
-func (c *Store) CheckBatch(peers []PeerAS, srcs []netaddr.Addr, out []Verdict) {
-	if len(peers) != len(srcs) || len(srcs) != len(out) {
-		panic("eia: CheckBatch slice lengths differ")
-	}
-	snap := c.snap.Load()
-	index := snap.index
-	if t := snap.tier; t != nil {
-		var fast, fall, fp int64
-		i, miss := 0, 0
-		for ; i < len(srcs) && miss < bloomBypassAfter; i++ {
-			src := srcs[i]
-			if v, ok := t.probe(t.peerFilter(peers[i]), src); ok {
-				out[i] = v
-				fast++
-				miss = 0
-				continue
-			}
-			fall++
-			miss++
-			expected, ok := index.Lookup(src)
-			switch {
-			case !ok:
-				out[i] = Unknown
-				fp++
-			case expected == peers[i]:
-				out[i] = Match
-			default:
-				out[i] = WrongPeer
-			}
-		}
-		// Bypass: the remainder runs the same lean walk-only loop as the
-		// tier-free path — segmenting (rather than branching per record)
-		// keeps the inlined trie walk's code tight for the common all-
-		// expected batch.
-		c.addBloomCounts(fast, fall, fp, int64(len(srcs)-i))
-		srcs, peers, out = srcs[i:], peers[i:], out[i:]
-	}
-	for i, src := range srcs {
-		expected, ok := index.Lookup(src)
-		switch {
-		case !ok:
-			out[i] = Unknown
-		case expected == peers[i]:
-			out[i] = Match
-		default:
-			out[i] = WrongPeer
-		}
-	}
-}
-
-// CheckBatchPeer is CheckBatch for the common ingest shape: a whole
-// batch observed at one peer (a local export port maps to one peering
-// link). One atomic snapshot load covers the batch; out[i] receives the
-// verdict for (peer, srcs[i]). Like CheckBatch it does not touch the
-// hit/miss counters — consumers count at consumption time.
-func (c *Store) CheckBatchPeer(peer PeerAS, srcs []netaddr.Addr, out []Verdict) {
+func (c *Store) CheckBatch(peer PeerAS, srcs []netaddr.Addr, out []Verdict) {
 	if len(srcs) != len(out) {
-		panic("eia: CheckBatchPeer slice lengths differ")
+		panic("eia: CheckBatch slice lengths differ")
 	}
 	snap := c.snap.Load()
 	index := snap.index
@@ -277,32 +221,21 @@ func (c *Store) CheckBatchPeer(peer PeerAS, srcs []netaddr.Addr, out []Verdict) 
 			}
 			fall++
 			miss++
-			expected, ok := index.Lookup(src)
-			switch {
-			case !ok:
-				out[i] = Unknown
+			v := peer.classify(index.Lookup(src))
+			if v == Unknown {
 				fp++
-			case expected == peer:
-				out[i] = Match
-			default:
-				out[i] = WrongPeer
 			}
+			out[i] = v
 		}
-		// Bypass: fall through to the lean walk-only loop below for the
-		// remainder (see CheckBatch).
+		// Bypass: the remainder runs the same lean walk-only loop as the
+		// tier-free path — segmenting (rather than branching per record)
+		// keeps the inlined trie walk's code tight for the common all-
+		// expected batch.
 		c.addBloomCounts(fast, fall, fp, int64(len(srcs)-i))
 		srcs, out = srcs[i:], out[i:]
 	}
 	for i, src := range srcs {
-		expected, ok := index.Lookup(src)
-		switch {
-		case !ok:
-			out[i] = Unknown
-		case expected == peer:
-			out[i] = Match
-		default:
-			out[i] = WrongPeer
-		}
+		out[i] = peer.classify(index.Lookup(src))
 	}
 }
 
@@ -328,25 +261,11 @@ func (c *Store) addBloomCounts(fast, fall, fp, bypassed int64) {
 	}
 }
 
-// CountVerdict folds one consumed verdict into the hit/miss counters,
-// exactly as Check does internally, attributed to the checked source's
-// address family. It pairs with CheckBatch: call it once per verdict
-// the batch actually acted on.
-func (c *Store) CountVerdict(v Verdict, fam netaddr.Family) {
-	if m := c.metrics; m != nil {
-		if v == Match {
-			m.Hits.Pick(fam == netaddr.FamilyV6).Inc()
-		} else {
-			m.Misses.Pick(fam == netaddr.FamilyV6).Inc()
-		}
-	}
-}
-
 // AddVerdictCounts folds a batch's consumed verdicts for one address
-// family into the hit/miss counters in two atomic adds: batched
-// pipelines tally hits (Match) and misses (everything else) per family
-// locally while consuming and settle once per family per batch instead
-// of once per record.
+// family into the hit/miss counters in two atomic adds, exactly as Check
+// does internally per flow: the batch loop tallies hits (Match) and
+// misses (everything else) per family locally while consuming and
+// settles once per family per batch instead of once per record.
 func (c *Store) AddVerdictCounts(fam netaddr.Family, hits, misses int64) {
 	if m := c.metrics; m != nil {
 		v6 := fam == netaddr.FamilyV6

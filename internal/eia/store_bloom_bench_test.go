@@ -7,12 +7,12 @@ import (
 	"infilter/internal/netaddr"
 )
 
-// BenchmarkCheckBatchPeerMatch measures the Bloom tier's worst case: a
+// BenchmarkCheckBatchMatch measures the Bloom tier's worst case: a
 // 256-record single-peer batch of expected traffic, where every probe
 // that runs is wasted work and the adaptive bypass is what keeps the
 // tier's tax near zero. Contrast the exact sub-benchmark against bloom
 // to read the residual per-record cost of having the tier enabled.
-func BenchmarkCheckBatchPeerMatch(b *testing.B) {
+func BenchmarkCheckBatchMatch(b *testing.B) {
 	const n = 256
 	for _, tc := range []struct {
 		name string
@@ -32,7 +32,7 @@ func BenchmarkCheckBatchPeerMatch(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				st.CheckBatchPeer(0, srcs, out)
+				st.CheckBatch(0, srcs, out)
 			}
 		})
 	}

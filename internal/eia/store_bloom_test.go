@@ -49,8 +49,7 @@ func TestBloomDisabledByDefault(t *testing.T) {
 // randomized mutation-and-check schedule — training, re-homes,
 // promotions via RecordLegal, probes mixing known sources, near-misses
 // and random addresses — a tier-enabled store must emit exactly the
-// verdicts of a tier-free one, across Check, CheckBatch and
-// CheckBatchPeer. Run at a deliberately undersized 2 bits/entry too, so
+// verdicts of a tier-free one, across Check and CheckBatch. Run at a deliberately undersized 2 bits/entry too, so
 // heavy false-positive pressure exercises the fallback path hard.
 func TestBloomVerdictEquivalence(t *testing.T) {
 	for _, bits := range []int{2, 10} {
@@ -116,18 +115,11 @@ func TestBloomVerdictEquivalence(t *testing.T) {
 						bits, round, peers[i], srcs[i], got, want)
 				}
 			}
-			probed.CheckBatch(peers, srcs, gotB)
-			exact.CheckBatch(peers, srcs, wantB)
+			probed.CheckBatch(peers[0], srcs, gotB)
+			exact.CheckBatch(peers[0], srcs, wantB)
 			for i := range gotB {
 				if gotB[i] != wantB[i] {
 					t.Fatalf("bits=%d round %d: CheckBatch[%d] = %v, want %v", bits, round, i, gotB[i], wantB[i])
-				}
-			}
-			probed.CheckBatchPeer(peers[0], srcs, gotB)
-			exact.CheckBatchPeer(peers[0], srcs, wantB)
-			for i := range gotB {
-				if gotB[i] != wantB[i] {
-					t.Fatalf("bits=%d round %d: CheckBatchPeer[%d] = %v, want %v", bits, round, i, gotB[i], wantB[i])
 				}
 			}
 		}
@@ -242,7 +234,7 @@ func TestBloomMetrics(t *testing.T) {
 	for i := range srcs {
 		srcs[i] = netaddr.IPv4(rng.Uint32()).Addr()
 	}
-	st.CheckBatchPeer(1, srcs, out)
+	st.CheckBatch(1, srcs, out)
 	for i := 0; i < 100; i++ {
 		st.Check(2, netaddr.IPv4(rng.Uint32()).Addr())
 	}
@@ -293,18 +285,20 @@ func TestBloomBatchBypass(t *testing.T) {
 	st.SetMetrics(m)
 
 	const n = 256
+	peer := inserted[0].Peer
+	var own []Assignment
+	for _, a := range inserted {
+		if a.Peer == peer {
+			own = append(own, a)
+		}
+	}
 	legal := make([]netaddr.Addr, n)
 	out := make([]Verdict, n)
 	for i := range legal {
-		a := inserted[i%len(inserted)]
-		legal[i] = v4In(a.Prefix, 1)
+		legal[i] = v4In(own[i%len(own)].Prefix, 1)
 	}
-	// Mixed-peer lane: sources in-set, so every probe defers to the walk.
-	peers := make([]PeerAS, n)
-	for i := range peers {
-		peers[i] = inserted[i%len(inserted)].Peer
-	}
-	st.CheckBatch(peers, legal, out)
+	// Sources in peer's own set: every probe defers to the walk.
+	st.CheckBatch(peer, legal, out)
 	if got := m.BloomBypassed.Value(); got != n-bloomBypassAfter {
 		t.Errorf("CheckBatch on expected traffic bypassed %d probes, want %d", got, n-bloomBypassAfter)
 	}
@@ -317,12 +311,6 @@ func TestBloomBatchBypass(t *testing.T) {
 		}
 	}
 
-	// Single-peer lane, same shape.
-	st.CheckBatchPeer(inserted[0].Peer, legal[:64], out[:64])
-	if got := m.BloomBypassed.Value(); got <= n-bloomBypassAfter {
-		t.Errorf("CheckBatchPeer on expected traffic never bypassed (total still %d)", got)
-	}
-
 	// A spoofed flood resolves on the fast path; the occasional filter
 	// false positive must not accumulate into a bypass streak.
 	before := m.BloomBypassed.Value()
@@ -330,7 +318,7 @@ func TestBloomBatchBypass(t *testing.T) {
 	for i := range flood {
 		flood[i] = netaddr.IPv4(rng.Uint32()).Addr()
 	}
-	st.CheckBatchPeer(1, flood, out)
+	st.CheckBatch(1, flood, out)
 	if got := m.BloomBypassed.Value(); got != before {
 		t.Errorf("flood batch bypassed %d probes, want 0", got-before)
 	}

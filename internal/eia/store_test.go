@@ -91,20 +91,22 @@ func TestStoreBatchPublish(t *testing.T) {
 	}
 }
 
-// TestStoreAdoptsSetState verifies NewStore carries over prefixes, config
-// and in-flight pending promotion counters from the seed Set.
+// TestStoreAdoptsSetState verifies NewStore carries over prefixes and
+// config from the seed Set.
 func TestStoreAdoptsSetState(t *testing.T) {
 	set := NewSet(Config{PromoteThreshold: 3})
 	set.AddPrefix(1, netaddr.MustParsePrefix("61.0.0.0/11"))
 	src := netaddr.MustParseAddr("99.2.3.4")
-	set.RecordLegal(2, src) // 1 of 3
 
 	cs := NewStore(set)
-	if got := cs.PendingCount(2, src); got != 1 {
-		t.Errorf("adopted PendingCount = %d, want 1", got)
+	if got := cs.Check(1, netaddr.MustParseAddr("61.1.1.1")); got != Match {
+		t.Errorf("adopted prefix Check = %v, want Match", got)
 	}
-	if cs.RecordLegal(2, src) {
-		t.Error("promoted at 2 of 3")
+	if cs.RecordLegal(2, src) || cs.RecordLegal(2, src) {
+		t.Error("promoted before 3 of 3")
+	}
+	if got := cs.PendingCount(2, src); got != 2 {
+		t.Errorf("PendingCount = %d, want 2", got)
 	}
 	if !cs.RecordLegal(2, src) {
 		t.Error("not promoted at 3 of 3")
@@ -140,85 +142,59 @@ func TestStoreAdoptsSetState(t *testing.T) {
 	}
 }
 
-// TestStoreCheckBatchMatchesCheck replays a mixed batch through both the
-// per-record and the batched entry points: the verdicts must be
-// identical, since CheckBatch only amortizes the snapshot load.
+// TestStoreCheckBatchMatchesCheck replays one source column through both
+// the per-record and the batched entry point at every peer (expected,
+// other and never-seen): the verdicts must be identical, since CheckBatch
+// only amortizes the snapshot load, and a promotion published between
+// batches is visible to the next one.
 func TestStoreCheckBatchMatchesCheck(t *testing.T) {
 	cs := NewStore(nil)
 	cs.AddPrefix(1, netaddr.MustParsePrefix("61.0.0.0/11"))
 	cs.AddPrefix(2, netaddr.MustParsePrefix("70.0.0.0/11"))
 
-	peers := []PeerAS{1, 1, 1, 2, 2, 9}
 	srcs := []netaddr.Addr{
-		netaddr.MustParseAddr("61.1.1.1"),  // Match
-		netaddr.MustParseAddr("70.1.1.1"),  // WrongPeer
-		netaddr.MustParseAddr("99.1.1.1"),  // Unknown
-		netaddr.MustParseAddr("70.31.0.9"), // Match
-		netaddr.MustParseAddr("61.0.0.1"),  // WrongPeer
-		netaddr.MustParseAddr("61.2.3.4"),  // WrongPeer (unknown peer)
-	}
-	out := make([]Verdict, len(peers))
-	cs.CheckBatch(peers, srcs, out)
-	for i := range peers {
-		if want := cs.Check(peers[i], srcs[i]); out[i] != want {
-			t.Errorf("entry %d: CheckBatch = %v, Check = %v", i, out[i], want)
-		}
-	}
-
-	// A promotion published between batches shows up in the next batch,
-	// exactly as it would for per-record Check.
-	for i := 0; i < DefaultPromoteThreshold; i++ {
-		cs.RecordLegal(9, srcs[5])
-	}
-	cs.CheckBatch(peers, srcs, out)
-	if out[5] != Match {
-		t.Errorf("post-promotion batch verdict = %v, want Match", out[5])
-	}
-}
-
-// TestStoreCheckBatchPeerMatchesCheck pins the single-peer batch lane to
-// per-record Check: verdicts must be identical for every source, and a
-// promotion published between batches is visible to the next one.
-func TestStoreCheckBatchPeerMatchesCheck(t *testing.T) {
-	cs := NewStore(nil)
-	cs.AddPrefix(1, netaddr.MustParsePrefix("61.0.0.0/11"))
-	cs.AddPrefix(2, netaddr.MustParsePrefix("70.0.0.0/11"))
-
-	srcs := []netaddr.Addr{
-		netaddr.MustParseAddr("61.1.1.1"),  // Match
-		netaddr.MustParseAddr("70.1.1.1"),  // WrongPeer
-		netaddr.MustParseAddr("99.1.1.1"),  // Unknown
-		netaddr.MustParseAddr("61.31.0.9"), // Match
+		netaddr.MustParseAddr("61.1.1.1"),
+		netaddr.MustParseAddr("70.1.1.1"),
+		netaddr.MustParseAddr("99.1.1.1"),
+		netaddr.MustParseAddr("61.31.0.9"),
+		netaddr.MustParseAddr("70.31.0.9"),
 	}
 	out := make([]Verdict, len(srcs))
-	cs.CheckBatchPeer(1, srcs, out)
-	for i := range srcs {
-		if want := cs.Check(1, srcs[i]); out[i] != want {
-			t.Errorf("src %d: CheckBatchPeer = %v, Check = %v", i, out[i], want)
+	seen := map[Verdict]bool{}
+	for _, peer := range []PeerAS{1, 2, 9} {
+		cs.CheckBatch(peer, srcs, out)
+		for i := range srcs {
+			if want := cs.Check(peer, srcs[i]); out[i] != want {
+				t.Errorf("peer %d src %d: CheckBatch = %v, Check = %v", peer, i, out[i], want)
+			}
+			seen[out[i]] = true
 		}
+	}
+	if len(seen) != 3 {
+		t.Errorf("verdicts produced = %v, want all three", seen)
 	}
 
 	for i := 0; i < DefaultPromoteThreshold; i++ {
-		cs.RecordLegal(1, srcs[2])
+		cs.RecordLegal(9, srcs[2])
 	}
-	cs.CheckBatchPeer(1, srcs, out)
+	cs.CheckBatch(9, srcs, out)
 	if out[2] != Match {
 		t.Errorf("post-promotion batch verdict = %v, want Match", out[2])
 	}
 }
 
-func TestStoreCheckBatchPeerLengthMismatchPanics(t *testing.T) {
+func TestStoreCheckBatchLengthMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("CheckBatchPeer with mismatched slice lengths did not panic")
+			t.Error("CheckBatch with mismatched slice lengths did not panic")
 		}
 	}()
 	cs := NewStore(nil)
-	cs.CheckBatchPeer(1, make([]netaddr.Addr, 2), make([]Verdict, 1))
+	cs.CheckBatch(1, make([]netaddr.Addr, 2), make([]Verdict, 1))
 }
 
 // TestStoreAddVerdictCounts pins the bulk counting entry point the batch
-// consumers use in place of per-verdict CountVerdict calls.
+// loop settles consumed verdicts through.
 func TestStoreAddVerdictCounts(t *testing.T) {
 	cs := NewStore(nil)
 	cs.AddVerdictCounts(netaddr.FamilyV4, 1, 2) // no metrics installed: must not panic
@@ -238,20 +214,10 @@ func TestStoreAddVerdictCounts(t *testing.T) {
 	}
 }
 
-func TestStoreCheckBatchLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("CheckBatch with mismatched slice lengths did not panic")
-		}
-	}()
-	cs := NewStore(nil)
-	cs.CheckBatch(make([]PeerAS, 2), make([]netaddr.Addr, 2), make([]Verdict, 1))
-}
-
 // TestStoreCheckBatchMetrics pins the counting contract: CheckBatch
-// leaves the hit/miss counters alone (a batched pipeline may re-check a
-// batch tail after a mid-batch promotion), and CountVerdict folds in
-// exactly one outcome per call — matching what Check does internally.
+// leaves the hit/miss counters alone (the batch loop may re-check a batch
+// tail after a mid-batch promotion and settles through AddVerdictCounts),
+// while per-record Check counts inline.
 func TestStoreCheckBatchMetrics(t *testing.T) {
 	cs := NewStore(nil)
 	cs.AddPrefix(1, netaddr.MustParsePrefix("61.0.0.0/11"))
@@ -262,27 +228,21 @@ func TestStoreCheckBatchMetrics(t *testing.T) {
 	}
 	cs.SetMetrics(m)
 
-	peers := []PeerAS{1, 1, 1}
 	srcs := []netaddr.Addr{
 		netaddr.MustParseAddr("61.1.1.1"), // Match
 		netaddr.MustParseAddr("99.1.1.1"), // Unknown
 		netaddr.MustParseAddr("99.2.2.2"), // Unknown
 	}
-	out := make([]Verdict, len(peers))
-	cs.CheckBatch(peers, srcs, out)
+	out := make([]Verdict, len(srcs))
+	cs.CheckBatch(1, srcs, out)
 	if m.Hits.Value() != 0 || m.Misses.Value() != 0 {
 		t.Errorf("CheckBatch counted: hits=%d misses=%d, want 0/0", m.Hits.Value(), m.Misses.Value())
 	}
-	for i, v := range out {
-		cs.CountVerdict(v, srcs[i].Family())
+	for _, src := range srcs {
+		cs.Check(1, src)
 	}
 	if m.Hits.Value() != 1 || m.Misses.Value() != 2 {
-		t.Errorf("after CountVerdict: hits=%d misses=%d, want 1/2", m.Hits.Value(), m.Misses.Value())
-	}
-	// Per-record Check still counts inline.
-	cs.Check(1, srcs[0])
-	if m.Hits.Value() != 2 {
-		t.Errorf("Check did not count: hits=%d, want 2", m.Hits.Value())
+		t.Errorf("after Check: hits=%d misses=%d, want 1/2", m.Hits.Value(), m.Misses.Value())
 	}
 }
 
@@ -323,6 +283,27 @@ func TestStoreParallelAccess(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		if got := cs.Check(PeerAS(g+1), netaddr.IPv4(uint32(g+100)<<24).Addr()); got != Match {
 			t.Errorf("goroutine %d subnet not promoted: %v", g, got)
+		}
+	}
+}
+
+// checkByPeer classifies a mixed-peer column through the single-peer
+// CheckBatch: one batch per distinct peer, verdicts scattered back to
+// their input positions.
+func checkByPeer(st *Store, peers []PeerAS, srcs []netaddr.Addr, out []Verdict) {
+	idx := map[PeerAS][]int{}
+	for i, p := range peers {
+		idx[p] = append(idx[p], i)
+	}
+	for p, at := range idx {
+		col := make([]netaddr.Addr, len(at))
+		for j, i := range at {
+			col[j] = srcs[i]
+		}
+		got := make([]Verdict, len(at))
+		st.CheckBatch(p, col, got)
+		for j, i := range at {
+			out[i] = got[j]
 		}
 	}
 }

@@ -8,8 +8,7 @@
 // configuration, not API: Config.MaxRecords chooses between batched
 // delivery (the default, amortizing per-batch costs) and the classic
 // per-datagram path (MaxRecords 1 delivers every datagram's records the
-// moment they decode). The pre-unification constructors NewCollector and
-// NewBatchCollector remain as deprecated wrappers in deprecated.go.
+// moment they decode).
 package flowtools
 
 import (
@@ -63,22 +62,6 @@ func countRecords(fc telemetry.FamilyCounter, recs []flow.Record) {
 	fc.V4.Add(int64(len(recs)) - v6)
 	fc.V6.Add(v6)
 }
-
-// Source identifies where one export datagram came from: the local UDP
-// port it arrived on (the testbed multiplexes one emulated border router
-// per port, §6.2), the exporter's remote address, and the flow-export
-// format version that carried the records.
-type Source struct {
-	LocalPort int
-	Exporter  string
-	Version   uint16
-}
-
-// RecordHandler is the per-datagram callback of the deprecated
-// NewCollector wrapper: the flow records parsed from one datagram plus
-// their Source. The records slice is reused by the receive loop and
-// valid only for the duration of the call.
-type RecordHandler func(src Source, recs []flow.Record)
 
 // ErrCollectorClosed is returned when Listen is called after Close.
 var ErrCollectorClosed = errors.New("flowtools: collector closed")

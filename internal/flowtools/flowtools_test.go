@@ -222,6 +222,13 @@ func TestASCIIParseErrors(t *testing.T) {
 	}
 }
 
+// source is where one delivered datagram came from.
+type source struct {
+	LocalPort int
+	Exporter  string
+	Version   uint16
+}
+
 // testCollectorReceives drives 45 records through one listener with the
 // given encoder (split 30+15 across datagrams, template datagrams if the
 // format uses them) and checks delivery, source metadata and stats.
@@ -230,17 +237,17 @@ func testCollectorReceives(t *testing.T, enc netflow.WireEncoder) {
 	var (
 		mu   sync.Mutex
 		got  []flow.Record
-		srcs []Source
+		srcs []source
 		port int
 	)
-	// MaxRecords 1 is the per-record path: every batch is one datagram's
-	// records, so Batch.Exporter/Version fully reconstruct the Source.
+	// MaxRecords 1 is per-datagram delivery: every batch is one datagram's
+	// records, so Batch.Exporter/Version identify exactly where it came from.
 	c := New(Config{MaxRecords: 1}, func(b Batch) {
 		mu.Lock()
 		defer mu.Unlock()
 		if b.Port == port {
 			got = append(got, b.Records...)
-			srcs = append(srcs, Source{LocalPort: b.Port, Exporter: b.Exporter, Version: b.Version})
+			srcs = append(srcs, source{LocalPort: b.Port, Exporter: b.Exporter, Version: b.Version})
 		}
 	})
 	var err error

@@ -1,18 +1,24 @@
 #!/bin/sh
-# Expanded tier-1 gate: vet + build + race-enabled tests + fuzz smoke.
+# Expanded tier-1 gate: vet + build + race-enabled tests + the benchmark
+# module's vet and tests + fuzz smoke.
 #
 # The race run includes the serial/parallel equivalence stress test
-# (internal/analysis/parallel_test.go), the batch/serial equivalence
-# tests at batch sizes 1, 16 and 256 (internal/analysis/batch_test.go —
-# batched submission must be observationally identical to per-record
-# submission, including across mid-batch promotions), the cluster-mode
+# (internal/analysis/parallel_test.go), the batch-loop equivalence tests
+# at batch sizes 1, 16 and 256 (internal/analysis/batch_test.go,
+# bloom_equiv_test.go, sketch_equiv_test.go — the batch loop must be
+# observationally identical to the serial per-record Engine.Process
+# stream, including across mid-batch promotions), the cluster-mode
 # e2e suite (cmd/infilterd/cluster_daemon_test.go — two-node snapshot
 # convergence against a single-node union daemon, peer-down isolation,
 # and the 3-node in-process kill-one test inside a goroutine-leak gate)
 # and every goroutine-leak test, so a pass means the sharded pipeline
 # is race-clean under concurrent load, batching changes no verdict,
 # replication converges without leaking workers, and no background
-# worker outlives its Close. The fuzz smoke discovers every
+# worker outlives its Close. benchmark/ is a module of its own that
+# compiles against internal/eia, analysis, scan and flowtools, and root
+# `go build ./...` cannot see it, so it is vetted and tested here: an API
+# deletion that breaks the benchmark fails this gate, not the next
+# benchmark run. The fuzz smoke discovers every
 # native fuzz target in the module and runs each briefly against fresh
 # random inputs on top of the checked-in seed corpus, so new targets are
 # picked up without editing this script.
@@ -39,6 +45,10 @@ go build ./...
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+echo "==> benchmark module: go vet + go test"
+go -C benchmark vet ./...
+go -C benchmark test ./...
 
 echo "==> fuzz smoke (${FUZZTIME} per target)"
 # `go test -list` prints each package's matching targets followed by its
