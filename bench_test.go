@@ -462,34 +462,89 @@ func BenchmarkAblationPartitioning(b *testing.B) {
 }
 
 // BenchmarkAblationApproxVsExact contrasts the KOR approximate search with
-// brute force, reporting both speed and approximation excess.
+// the brute-force linear scan: per-query cost of each, and the mean excess
+// distance of the approximate neighbor (measured once, outside the timed
+// loop). It runs on the synthetic 400-flow cluster and on every subcluster
+// the daemon trains — 1 500 normal flows split by protocol, every fifth
+// held out for calibration and used here as the queries — so the
+// crossover between the two searches shows up by cluster size.
 func BenchmarkAblationApproxVsExact(b *testing.B) {
-	cluster := buildNNSCluster(b, 400)
-	st, err := nns.Build(nns.DefaultParams(), cluster)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("approx", func(b *testing.B) {
+	synthetic := buildNNSCluster(b, 400)
+	bench := func(b *testing.B, st *nns.Structure, queries []nns.BitVec) {
 		excess := 0
-		for i := 0; i < b.N; i++ {
-			q := cluster[i%len(cluster)]
+		for _, q := range queries {
 			a, ok := st.Search(q)
+			e, _ := st.ExactSearch(q)
 			if !ok {
 				b.Fatal("no neighbor")
 			}
-			if e, ok := st.ExactSearch(q); ok {
-				excess += a.Distance - e.Distance
+			excess += a.Distance - e.Distance
+		}
+		b.Run("approx", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, ok := st.Search(queries[i%len(queries)]); !ok {
+					b.Fatal("no neighbor")
+				}
+			}
+			b.ReportMetric(float64(excess)/float64(len(queries)), "excess_bits/op")
+		})
+		b.Run("exact", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, ok := st.ExactSearch(queries[i%len(queries)]); !ok {
+					b.Fatal("no neighbor")
+				}
+			}
+		})
+	}
+	b.Run("synthetic-400", func(b *testing.B) {
+		st, err := nns.Build(nns.DefaultParams(), synthetic)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bench(b, st, synthetic)
+	})
+
+	pkts, err := trace.GenerateNormal(trace.NormalConfig{
+		Seed: 1, Start: time.Date(2005, 4, 1, 0, 0, 0, 0, time.UTC), Flows: 1500,
+		SrcPrefixes: []netaddr.Prefix{netaddr.MustParsePrefix("0.0.0.0/1")},
+		DstPrefix:   netaddr.MustParsePrefix("192.0.2.0/24"),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cache := netflow.NewCache(netflow.CacheConfig{ExpireOnFINRST: true})
+	for _, p := range pkts {
+		cache.Observe(p, 1)
+	}
+	cache.FlushAll()
+	enc := nns.MustDefaultEncoder()
+	parts := make(map[flow.Subcluster][]nns.BitVec)
+	for _, r := range cache.Drain() {
+		c := flow.Classify(r.Key)
+		parts[c] = append(parts[c], enc.EncodeRecord(r))
+	}
+	for _, c := range flow.Subclusters() {
+		var build, calib []nns.BitVec
+		for i, v := range parts[c] {
+			if i%5 == 4 {
+				calib = append(calib, v)
+			} else {
+				build = append(build, v)
 			}
 		}
-		b.ReportMetric(float64(excess)/float64(b.N), "excess_bits/op")
-	})
-	b.Run("exact", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, ok := st.ExactSearch(cluster[i%len(cluster)]); !ok {
-				b.Fatal("no neighbor")
-			}
+		if len(build) == 0 || len(calib) == 0 {
+			continue
 		}
-	})
+		params := nns.DefaultParams()
+		params.Seed += int64(c) // as nns.Train seeds each subcluster
+		b.Run("daemon-"+c.String()+"-"+itoa(len(build)), func(b *testing.B) {
+			st, err := nns.Build(params, build)
+			if err != nil {
+				b.Fatal(err)
+			}
+			bench(b, st, calib)
+		})
+	}
 }
 
 // --- Tentpole: sharded parallel analysis throughput ---

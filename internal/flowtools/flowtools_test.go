@@ -250,19 +250,23 @@ func testCollectorReceives(t *testing.T, enc netflow.WireEncoder) {
 			srcs = append(srcs, source{LocalPort: b.Port, Exporter: b.Exporter, Version: b.Version})
 		}
 	})
-	var err error
-	port, err = c.Listen(0)
+	p, err := c.Listen(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// A stray datagram can reach the reader before Listen returns, so the
+	// port the callback filters on is published under the same lock.
+	mu.Lock()
+	port = p
+	mu.Unlock()
 
 	boot := time.Date(2005, 4, 1, 0, 0, 0, 0, time.UTC)
 	e := netflow.NewExporter(enc)
 	for i := 0; i < 45; i++ {
 		e.Add(rec("61.0.0.1", uint16(80+i), flow.ProtoTCP, 2, 120, time.Second))
 	}
-	conn, err := net.Dial("udp", net.JoinHostPort("127.0.0.1", itoa(port)))
+	conn, err := net.Dial("udp", net.JoinHostPort("127.0.0.1", itoa(p)))
 	if err != nil {
 		t.Fatal(err)
 	}

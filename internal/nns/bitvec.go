@@ -19,8 +19,11 @@ type BitVec struct {
 
 // NewBitVec returns an all-zero vector of n bits.
 func NewBitVec(n int) BitVec {
-	return BitVec{bits: make([]uint64, (n+63)/64), n: n}
+	return BitVec{bits: make([]uint64, wordsFor(n)), n: n}
 }
+
+// wordsFor is the number of 64-bit words backing n bits.
+func wordsFor(n int) int { return (n + 63) / 64 }
 
 // Len returns the number of bits.
 func (v BitVec) Len() int { return v.n }
@@ -57,19 +60,6 @@ func (v BitVec) Hamming(u BitVec) int {
 	return total
 }
 
-// Dot returns the inner product of v and u over GF(2) — the paper's Test
-// procedure: parity of the AND of the two vectors.
-func (v BitVec) Dot(u BitVec) int {
-	if v.n != u.n {
-		panic(fmt.Sprintf("nns: Dot of %d-bit and %d-bit vectors", v.n, u.n))
-	}
-	parity := 0
-	for i := range v.bits {
-		parity ^= bits.OnesCount64(v.bits[i]&u.bits[i]) & 1
-	}
-	return parity
-}
-
 // Clone returns an independent copy of v.
 func (v BitVec) Clone() BitVec {
 	out := BitVec{bits: make([]uint64, len(v.bits)), n: v.n}
@@ -85,7 +75,7 @@ func (v BitVec) Words() []uint64 { return v.bits }
 // FromWords reconstructs a BitVec of n bits from backing words (the
 // inverse of Words). The words slice is copied.
 func FromWords(words []uint64, n int) (BitVec, error) {
-	if len(words) != (n+63)/64 {
+	if len(words) != wordsFor(n) {
 		return BitVec{}, fmt.Errorf("nns: %d words cannot back %d bits", len(words), n)
 	}
 	out := BitVec{bits: make([]uint64, len(words)), n: n}

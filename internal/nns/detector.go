@@ -247,6 +247,10 @@ func (d *Detector) Assess(r flow.Record) Assessment {
 	return a
 }
 
+// assessWords sizes the stack buffer a query is encoded into; dimensions
+// beyond DefaultD encode into a heap vector instead.
+const assessWords = (DefaultD + 63) / 64
+
 func (d *Detector) assess(r flow.Record) Assessment {
 	c := flow.Classify(r.Key)
 	if d.cfg.DisablePartition {
@@ -256,7 +260,10 @@ func (d *Detector) assess(r flow.Record) Assessment {
 	if !ok {
 		return Assessment{Anomalous: true, Cluster: c, Distance: -1, Threshold: -1}
 	}
-	res, found := st.structure.Search(d.enc.EncodeRecord(r))
+	// The query lives on this goroutine's stack: the detector is shared
+	// read-only by every shard, and a search allocates nothing.
+	var buf [assessWords]uint64
+	res, found := st.structure.Search(d.enc.encodeInto(buf[:], flow.StatsOf(r)))
 	if !found {
 		return Assessment{Anomalous: true, Cluster: c, Distance: -1, Threshold: st.threshold}
 	}

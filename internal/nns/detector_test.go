@@ -11,7 +11,7 @@ import (
 )
 
 // trainFlows aggregates a generated normal trace into flow records.
-func trainFlows(t *testing.T, flows int, seed int64) []flow.Record {
+func trainFlows(t testing.TB, flows int, seed int64) []flow.Record {
 	t.Helper()
 	pkts, err := trace.GenerateNormal(trace.NormalConfig{
 		Seed:        seed,
@@ -31,7 +31,7 @@ func trainFlows(t *testing.T, flows int, seed int64) []flow.Record {
 	return cache.Drain()
 }
 
-func attackFlows(t *testing.T, at trace.AttackType, seed int64) []flow.Record {
+func attackFlows(t testing.TB, at trace.AttackType, seed int64) []flow.Record {
 	t.Helper()
 	pkts, err := trace.Generate(at, trace.AttackConfig{
 		Seed:      seed,

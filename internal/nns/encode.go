@@ -89,16 +89,35 @@ func (e *Encoder) Level(stat int, v float64) int {
 // Encode produces the unary d-bit representation of a statistics vector:
 // per characteristic, I ones followed by dC-I zeros, concatenated.
 func (e *Encoder) Encode(s flow.Stats) BitVec {
-	out := NewBitVec(e.d)
+	return e.encodeInto(nil, s)
+}
+
+// encodeInto is Encode writing into buf when it has room for d bits (a new
+// vector is allocated otherwise). Each statistic's run of ones is filled a
+// word at a time.
+func (e *Encoder) encodeInto(buf []uint64, s flow.Stats) BitVec {
+	n := wordsFor(e.d)
+	if cap(buf) < n {
+		buf = make([]uint64, n)
+	}
+	out := BitVec{bits: buf[:n], n: e.d}
+	clear(out.bits)
 	vec := s.Vector()
 	for stat := 0; stat < flow.NumStats; stat++ {
-		level := e.Level(stat, vec[stat])
 		base := stat * e.dc
-		for i := 0; i < level; i++ {
-			out.Set(base + i)
-		}
+		setRun(out.bits, base, base+e.Level(stat, vec[stat]))
 	}
 	return out
+}
+
+// setRun sets bits [lo, hi) of words.
+func setRun(words []uint64, lo, hi int) {
+	for lo < hi {
+		off := uint(lo) & 63
+		n := min(hi-lo, 64-int(off))
+		words[lo>>6] |= (^uint64(0) >> (64 - uint(n))) << off
+		lo += n
+	}
 }
 
 // EncodeRecord encodes a flow record's statistics.

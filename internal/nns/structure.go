@@ -2,6 +2,7 @@ package nns
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -40,17 +41,23 @@ func (p Params) validate() error {
 
 // table is one T_ij: M2 test vectors and the 2^M2-entry table holding, per
 // entry, the index of the last training flow entered (-1 when empty). The
-// paper's search only needs emptiness plus one representative flow.
+// paper's search only needs emptiness plus one representative flow. The
+// test vectors are stored back to back in one word array, vector k in
+// tests[k*W:(k+1)*W] for W words per vector.
 type table struct {
-	tests   []BitVec
+	tests   []uint64
 	entries []int32
 }
 
 // Structure is the per-cluster KOR search structure over a training set.
+// It is read-only once built, so any number of goroutines may search it.
 type Structure struct {
 	params  Params
 	cluster []BitVec  // encoded training flows, by index
 	subs    [][]table // subs[i-1] are the M1 tables of S_i, i = distance 1..D
+	// picks[k] is the table of S_t that the k-th probe of every search
+	// reads, drawn once from the structure seed.
+	picks []int
 }
 
 // Build constructs the structure over the encoded training cluster,
@@ -73,6 +80,7 @@ func Build(params Params, cluster []BitVec) (*Structure, error) {
 		params:  params,
 		cluster: cluster,
 		subs:    make([][]table, params.D),
+		picks:   drawPicks(params),
 	}
 	neighbors := traceNeighborMasks(params.M2, params.M3)
 	// Each substructure draws its test vectors from its own seed-derived
@@ -106,20 +114,21 @@ func Build(params Params, cluster []BitVec) (*Structure, error) {
 func buildSubstructure(params Params, cluster []BitVec, neighbors []int, i int) []table {
 	rng := rand.New(rand.NewSource(subSeed(params.Seed, i)))
 	b := 1 / (2 * float64(i))
+	w := wordsFor(params.D)
 	tabs := make([]table, params.M1)
 	for j := range tabs {
 		t := table{
-			tests:   make([]BitVec, params.M2),
+			tests:   make([]uint64, params.M2*w),
 			entries: make([]int32, 1<<uint(params.M2)),
 		}
 		for k := range t.entries {
 			t.entries[k] = -1
 		}
-		for k := range t.tests {
-			t.tests[k] = createTestVector(rng, params.D, b)
+		for k := 0; k < params.M2; k++ {
+			createTestVector(rng, t.tests[k*w:(k+1)*w], params.D, b)
 		}
 		for fi, fv := range cluster {
-			z := traceOf(t.tests, fv)
+			z := traceOf(t.tests, fv.bits)
 			for _, m := range neighbors {
 				t.entries[z^m] = int32(fi)
 			}
@@ -137,25 +146,45 @@ func subSeed(seed int64, i int) int64 {
 	return int64(x ^ (x >> 31))
 }
 
-// createTestVector is the paper's CreateTestVector: each bit is 1 with
-// probability b/2, independently.
-func createTestVector(rng *rand.Rand, d int, b float64) BitVec {
-	v := NewBitVec(d)
+// drawPicks fixes which of S_t's M1 tables each probe of a search reads.
+// The draw sequence depends only on the seed and M1, never on the query, so
+// it is taken once here: a binary search over 1..D makes at most
+// bits.Len(D) halving probes plus the final one.
+func drawPicks(params Params) []int {
+	rng := rand.New(rand.NewSource(params.Seed ^ 0x5f5f5f5f))
+	picks := make([]int, bits.Len(uint(params.D))+1)
+	for k := range picks {
+		picks[k] = rng.Intn(params.M1)
+	}
+	return picks
+}
+
+// createTestVector is the paper's CreateTestVector: each of the d bits of
+// dst is 1 with probability b/2, independently.
+func createTestVector(rng *rand.Rand, dst []uint64, d int, b float64) {
 	p := b / 2
 	for i := 0; i < d; i++ {
 		if rng.Float64() < p {
-			v.Set(i)
+			dst[i>>6] |= 1 << (uint(i) & 63)
 		}
 	}
-	return v
 }
 
 // traceOf computes trace(φ) = (Test(u_1,φ),…,Test(u_M2,φ)) packed into an
-// integer.
-func traceOf(tests []BitVec, v BitVec) int {
+// integer, for test vectors stored back to back in tests and φ's words in
+// q. Test is the parity of popcount(u & φ); summed over words that is the
+// parity of the XOR of the ANDed words, so each test vector costs one
+// popcount instead of one per word.
+func traceOf(tests, q []uint64) int {
+	w := len(q)
 	z := 0
-	for k, u := range tests {
-		z |= u.Dot(v) << uint(k)
+	for k := 0; k*w < len(tests); k++ {
+		u := tests[k*w : (k+1)*w]
+		var x uint64
+		for i, qw := range q {
+			x ^= qw & u[i]
+		}
+		z |= (bits.OnesCount64(x) & 1) << uint(k)
 	}
 	return z
 }
@@ -206,13 +235,14 @@ type Result struct {
 }
 
 // Search runs the binary search of paper Figure 8: at candidate distance t
-// it picks one of S_t's tables, computes the query's trace, and narrows
-// toward smaller distances whenever the table entry holds a training flow.
-// Among the O(log d) representatives the probes surface, it returns the one
-// at minimum exact Hamming distance from the query — a refinement of the
+// it reads one of S_t's tables (the k-th probe reads table picks[k], fixed
+// at Build), computes the query's trace, and narrows toward smaller
+// distances whenever the table entry holds a training flow. Among the
+// O(log d) representatives the probes surface, it returns the one at
+// minimum exact Hamming distance from the query — a refinement of the
 // paper's "last non-empty entry" rule that costs nothing extra (each probe
 // already touches its representative) and sharply reduces approximation
-// noise.
+// noise. Search does not allocate.
 func (s *Structure) Search(query BitVec) (Result, bool) {
 	if query.Len() != s.params.D {
 		return Result{}, false
@@ -222,34 +252,24 @@ func (s *Structure) Search(query BitVec) (Result, bool) {
 		bestDist = 0
 		lo, hi   = 1, s.params.D
 	)
-	consider := func(idx int32) {
-		if idx < 0 {
-			return
-		}
-		d := query.Hamming(s.cluster[idx])
-		if bestIdx < 0 || d < bestDist {
-			bestIdx, bestDist = int(idx), d
-		}
-	}
-	// rng for the M1 table choice; deterministic per structure for
-	// reproducibility (M1=1 in the paper, so this rarely matters).
-	rng := rand.New(rand.NewSource(s.params.Seed ^ 0x5f5f5f5f))
-	for lo < hi {
+	for k := 0; ; k++ {
 		mid := (lo + hi) / 2
-		tabs := s.subs[mid-1]
-		t := tabs[rng.Intn(len(tabs))]
-		z := traceOf(t.tests, query)
-		if idx := t.entries[z]; idx >= 0 {
-			consider(idx)
+		t := &s.subs[mid-1][s.picks[k]]
+		idx := t.entries[traceOf(t.tests, query.bits)]
+		if idx >= 0 {
+			if d := query.Hamming(s.cluster[idx]); bestIdx < 0 || d < bestDist {
+				bestIdx, bestDist = int(idx), d
+			}
+		}
+		if lo == hi { // the final distance has been probed as well
+			break
+		}
+		if idx >= 0 {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	// Probe the final distance as well.
-	tabs := s.subs[lo-1]
-	t := tabs[rng.Intn(len(tabs))]
-	consider(t.entries[traceOf(t.tests, query)])
 	if bestIdx < 0 {
 		return Result{}, false
 	}
