@@ -881,7 +881,7 @@ func BenchmarkEIACheckBloomTier(b *testing.B) {
 // backends as the distinct probe cardinality grows 100x: a one-source
 // network scan fanning out over `scale` distinct target hosts on one
 // port. The streaming sketch's state is bounded (KMV registers capped
-// by SketchK, register tables by MaxRegisters), so a scan 100x wider
+// at sketch.DefaultK, register tables by MaxRegisters), so a scan 100x wider
 // must cost about the same per suspect (sketch-1000x within ~1.2x of
 // sketch-10x). The ring rows are recorded for contrast: the ring
 // is also flat per suspect, but only because its 200-entry window has

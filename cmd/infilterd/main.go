@@ -85,7 +85,6 @@ import (
 	"infilter/internal/netflow"
 	"infilter/internal/nns"
 	"infilter/internal/scan"
-	"infilter/internal/sketch"
 	"infilter/internal/telemetry"
 	"infilter/internal/trace"
 )
@@ -145,12 +144,6 @@ func runWith(ctx context.Context, args []string, onReady func(ports []int, admin
 		tplTTL      = fs.Duration("template-ttl", netflow.DefaultTemplateTTL, "NetFlow v9/IPFIX templates unrefreshed this long expire")
 		orphanMax   = fs.Int("orphan-max", netflow.DefaultMaxOrphans, "max buffered v9/IPFIX data sets awaiting their template")
 		bloomBits   = fs.Int("eia-bloom-bits-per-entry", 10, "EIA Bloom fast-tier bits per prefix (0 disables the tier; verdicts are identical either way)")
-		bloomHashes = fs.Int("eia-bloom-hashes", 0, "EIA Bloom probes per query (0: derived from bits-per-entry)")
-		hhThreshold = fs.Int("heavy-hitter-threshold", 0, "suspect flows per source within the decay window to flag a flood source (0 disables the stage)")
-		hhCounters  = fs.Int("heavy-hitter-counters", scan.DefaultHeavyHitterCounters, "heavy-hitter sketch counters per stage (rounded up to a power of two)")
-		hhStages    = fs.Int("heavy-hitter-stages", scan.DefaultHeavyHitterStages, "heavy-hitter sketch stages")
-		hhDecay     = fs.Int("heavy-hitter-decay-every", scan.DefaultHeavyHitterDecayEvery, "suspect flows between heavy-hitter counter-halving passes")
-		sketchK     = fs.Int("scan-sketch-k", sketch.DefaultK, "KMV registers per scan sketch (larger: more accurate distinct counts)")
 		ttlTol      = fs.Int("ttl-tolerance", 0, "TTL-profile hop tolerance for the second-opinion detector (0 disables the stage; EI mode only)")
 
 		clusterListen = fs.String("cluster-listen", "", "TCP address for inbound EIA snapshot replication (enables cluster mode)")
@@ -216,16 +209,13 @@ func runWith(ctx context.Context, args []string, onReady func(ports []int, admin
 		}
 	}
 
-	if *bloomBits < 0 || *bloomHashes < 0 {
-		return fmt.Errorf("bad bloom settings: -eia-bloom-bits-per-entry %d -eia-bloom-hashes %d", *bloomBits, *bloomHashes)
+	if *bloomBits < 0 {
+		return fmt.Errorf("bad bloom settings: -eia-bloom-bits-per-entry %d", *bloomBits)
 	}
 	// The Bloom config rides on the Set: the engine's snapshot store adopts
 	// the Set's Config, and rebuilds the filters from whatever the trie
 	// holds — file preload, checkpoint, training — when it is constructed.
-	set := eia.NewSet(eia.Config{
-		BloomBitsPerEntry: *bloomBits,
-		BloomHashes:       *bloomHashes,
-	})
+	set := eia.NewSet(eia.Config{BloomBitsPerEntry: *bloomBits})
 	if *eiaFile != "" {
 		if err := loadEIAFile(set, *eiaFile); err != nil {
 			return err
@@ -309,15 +299,8 @@ func runWith(ctx context.Context, args []string, onReady func(ports []int, admin
 	}
 	engine, err := analysis.NewParallelEngine(analysis.ParallelConfig{
 		Config: analysis.Config{
-			Mode: mode,
-			Scan: scan.Config{SketchK: *sketchK},
-			TTL:  scan.TTLConfig{Tolerance: *ttlTol},
-			HeavyHitter: scan.HeavyHitterConfig{
-				Threshold:  *hhThreshold,
-				Stages:     *hhStages,
-				Counters:   *hhCounters,
-				DecayEvery: *hhDecay,
-			},
+			Mode:            mode,
+			TTL:             scan.TTLConfig{Tolerance: *ttlTol},
 			PromotionFilter: promotionFilter,
 		},
 		Shards:     shards,

@@ -764,6 +764,13 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-batch-size", "-1"},
 		{"-batch-size", "0"}, // the per-record fork is gone: 1 is the minimum
 		{"-batch-timeout", "0s"},
+		// Removed settings must fail the parse, not be silently ignored.
+		{"-heavy-hitter-threshold", "5"},
+		{"-heavy-hitter-counters", "64"},
+		{"-heavy-hitter-stages", "2"},
+		{"-heavy-hitter-decay-every", "10"},
+		{"-eia-bloom-hashes", "3"},
+		{"-scan-sketch-k", "64"},
 	} {
 		if err := run(context.Background(), args); err == nil {
 			t.Errorf("run(%v): want error", args)

@@ -53,13 +53,6 @@ type Config struct {
 	Scan scan.Config
 	// NNS tunes the anomaly detector (EI only).
 	NNS nns.DetectorConfig
-	// HeavyHitter tunes the bounded-memory flood-source identifier that
-	// runs in front of Scan Analysis (EI only). Disabled unless
-	// HeavyHitter.Threshold is positive — note that enabling it changes
-	// detection behavior (suspect flows from flood sources are flagged at
-	// the heavy-hitter stage instead of continuing to scan/NNS), unlike
-	// the EIA Bloom tier, which never alters verdicts.
-	HeavyHitter scan.HeavyHitterConfig
 	// TTL tunes the TTL-profile second-opinion detector (EI only).
 	// Disabled unless TTL.Tolerance is positive. When enabled, every
 	// TTL-bearing flow is checked against its source's learned hop
@@ -116,7 +109,6 @@ type Stats struct {
 type pipeline struct {
 	mode     Mode
 	eia      *eia.Store
-	hh       *scan.HeavyHitter // nil unless Config.HeavyHitter enables it
 	scanner  *scan.Analyzer
 	detector *nns.Detector
 	// ttl is the TTL-profile second-opinion table, nil unless Config.TTL
@@ -178,24 +170,7 @@ func (p *pipeline) decideVerdict(peer eia.PeerAS, rec *flow.Record, v eia.Verdic
 		d.Stage = idmef.StageEIA
 		return d, false
 	}
-	// Enhanced: heavy-hitter triage first (when enabled) — a source
-	// flooding suspect flows is flagged on volume alone, in O(1) memory,
-	// before it can churn the scan buffer.
-	if p.hh != nil {
-		if m != nil {
-			t = time.Now()
-		}
-		heavy := p.hh.Observe(rec.Key.Src)
-		if m != nil {
-			m.observeStage(stageHH, time.Since(t))
-		}
-		if heavy {
-			d.Attack = true
-			d.Stage = idmef.StageHeavyHitter
-			return d, false
-		}
-	}
-	// Then Scan Analysis.
+	// Enhanced: Scan Analysis first.
 	if m != nil {
 		t = time.Now()
 	}

@@ -105,15 +105,10 @@ func newCore(cfg Config, set *eia.Set, detector *nns.Detector, shards int, metri
 	}
 	for i := range c.shards {
 		scanner := scan.New(cfg.Scan)
-		var hh *scan.HeavyHitter
-		if cfg.Mode == ModeEnhanced {
-			hh = scan.NewHeavyHitter(cfg.HeavyHitter) // nil unless enabled
-		}
 		s := &shard{
 			pl: pipeline{
 				mode:     cfg.Mode,
 				eia:      c.store,
-				hh:       hh,
 				scanner:  scanner,
 				detector: detector,
 				ttl:      c.ttl,
@@ -124,7 +119,6 @@ func newCore(cfg Config, set *eia.Set, detector *nns.Detector, shards int, metri
 		}
 		if metrics != nil {
 			scanner.SetMetrics(metrics.scan)
-			hh.SetMetrics(metrics.hh)
 			s.pl.metrics = &metrics.shards[i]
 			s.blocks = metrics.shards[i].blocks
 		}

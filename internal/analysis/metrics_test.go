@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bufio"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -112,6 +113,22 @@ func TestParallelEngineMetrics(t *testing.T) {
 	}
 	if got := m[`infilter_pipeline_stage_latency_seconds_count{stage="nns"}`]; got != nnsQueries {
 		t.Errorf("nns stage latency count = %v, nns_queries_total = %v", got, nnsQueries)
+	}
+	// The stage vocabulary is the paper's suspect path plus the TTL
+	// second opinion, and nothing else.
+	const stagePrefix = `infilter_pipeline_stage_latency_seconds_count{stage="`
+	var stages []string
+	for k := range m {
+		if strings.HasPrefix(k, "infilter_heavyhitter_") {
+			t.Errorf("retired family still registered: %s", k)
+		}
+		if s, ok := strings.CutPrefix(k, stagePrefix); ok {
+			stages = append(stages, strings.TrimSuffix(s, `"}`))
+		}
+	}
+	slices.Sort(stages)
+	if want := []string{"eia", "nns", "scan", "ttl"}; !slices.Equal(stages, want) {
+		t.Errorf("stage latency series = %v, want %v", stages, want)
 	}
 	// Every queue is drained after Flush.
 	for i := 0; i < shards; i++ {

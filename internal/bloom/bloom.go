@@ -1,6 +1,5 @@
 // Package bloom provides the probabilistic-membership substrate for the
-// EIA fast tier and the heavy-hitter stage: a cache-line-blocked Bloom
-// filter and a conservative-update counting sketch, both keyed by packed
+// EIA fast tier: a cache-line-blocked Bloom filter keyed by packed
 // uint64 values hashed with a seeded xxh3-style mix.
 //
 // The filter is "blocked" (Putze, Sanders, Singler — Cache-, Hash- and
@@ -42,11 +41,11 @@ type Filter struct {
 
 // New sizes a filter for capacity keys at bitsPerEntry bits each,
 // rounding the block count up to a power of two (so the real bit budget
-// is never below the request). hashes is the probe count per key; 0
-// derives the information-optimal k = bitsPerEntry·ln2, clamped to
-// [1, 9] — beyond 9 probes a 512-bit block saturates faster than the
-// extra probes pay back.
-func New(capacity, bitsPerEntry, hashes int, seed uint64) *Filter {
+// is never below the request). The probe count per key is the
+// information-optimal k = bitsPerEntry·ln2, clamped to at most 9 —
+// beyond 9 probes a 512-bit block saturates faster than the extra
+// probes pay back.
+func New(capacity, bitsPerEntry int, seed uint64) *Filter {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -54,16 +53,7 @@ func New(capacity, bitsPerEntry, hashes int, seed uint64) *Filter {
 		bitsPerEntry = 2
 	}
 	nblocks := nextPow2((uint64(capacity)*uint64(bitsPerEntry) + blockBits - 1) / blockBits)
-	k := hashes
-	if k <= 0 {
-		k = int(float64(bitsPerEntry)*0.6931 + 0.5)
-	}
-	if k < 1 {
-		k = 1
-	}
-	if k > 9 {
-		k = 9
-	}
+	k := min(int(float64(bitsPerEntry)*0.6931+0.5), 9)
 	return &Filter{
 		blocks:    make([][blockWords]uint64, nblocks),
 		blockMask: nblocks - 1,

@@ -7,7 +7,7 @@ import (
 )
 
 func TestFilterMembership(t *testing.T) {
-	f := New(1000, 10, 0, 1)
+	f := New(1000, 10, 1)
 	keys := []uint64{0, 1, 0xdeadbeef, 1 << 63, ^uint64(0)}
 	for _, k := range keys {
 		if f.Test(k) {
@@ -32,7 +32,7 @@ func TestFilterMembership(t *testing.T) {
 // level including far past the sized capacity.
 func TestFilterNoFalseNegatives(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	f := New(256, 8, 0, 42)
+	f := New(256, 8, 42)
 	added := make([]uint64, 0, 4*256)
 	for i := 0; i < 4*256; i++ { // overfill to 4x capacity
 		k := rng.Uint64()
@@ -67,7 +67,7 @@ func TestFilterFPRateUnderBound(t *testing.T) {
 	)
 	for _, scale := range []int{1, 10, 100} {
 		n := base * scale
-		f := New(n, bitsPerEntry, 0, 99)
+		f := New(n, bitsPerEntry, 99)
 		rng := rand.New(rand.NewSource(int64(scale)))
 		present := make(map[uint64]bool, n)
 		for i := 0; i < n; i++ {
@@ -94,7 +94,7 @@ func TestFilterFPRateUnderBound(t *testing.T) {
 }
 
 func TestFilterCloneIndependent(t *testing.T) {
-	f := New(100, 10, 0, 3)
+	f := New(100, 10, 3)
 	f.Add(1)
 	c := f.Clone()
 	c.Add(2)
@@ -110,18 +110,15 @@ func TestFilterCloneIndependent(t *testing.T) {
 }
 
 func TestFilterSizing(t *testing.T) {
-	f := New(1000, 10, 0, 0)
+	f := New(1000, 10, 0)
 	if got := f.Bits(); got < 1000*10 {
 		t.Errorf("Bits = %d, below requested budget %d", got, 1000*10)
 	}
 	if k := f.K(); k < 1 || k > 9 {
 		t.Errorf("derived K = %d out of [1,9]", k)
 	}
-	if k := New(10, 4, 3, 0).K(); k != 3 {
-		t.Errorf("explicit hashes: K = %d, want 3", k)
-	}
 	// Degenerate requests still produce a usable filter.
-	tiny := New(0, 0, 0, 0)
+	tiny := New(0, 0, 0)
 	tiny.Add(5)
 	if !tiny.Test(5) {
 		t.Error("degenerate filter lost its key")
@@ -152,57 +149,8 @@ func TestHashMix(t *testing.T) {
 	}
 }
 
-func TestSketchConservativeUpdate(t *testing.T) {
-	s := NewSketch(4, 1024, 5)
-	for i := 0; i < 100; i++ {
-		s.Observe(77)
-	}
-	if got := s.Estimate(77); got < 100 {
-		t.Errorf("Estimate = %d after 100 observations, must never undercount", got)
-	}
-	// With 1024 counters and a handful of keys, collisions are absent and
-	// conservative update keeps single-key estimates exact.
-	if got := s.Estimate(77); got != 100 {
-		t.Errorf("Estimate = %d, want exactly 100 in a collision-free sketch", got)
-	}
-	if got := s.Estimate(78); got != 0 {
-		t.Errorf("unobserved key estimate = %d, want 0", got)
-	}
-}
-
-func TestSketchNeverUndercounts(t *testing.T) {
-	s := NewSketch(4, 64, 13) // small: force collisions
-	rng := rand.New(rand.NewSource(17))
-	truth := make(map[uint64]uint32)
-	for i := 0; i < 5000; i++ {
-		k := uint64(rng.Intn(300))
-		truth[k]++
-		s.Observe(k)
-	}
-	for k, n := range truth {
-		if got := s.Estimate(k); got < n {
-			t.Errorf("key %d: estimate %d under true count %d", k, got, n)
-		}
-	}
-}
-
-func TestSketchDecay(t *testing.T) {
-	s := NewSketch(4, 1024, 5)
-	for i := 0; i < 100; i++ {
-		s.Observe(9)
-	}
-	s.Decay()
-	if got := s.Estimate(9); got != 50 {
-		t.Errorf("after Decay estimate = %d, want 50", got)
-	}
-	s.Reset()
-	if got := s.Estimate(9); got != 0 {
-		t.Errorf("after Reset estimate = %d, want 0", got)
-	}
-}
-
 func BenchmarkFilterTestNegative(b *testing.B) {
-	f := New(1_000_000, 10, 0, 1)
+	f := New(1_000_000, 10, 1)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 1_000_000; i++ {
 		f.Add(rng.Uint64())
@@ -210,13 +158,5 @@ func BenchmarkFilterTestNegative(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.Test(uint64(i) * 0x9e3779b97f4a7c15)
-	}
-}
-
-func BenchmarkSketchObserve(b *testing.B) {
-	s := NewSketch(4, 4096, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Observe(uint64(i % 1024))
 	}
 }

@@ -158,12 +158,12 @@ func buildBloomTier(index *netaddr.PrefixTrie[PeerAS], perPeer map[PeerAS]int, c
 		}
 	}
 	t := &bloomTier{
-		global: bloom.New(bloomCapacity(index.Len()), cfg.BloomBitsPerEntry, cfg.BloomHashes, bloomSeedGlobal),
+		global: bloom.New(bloomCapacity(index.Len()), cfg.BloomBitsPerEntry, bloomSeedGlobal),
 		peers:  make([]*bloom.Filter, int(maxPeer)+1),
 	}
 	for p, n := range perPeer {
 		if n > 0 {
-			t.peers[p] = bloom.New(bloomCapacity(n), cfg.BloomBitsPerEntry, cfg.BloomHashes, bloomSeedPeer^uint64(p))
+			t.peers[p] = bloom.New(bloomCapacity(n), cfg.BloomBitsPerEntry, bloomSeedPeer^uint64(p))
 		}
 	}
 	var perLen [33]int
@@ -221,7 +221,7 @@ func (t *bloomTier) withAssignments(applied []Assignment, index *netaddr.PrefixT
 		f := nt.peers[a.Peer]
 		switch {
 		case f == nil:
-			f = bloom.New(bloomCapacity(perPeer[a.Peer]), cfg.BloomBitsPerEntry, cfg.BloomHashes, bloomSeedPeer^uint64(a.Peer))
+			f = bloom.New(bloomCapacity(perPeer[a.Peer]), cfg.BloomBitsPerEntry, bloomSeedPeer^uint64(a.Peer))
 			nt.peers[a.Peer] = f
 		case f == t.peers[a.Peer]:
 			f = f.Clone()

@@ -67,13 +67,10 @@ type Config struct {
 	// trie prefix. The tier short-circuits only provably-Unknown checks —
 	// Bloom positives always confirm against the exact trie — so verdicts
 	// are identical with the tier on or off; the knob trades memory for
-	// fewer fallback walks (10 bits/entry ≈ 1% false-positive rate).
-	// Zero (the default) disables the tier.
+	// fewer fallback walks (10 bits/entry ≈ 1% false-positive rate). The
+	// probe count per query is derived from it. Zero (the default)
+	// disables the tier.
 	BloomBitsPerEntry int
-	// BloomHashes fixes the probe count per Bloom query. Zero (the
-	// default) derives the information-optimal count from
-	// BloomBitsPerEntry.
-	BloomHashes int
 }
 
 // Defaults for Config.

@@ -18,7 +18,9 @@ type Stage string
 
 // Detection stages.
 const (
-	StageEIA         Stage = "eia-set"
+	StageEIA Stage = "eia-set"
+	// StageHeavyHitter is no longer emitted by any pipeline stage; it is
+	// kept only because the benchmark module still names it.
 	StageHeavyHitter Stage = "heavy-hitter"
 	StageScan        Stage = "scan-analysis"
 	StageNNS         Stage = "nns-search"

@@ -22,7 +22,6 @@ package scan
 import (
 	"infilter/internal/flow"
 	"infilter/internal/netaddr"
-	"infilter/internal/sketch"
 	"infilter/internal/telemetry"
 )
 
@@ -70,10 +69,6 @@ type Config struct {
 	// BufferSize suspects; it is kept as the small-N oracle the sketch
 	// backend is verified against.
 	ExactBuffer bool
-	// SketchK is the KMV register size of the sketch backend. Zero
-	// defaults to sketch.DefaultK (256); larger k tightens estimates at
-	// the cost of memory. Ignored under ExactBuffer.
-	SketchK int
 	// MaxRegisters bounds each register table (per-port and per-host) of
 	// the sketch backend. Zero defaults to 65536. Ignored under
 	// ExactBuffer.
@@ -104,9 +99,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HostScanThreshold <= 0 {
 		c.HostScanThreshold = DefaultHostScanThreshold
-	}
-	if c.SketchK <= 0 {
-		c.SketchK = sketch.DefaultK
 	}
 	if c.MaxRegisters <= 0 {
 		c.MaxRegisters = DefaultMaxRegisters
@@ -284,7 +276,7 @@ func (a *Analyzer) Buffered() int {
 }
 
 // HostsOnPort exposes the distinct-host count for a destination port
-// (estimated under the sketch backend, exact while below SketchK).
+// (estimated under the sketch backend, exact while below sketch.DefaultK).
 func (a *Analyzer) HostsOnPort(port uint16) int {
 	if a.cfg.ExactBuffer {
 		return a.hostsPerPort[port]
@@ -293,7 +285,7 @@ func (a *Analyzer) HostsOnPort(port uint16) int {
 }
 
 // PortsOnHost exposes the distinct-port count for a destination host
-// (estimated under the sketch backend, exact while below SketchK).
+// (estimated under the sketch backend, exact while below sketch.DefaultK).
 func (a *Analyzer) PortsOnHost(host netaddr.Addr) int {
 	if a.cfg.ExactBuffer {
 		return a.portsPerHost[host]
@@ -319,10 +311,10 @@ func (a *Analyzer) Reset() {
 	a.sinceRotate = 0
 }
 
-// sketchKey folds an address into the 64-bit key space shared by the
-// heavy-hitter sketch and the KMV registers. A v4 address keys exactly
-// as the pre-dual-stack stage did; v6 mixes both words (collisions only
-// inflate an estimate, which is the sketches' contract anyway).
+// sketchKey folds an address into the 64-bit key space of the KMV
+// registers. A v4 address keys exactly as the pre-dual-stack stage did;
+// v6 mixes both words (a collision can only merge two hosts into one
+// count).
 func sketchKey(src netaddr.Addr) uint64 {
 	if v4, ok := src.V4(); ok {
 		return uint64(v4)

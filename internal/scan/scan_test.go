@@ -142,12 +142,15 @@ func TestDefaultsApplied(t *testing.T) {
 		t.Errorf("defaults %+v", a.cfg)
 	}
 	s := New(Config{})
-	if s.cfg.SketchK != sketch.DefaultK || s.cfg.MaxRegisters != DefaultMaxRegisters ||
-		s.cfg.DecayEvery != DefaultBufferSize {
+	if s.cfg.MaxRegisters != DefaultMaxRegisters || s.cfg.DecayEvery != DefaultBufferSize {
 		t.Errorf("sketch defaults %+v", s.cfg)
 	}
 	if s.ring != nil || s.portRegs == nil {
 		t.Error("default backend is not the sketch path")
+	}
+	s.Add(suspect("192.0.2.1", 1434))
+	if k := s.portRegs[1434].cur.K(); k != sketch.DefaultK {
+		t.Errorf("live register k = %d, want sketch.DefaultK %d", k, sketch.DefaultK)
 	}
 }
 

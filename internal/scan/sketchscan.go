@@ -10,6 +10,11 @@ import (
 // (the registers defend memory, and below k they count exactly).
 const scanSketchSeed = 0x5ca9_90a1
 
+// newKMV returns an empty register sketch. k is fixed at
+// sketch.DefaultK, far above every scan threshold, so a count that can
+// still decide a trip is exact: the ring-oracle equivalence rests on it.
+func newKMV() *sketch.KMV { return sketch.New(sketch.DefaultK, scanSketchSeed) }
+
 // register is one distinct-count slot of the sketch backend: a KMV for
 // the current decay generation plus the previous generation's sketch,
 // so estimates cover a sliding window of one-to-two generations and a
@@ -24,12 +29,12 @@ type register struct {
 
 // sync rolls the register forward to generation g, retiring cur to prev
 // on a single-step advance and discarding everything on a larger jump.
-func (r *register) sync(g uint64, k int) {
+func (r *register) sync(g uint64) {
 	switch {
 	case r.gen == g:
 	case r.gen+1 == g:
 		r.prev = r.cur
-		r.cur = sketch.New(k, scanSketchSeed)
+		r.cur = newKMV()
 		r.gen = g
 	default:
 		r.cur.Reset()
@@ -84,28 +89,28 @@ func (a *Analyzer) addSketch(rec flow.Record) Result {
 
 func (a *Analyzer) lookupPortReg(port uint16) *register {
 	if r, ok := a.portRegs[port]; ok {
-		r.sync(a.gen, a.cfg.SketchK)
+		r.sync(a.gen)
 		return r
 	}
 	if len(a.portRegs) >= a.cfg.MaxRegisters && !a.reclaimPortRegs() {
 		a.noteOverflow()
 		return nil
 	}
-	r := &register{cur: sketch.New(a.cfg.SketchK, scanSketchSeed), gen: a.gen}
+	r := &register{cur: newKMV(), gen: a.gen}
 	a.portRegs[port] = r
 	return r
 }
 
 func (a *Analyzer) lookupHostReg(host netaddr.Addr) *register {
 	if r, ok := a.hostRegs[host]; ok {
-		r.sync(a.gen, a.cfg.SketchK)
+		r.sync(a.gen)
 		return r
 	}
 	if len(a.hostRegs) >= a.cfg.MaxRegisters && !a.reclaimHostRegs() {
 		a.noteOverflow()
 		return nil
 	}
-	r := &register{cur: sketch.New(a.cfg.SketchK, scanSketchSeed), gen: a.gen}
+	r := &register{cur: newKMV(), gen: a.gen}
 	a.hostRegs[host] = r
 	return r
 }

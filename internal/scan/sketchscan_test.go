@@ -128,9 +128,8 @@ func TestSketchRegisterCapOverflow(t *testing.T) {
 	}
 }
 
-// TestResetConsistency is the satellite fix's regression test: Reset on
-// either backend and on the heavy hitter clears every counter, not just
-// the subset the old test-only paths happened to touch.
+// TestResetConsistency: Reset on either backend clears every counter,
+// not just the subset the old test-only paths happened to touch.
 func TestResetConsistency(t *testing.T) {
 	for _, exact := range []bool{false, true} {
 		a := New(Config{ExactBuffer: exact})
@@ -168,25 +167,4 @@ func TestResetConsistency(t *testing.T) {
 			t.Errorf("exact=%v: attack flagged immediately after Reset", exact)
 		}
 	}
-
-	src := netaddr.MustParseAddr("61.1.1.1")
-	hh := NewHeavyHitter(HeavyHitterConfig{Threshold: 5, DecayEvery: 7})
-	for i := 0; i < 6; i++ {
-		hh.Observe(src)
-	}
-	if hh.Estimate(src) == 0 {
-		t.Fatal("heavy hitter never counted")
-	}
-	hh.Reset()
-	if hh.Estimate(src) != 0 {
-		t.Errorf("heavy hitter estimate %d after Reset", hh.Estimate(src))
-	}
-	if hh.sinceDecay != 0 {
-		t.Errorf("heavy hitter decay clock %d after Reset", hh.sinceDecay)
-	}
-	if hh.Observe(src) {
-		t.Error("heavy hitter flagged first flow after Reset")
-	}
-	var nilHH *HeavyHitter
-	nilHH.Reset() // must not panic
 }

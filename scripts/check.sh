@@ -21,7 +21,9 @@
 # benchmark run. The fuzz smoke discovers every
 # native fuzz target in the module and runs each briefly against fresh
 # random inputs on top of the checked-in seed corpus, so new targets are
-# picked up without editing this script.
+# picked up without editing this script. Last, it prints the non-test
+# Go line count outside benchmark/ — the ROADMAP's "non-test LOC going
+# down" figure — so every gate log carries it.
 #
 # Usage: scripts/check.sh [fuzztime]   (default fuzz smoke: 5s per target)
 set -eu
@@ -66,3 +68,4 @@ echo "$TARGETS" | while read -r pkg target; do
 done
 
 echo "==> all checks passed"
+echo "==> non-test Go lines outside benchmark/: $(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)"
