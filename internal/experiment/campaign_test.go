@@ -25,11 +25,7 @@ func campaignConfig() CampaignConfig {
 // positives. When CAMPAIGN_OUT is set the figure JSON is also written,
 // which is how CI archives the sweep as an artifact.
 func TestCampaignDeploymentSweep(t *testing.T) {
-	res, err := RunCampaign(campaignConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	res := campaignResult(t)
 	if len(res.Points) != 2 {
 		t.Fatalf("points = %d, want 2", len(res.Points))
 	}

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"strings"
 	"testing"
 
 	"infilter/internal/analysis"
@@ -159,50 +158,5 @@ func TestRunDeterministicAccounting(t *testing.T) {
 	if ra.AttacksLaunched != rb.AttacksLaunched || ra.AttacksDetected != rb.AttacksDetected ||
 		ra.BenignFlows != rb.BenignFlows || ra.FalsePositives != rb.FalsePositives {
 		t.Errorf("identical seeds diverged: %+v vs %+v", ra, rb)
-	}
-}
-
-func TestSpoofedSweepFigures(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep is slow")
-	}
-	sw, err := RunSpoofedSweep(Options{Seed: 5, Runs: 1, NormalFlowsPerSource: 200, TrainingFlows: 600})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f15, f16 := sw.Figure15().String(), sw.Figure16().String()
-	if !strings.Contains(f15, "Figure 15") || !strings.Contains(f15, "2%") {
-		t.Errorf("figure 15 table:\n%s", f15)
-	}
-	if !strings.Contains(f16, "Figure 16") {
-		t.Errorf("figure 16 table:\n%s", f16)
-	}
-	if len(sw.Single) != len(AttackVolumes) || len(sw.Ten) != len(AttackVolumes) {
-		t.Error("sweep grid incomplete")
-	}
-}
-
-func TestRouteChangeSweepFigure(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep is slow")
-	}
-	opts := Options{Seed: 6, Runs: 1, NormalFlowsPerSource: 150, TrainingFlows: 600}
-	bi, err := RunRouteChangeSweep(opts, analysis.ModeBasic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ei, err := RunRouteChangeSweep(opts, analysis.ModeEnhanced)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(bi.Figure().String(), "Figure 17") {
-		t.Error("BI sweep mislabeled")
-	}
-	if !strings.Contains(ei.Figure().String(), "Figure 18") {
-		t.Error("EI sweep mislabeled")
-	}
-	f19 := Figure19(bi, ei).String()
-	if !strings.Contains(f19, "Basic InFilter") || !strings.Contains(f19, "Enhanced InFilter") {
-		t.Errorf("figure 19 table:\n%s", f19)
 	}
 }
