@@ -278,7 +278,8 @@ func BenchmarkLatencyBasic(b *testing.B) {
 	engine, suspects := trainedBenchEngine(b, analysis.ModeBasic)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		engine.Process(1, suspects[i%len(suspects)])
+		k := i % len(suspects)
+		engine.ProcessBatch(1, suspects[k:k+1], nil)
 	}
 }
 
@@ -288,7 +289,8 @@ func BenchmarkLatencyEnhanced(b *testing.B) {
 	engine, suspects := trainedBenchEngine(b, analysis.ModeEnhanced)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		engine.Process(1, suspects[i%len(suspects)])
+		k := i % len(suspects)
+		engine.ProcessBatch(1, suspects[k:k+1], nil)
 	}
 }
 
@@ -628,7 +630,7 @@ func BenchmarkParallelPipeline(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			s := suspects[i%len(suspects)]
-			engine.Process(s.Peer, s.Record)
+			engine.ProcessBatch(s.Peer, []flow.Record{s.Record}, nil)
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "flows/sec")
@@ -646,7 +648,7 @@ func BenchmarkParallelPipeline(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s := suspects[i%len(suspects)]
-				if err := engine.Submit(s.Peer, s.Record); err != nil {
+				if err := engine.SubmitBatch(s.Peer, []flow.Record{s.Record}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"infilter/internal/analysis"
-	"infilter/internal/eia"
 	"infilter/internal/flow"
 	"infilter/internal/idmef"
 	"infilter/internal/netaddr"
@@ -64,16 +63,17 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		var flagged, total int
-		var stages = map[idmef.Stage]int{}
-		for _, r := range aggregate(attack) {
-			total++
-			if d := engine.Process(1, r); d.Attack {
+		recs := aggregate(attack)
+		decisions := make([]analysis.Decision, len(recs))
+		engine.ProcessBatch(1, recs, decisions)
+		flagged, stages := 0, map[idmef.Stage]int{}
+		for _, d := range decisions {
+			if d.Attack {
 				flagged++
 				stages[d.Stage]++
 			}
 		}
-		fmt.Printf("%-50s %d/%d flows flagged, stages=%v\n", sc.name, flagged, total, stages)
+		fmt.Printf("%-50s %d/%d flows flagged, stages=%v\n", sc.name, flagged, len(recs), stages)
 	}
 	return nil
 }
@@ -86,5 +86,3 @@ func aggregate(pkts []packet.Packet) []flow.Record {
 	cache.FlushAll()
 	return cache.Drain()
 }
-
-var _ = eia.Match // keep the import for the verdict type referenced in docs

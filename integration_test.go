@@ -81,10 +81,8 @@ func TestEndToEndPipeline(t *testing.T) {
 		peer := peerOfPort[b.Port]
 		engMu.Lock()
 		defer engMu.Unlock()
-		for _, r := range b.Records {
-			engine.Process(peer, r)
-			processed++
-		}
+		engine.ProcessBatch(peer, b.Records, nil)
+		processed += len(b.Records)
 	})
 	defer collector.Close()
 	port1, err := collector.Listen(0)

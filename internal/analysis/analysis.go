@@ -4,10 +4,10 @@
 // raising IDMEF alerts for flows that fail every stage and adapting EIA
 // sets to route changes via promotion of repeatedly-vouched sources.
 //
-// There is exactly one pipeline implementation (see core.go): Engine
-// drives it synchronously through a single shard, ParallelEngine through
-// N queue-fed shards whose only unit of work is the single-peer record
-// batch.
+// There is exactly one pipeline implementation (see core.go), and its
+// only unit of work is the single-peer record batch: Engine runs batches
+// synchronously through a single shard and can hand back each flow's
+// Decision, ParallelEngine runs them through N queue-fed shards.
 package analysis
 
 import (
@@ -85,8 +85,6 @@ type Decision struct {
 	Assessment nns.Assessment
 	// Promoted is set when this flow completed an EIA promotion.
 	Promoted bool
-	// Latency is the processing time of this flow.
-	Latency time.Duration
 }
 
 // Stats accumulates engine counters.
@@ -105,7 +103,7 @@ type Stats struct {
 // shared. A pipeline is only as concurrency-safe as its components: the
 // scanner is always owned by a single caller, the detector is read-only
 // after training, and the EIA store is a copy-on-write snapshot store
-// whose Check is a lock-free read.
+// whose reads are lock-free.
 type pipeline struct {
 	mode     Mode
 	eia      *eia.Store
@@ -126,28 +124,13 @@ type pipeline struct {
 	metrics *shardMetrics
 }
 
-// decide runs one flow through the pipeline; scanFlagged reports whether
-// the scan stage fired (tracked separately from the Decision for stats).
-func (p *pipeline) decide(peer eia.PeerAS, rec flow.Record) (d Decision, scanFlagged bool) {
-	m := p.metrics
-	var t time.Time
-	if m != nil {
-		m.flows.Inc()
-		t = time.Now()
-	}
-	v := p.eia.Check(peer, rec.Key.Src)
-	if m != nil {
-		m.observeStage(stageEIA, time.Since(t))
-	}
-	return p.decideVerdict(peer, &rec, v)
-}
-
-// decideVerdict is the post-EIA tail of the pipeline: everything decide
-// does after the EIA-set classification. The batch loop computes verdicts
-// for a whole batch up front (eia.Store.CheckBatch) and feeds them here
-// one record at a time; the caller owns the flow counter, EIA stage
-// timing and hit/miss accounting for that phase. The record is
-// passed by pointer (it is large) and not retained or mutated.
+// decideVerdict runs one flow through the stages that follow its EIA-set
+// classification v; scanFlagged reports whether the scan stage fired
+// (tracked separately from the Decision for stats). Its one caller is the
+// batch loop, which classifies a whole batch up front
+// (eia.Store.CheckBatch) and owns the flow counter, EIA stage timing and
+// hit/miss accounting for that phase. The record is passed by pointer (it
+// is large) and not retained or mutated.
 func (p *pipeline) decideVerdict(peer eia.PeerAS, rec *flow.Record, v eia.Verdict) (d Decision, scanFlagged bool) {
 	m := p.metrics
 	var t time.Time
@@ -272,9 +255,9 @@ func (s *Stats) merge(other Stats) {
 }
 
 // Engine is the per-deployment analysis state: the one-shard synchronous
-// case of the shared pipeline core. Process runs one flow on the caller's
-// goroutine and returns its Decision; ProcessBatch runs the batch loop a
-// ParallelEngine worker runs. Neither is safe for concurrent use (the
+// case of the shared pipeline core. ProcessBatch runs the batch loop a
+// ParallelEngine worker runs, on the caller's goroutine, and can hand
+// back each flow's Decision. It is not safe for concurrent use (the
 // single shard's scan buffer assumes one driver); use ParallelEngine to
 // process flows from many ingresses at once.
 type Engine struct {
@@ -310,18 +293,11 @@ func Train(cfg Config, normal []LabeledRecord) (*Engine, error) {
 	return NewEngine(cfg, set, detector)
 }
 
-// Process runs one flow through the normal-processing phase (§5.2, Figure
-// 12) and returns the decision.
-func (e *Engine) Process(peer eia.PeerAS, rec flow.Record) Decision {
-	return e.process(e.shards[0], peer, rec)
-}
-
 // ProcessBatch runs a batch of flows that all entered through peer
-// through the single shard — the same batch loop a ParallelEngine worker
-// runs per queue message: the whole batch is classified against one EIA
-// snapshot (refreshed after any mid-batch promotion), then each record
-// continues through the same post-EIA stages Process runs.
-// Observationally identical to calling Process per record, in order.
-func (e *Engine) ProcessBatch(peer eia.PeerAS, recs []flow.Record) {
-	e.processBatch(e.shards[0], peer, recs)
+// through the normal-processing phase (§5.2, Figure 12) on the caller's
+// goroutine — the batch loop a ParallelEngine worker runs per queue
+// message. A non-nil out (at least len(recs) long) receives each record's
+// Decision; nil skips the copy.
+func (e *Engine) ProcessBatch(peer eia.PeerAS, recs []flow.Record, out []Decision) {
+	e.processBatch(e.shards[0], peer, recs, out)
 }

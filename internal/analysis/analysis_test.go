@@ -58,6 +58,14 @@ func attackFlowRecords(t *testing.T, at trace.AttackType, seed int64, src string
 	return cache.Drain()
 }
 
+// decide runs recs through eng's batch loop as one batch and returns
+// their decisions.
+func decide(eng *Engine, peer eia.PeerAS, recs ...flow.Record) []Decision {
+	out := make([]Decision, len(recs))
+	eng.ProcessBatch(peer, recs, out)
+	return out
+}
+
 // trainedEngine trains an EI engine on two peers' normal traffic.
 func trainedEngine(t *testing.T, mode Mode) *Engine {
 	t.Helper()
@@ -104,8 +112,7 @@ func TestLegalFlowPasses(t *testing.T) {
 	eng := trainedEngine(t, ModeEnhanced)
 	legit := flowsFromPackets(t, 3, 50, peer1Pfx)
 	attacks := 0
-	for _, r := range legit {
-		d := eng.Process(1, r)
+	for _, d := range decide(eng, 1, legit...) {
 		if d.Verdict != eia.Match && d.Attack {
 			attacks++
 		}
@@ -123,8 +130,7 @@ func TestBasicModeFlagsAllSuspects(t *testing.T) {
 	eng := trainedEngine(t, ModeBasic)
 	// Spoofed flow: peer 2 source arriving at peer 1.
 	recs := attackFlowRecords(t, trace.AttackTeardrop, 4, "70.9.9.9")
-	for _, r := range recs {
-		d := eng.Process(1, r)
+	for _, d := range decide(eng, 1, recs...) {
 		if !d.Attack || d.Stage != idmef.StageEIA {
 			t.Errorf("BI decision %+v, want EIA-stage attack", d)
 		}
@@ -139,8 +145,7 @@ func TestEnhancedDetectsScanAttack(t *testing.T) {
 	eng := trainedEngine(t, ModeEnhanced)
 	recs := attackFlowRecords(t, trace.AttackSlammer, 5, "70.9.9.9")
 	detected := 0
-	for _, r := range recs {
-		d := eng.Process(1, r)
+	for _, d := range decide(eng, 1, recs...) {
 		if d.Attack {
 			detected++
 			if d.Stage != idmef.StageScan && d.Stage != idmef.StageNNS {
@@ -160,8 +165,8 @@ func TestEnhancedDetectsExploit(t *testing.T) {
 	eng := trainedEngine(t, ModeEnhanced)
 	recs := attackFlowRecords(t, trace.AttackFTPExploit, 6, "70.9.9.9")
 	detected := 0
-	for _, r := range recs {
-		if eng.Process(1, r).Attack {
+	for _, d := range decide(eng, 1, recs...) {
+		if d.Attack {
 			detected++
 		}
 	}
@@ -176,8 +181,7 @@ func TestEnhancedSuppressesRouteChangeFalsePositives(t *testing.T) {
 	// peer 1. EI should vet most of it as normal via NNS.
 	moved := flowsFromPackets(t, 7, 200, peer2Pfx)
 	fp := 0
-	for _, r := range moved {
-		d := eng.Process(1, r)
+	for _, d := range decide(eng, 1, moved...) {
 		if d.Attack {
 			fp++
 		}
@@ -193,11 +197,8 @@ func TestPromotionAdaptsEIA(t *testing.T) {
 	// Keep sending benign flows from one moved /24 via peer 1.
 	moved := flowsFromPackets(t, 8, 300, netaddr.MustParsePrefix("70.4.4.0/24"))
 	promoted := false
-	for _, r := range moved {
-		if eng.Process(1, r).Promoted {
-			promoted = true
-			break
-		}
+	for _, d := range decide(eng, 1, moved...) {
+		promoted = promoted || d.Promoted
 	}
 	if !promoted {
 		t.Fatal("no promotion after many vouched flows")
@@ -217,9 +218,7 @@ func TestAlertSinkReceivesIDMEF(t *testing.T) {
 	eng.SetAlertSink(func(a idmef.Alert) { alerts = append(alerts, a) })
 	eng.SetClock(func() time.Time { return start.Add(2 * time.Hour) })
 
-	for _, r := range attackFlowRecords(t, trace.AttackSlammer, 9, "70.9.9.9") {
-		eng.Process(1, r)
-	}
+	eng.ProcessBatch(1, attackFlowRecords(t, trace.AttackSlammer, 9, "70.9.9.9"), nil)
 	if len(alerts) == 0 {
 		t.Fatal("no alerts emitted")
 	}
@@ -244,10 +243,7 @@ func TestAlertSinkReceivesIDMEF(t *testing.T) {
 
 func TestStatsCopyIsolated(t *testing.T) {
 	eng := trainedEngine(t, ModeBasic)
-	recs := attackFlowRecords(t, trace.AttackPuke, 10, "70.9.9.9")
-	for _, r := range recs {
-		eng.Process(1, r)
-	}
+	eng.ProcessBatch(1, attackFlowRecords(t, trace.AttackPuke, 10, "70.9.9.9"), nil)
 	st := eng.Stats()
 	st.ByStage[idmef.StageEIA] = 999
 	if eng.Stats().ByStage[idmef.StageEIA] == 999 {

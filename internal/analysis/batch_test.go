@@ -88,11 +88,14 @@ func (l *alertLog) sink(a idmef.Alert) {
 }
 
 // outcome is everything observable about a replay: merged counters, the
-// per-peer alert streams and the EIA end-state.
+// per-peer alert streams, the EIA end-state and, for a serial Engine, the
+// per-record decision stream (nil for a ParallelEngine, whose workers
+// hand back no decisions).
 type outcome struct {
-	stats  Stats
-	alerts map[eia.PeerAS][]byte
-	eia    []byte
+	stats     Stats
+	alerts    map[eia.PeerAS][]byte
+	eia       []byte
+	decisions []Decision
 }
 
 func outcomeOf(t *testing.T, e interface {
@@ -107,51 +110,60 @@ func outcomeOf(t *testing.T, e interface {
 	return outcome{stats: e.Stats(), alerts: log.byPeer, eia: eiaState.Bytes()}
 }
 
-// requireSameOutcome fails unless got reproduces want byte for byte.
+// requireSameOutcome fails unless got reproduces want byte for byte and,
+// when got carries decisions, decision for decision.
 func requireSameOutcome(t *testing.T, got, want outcome) {
 	t.Helper()
 	if !reflect.DeepEqual(got.stats, want.stats) {
-		t.Errorf("stats = %+v, serial per-record = %+v", got.stats, want.stats)
+		t.Errorf("stats = %+v, reference = %+v", got.stats, want.stats)
 	}
 	if !reflect.DeepEqual(got.alerts, want.alerts) {
 		for p := 1; p <= workloadPeers; p++ {
 			g, w := got.alerts[eia.PeerAS(p)], want.alerts[eia.PeerAS(p)]
 			if !bytes.Equal(g, w) {
-				t.Errorf("peer %d alert stream differs from the serial per-record stream:\ngot:\n%s\nwant:\n%s", p, g, w)
+				t.Errorf("peer %d alert stream differs from the reference stream:\ngot:\n%s\nwant:\n%s", p, g, w)
 				break
 			}
 		}
 	}
 	if !bytes.Equal(got.eia, want.eia) {
-		t.Error("EIA end-state differs from the serial per-record end-state")
+		t.Error("EIA end-state differs from the reference end-state")
+	}
+	if got.decisions != nil {
+		requireSameDecisions(t, got.decisions, want.decisions)
 	}
 }
 
-// runSerialReference replays the stream through Engine.Process — the
-// synchronous per-record path, the one piece of verdict code the batch
-// loop does not run — and returns the reference outcome every batched
-// variant must reproduce, plus the per-record decisions.
-func runSerialReference(t *testing.T, cfg Config, w parallelWorkload, detector *nns.Detector, stream []LabeledRecord) (outcome, []Decision) {
+// requireSameDecisions fails at the first record whose Decision (verdict,
+// attack, stage, NNS assessment, promotion) differs from the reference.
+func requireSameDecisions(t *testing.T, got, want []Decision) {
 	t.Helper()
-	serial, err := NewEngine(cfg, freshTrainedSet(cfg, w.labeled), detector)
-	if err != nil {
-		t.Fatal(err)
+	if len(got) != len(want) {
+		t.Fatalf("%d decisions, reference has %d", len(got), len(want))
 	}
-	var log alertLog
-	serial.SetAlertSink(log.sink)
-	decisions := make([]Decision, len(stream))
-	for i, lr := range stream {
-		decisions[i] = serial.Process(lr.Peer, lr.Record)
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("record %d: decision %+v, reference %+v", i, got[i], want[i])
+		}
 	}
-	ref := outcomeOf(t, serial, &log)
+}
+
+// runSerialReference is the reference outcome every replay must
+// reproduce: the stream through a serial Engine's batch loop one record
+// at a time, so each record is classified against the latest snapshot —
+// the per-record semantics.
+func runSerialReference(t *testing.T, cfg Config, w parallelWorkload, detector *nns.Detector, stream []LabeledRecord) outcome {
+	t.Helper()
+	ref := runSerialBatches(t, cfg, w, detector, stream, 1)
 	if st := ref.stats; st.Attacks == 0 || st.Suspects == 0 {
 		t.Fatalf("degenerate workload: %+v", st)
 	}
-	return ref, decisions
+	return ref
 }
 
 // runSerialBatches replays stream through a fresh serial Engine's batch
-// loop, as same-peer runs of at most size records.
+// loop, as same-peer runs of at most size records, collecting every
+// record's Decision.
 func runSerialBatches(t *testing.T, cfg Config, w parallelWorkload, detector *nns.Detector, stream []LabeledRecord, size int) outcome {
 	t.Helper()
 	eng, err := NewEngine(cfg, freshTrainedSet(cfg, w.labeled), detector)
@@ -160,8 +172,15 @@ func runSerialBatches(t *testing.T, cfg Config, w parallelWorkload, detector *nn
 	}
 	var log alertLog
 	eng.SetAlertSink(log.sink)
-	forEachRun(stream, size, eng.ProcessBatch)
-	return outcomeOf(t, eng, &log)
+	decisions := make([]Decision, len(stream))
+	n := 0
+	forEachRun(stream, size, func(peer eia.PeerAS, recs []flow.Record) {
+		eng.ProcessBatch(peer, recs, decisions[n:n+len(recs)])
+		n += len(recs)
+	})
+	o := outcomeOf(t, eng, &log)
+	o.decisions = decisions
+	return o
 }
 
 // runParallel feeds a fresh ParallelEngine through feed, drains it and
@@ -210,19 +229,12 @@ func runPerPeerStreams(t *testing.T, cfg Config, w parallelWorkload, detector *n
 }
 
 // runMixedStream replays stream from one goroutine as same-peer runs of
-// at most size records. Batch 1 degenerates every run to what Submit
-// stages, so it goes through Submit.
+// at most size records.
 func runMixedStream(t *testing.T, cfg Config, w parallelWorkload, detector *nns.Detector, stream []LabeledRecord, shards, size int) outcome {
 	t.Helper()
 	return runParallel(t, cfg, w, detector, shards, func(pe *ParallelEngine) {
 		forEachRun(stream, size, func(peer eia.PeerAS, recs []flow.Record) {
-			var err error
-			if size == 1 {
-				err = pe.Submit(peer, recs[0])
-			} else {
-				err = pe.SubmitBatch(peer, recs)
-			}
-			if err != nil {
+			if err := pe.SubmitBatch(peer, recs); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -247,18 +259,19 @@ func midRunPromotions(stream []LabeledRecord, decisions []Decision, size int) in
 
 // TestSerialBatchMatchesPerRecord replays the mixed stream through
 // Engine.ProcessBatch at every pinned batch size: counters, per-peer
-// alert streams and the EIA end-state must be identical to per-record
-// Engine.Process. The wider sizes span promotions, so a pass proves the
-// mid-batch snapshot refresh (tail re-check) works.
+// alert streams, the EIA end-state and every record's Decision must be
+// identical to the one-record-batch reference. The wider sizes span
+// promotions, so a pass proves the mid-batch snapshot refresh (tail
+// re-check) works.
 func TestSerialBatchMatchesPerRecord(t *testing.T) {
 	w := buildParallelWorkload(t)
 	stream := mixedStream(w)
 	detector := mustDetector(t, w)
-	want, decisions := runSerialReference(t, w.cfg, w, detector, stream)
+	want := runSerialReference(t, w.cfg, w, detector, stream)
 
 	for _, size := range batchSizes {
 		t.Run(fmt.Sprintf("batch=%d", size), func(t *testing.T) {
-			if size > 1 && midRunPromotions(stream, decisions, size) == 0 {
+			if size > 1 && midRunPromotions(stream, want.decisions, size) == 0 {
 				t.Fatal("no promotion lands mid-run: the tail re-check is not exercised")
 			}
 			requireSameOutcome(t, runSerialBatches(t, w.cfg, w, detector, stream, size), want)
@@ -271,11 +284,11 @@ func TestSerialBatchMatchesPerRecord(t *testing.T) {
 // SubmitBatch in size-bounded chunks, across shard counts. The merged
 // counters, per-peer alert streams and EIA end-state must match the
 // per-record serial reference, as TestParallelEngineMatchesSerial
-// demands of per-record Submit.
+// demands of one-record batches.
 func TestParallelBatchMatchesSerial(t *testing.T) {
 	w := buildParallelWorkload(t)
 	detector := mustDetector(t, w)
-	want, _ := runSerialReference(t, w.cfg, w, detector, mixedStream(w))
+	want := runSerialReference(t, w.cfg, w, detector, mixedStream(w))
 
 	for _, shards := range []int{1, 3, workloadPeers} {
 		for _, size := range batchSizes {
@@ -290,12 +303,12 @@ func TestParallelBatchMatchesSerial(t *testing.T) {
 // TestMixedStreamMatchesSerial is the equivalence gate in the shape the
 // daemon produces: one mixed-peer dual-stack stream, cut into ingest-sized
 // chunks and submitted as maximal same-peer runs, against the serial
-// Engine.Process stream.
+// per-record reference.
 func TestMixedStreamMatchesSerial(t *testing.T) {
 	w := buildParallelWorkload(t)
 	stream := mixedStream(w)
 	detector := mustDetector(t, w)
-	want, _ := runSerialReference(t, w.cfg, w, detector, stream)
+	want := runSerialReference(t, w.cfg, w, detector, stream)
 
 	for _, shards := range []int{1, 3} {
 		for _, size := range batchSizes {
@@ -310,7 +323,8 @@ func TestMixedStreamMatchesSerial(t *testing.T) {
 // TestBatchLoopSteadyStateAllocs pins the batch loop's allocation
 // budget: once a shard's scratch has grown to the batch width, an
 // all-Match 256-record batch allocates nothing — no per-batch Stats map,
-// which matters now that a lone Submit is a one-record batch.
+// which matters because a lone record is a one-record batch — whether or
+// not the caller collects its decisions.
 func TestBatchLoopSteadyStateAllocs(t *testing.T) {
 	set := eia.NewSet(eia.Config{})
 	set.AddPrefix(1, netaddr.MustParsePrefix("61.0.0.0/11"))
@@ -322,9 +336,11 @@ func TestBatchLoopSteadyStateAllocs(t *testing.T) {
 	for i := range recs {
 		recs[i] = flow.Record{Key: flow.Key{Src: netaddr.IPv4(61<<24 | uint32(i)).Addr()}}
 	}
-	eng.ProcessBatch(1, recs) // grow the scratch
-	if got := testing.AllocsPerRun(100, func() { eng.ProcessBatch(1, recs) }); got != 0 {
-		t.Errorf("all-Match batch allocates %.1f times per batch, want 0", got)
+	eng.ProcessBatch(1, recs, nil) // grow the scratch
+	for _, out := range [][]Decision{nil, make([]Decision, len(recs))} {
+		if got := testing.AllocsPerRun(100, func() { eng.ProcessBatch(1, recs, out) }); got != 0 {
+			t.Errorf("all-Match batch (decisions collected: %v) allocates %.1f times per batch, want 0", out != nil, got)
+		}
 	}
 	if st := eng.Stats(); st.Suspects != 0 || st.Processed == 0 {
 		t.Fatalf("batch was not all-Match: %+v", st)
@@ -342,9 +358,9 @@ func mustDetector(t *testing.T, w parallelWorkload) *nns.Detector {
 	return detector
 }
 
-// TestParallelEngineBatchWorkerLeak cycles engines through both submit
-// entry points — including Close with batches still queued — and fails
-// on any worker goroutine left behind.
+// TestParallelEngineBatchWorkerLeak cycles engines through wide and
+// one-record batches — including Close with batches still queued — and
+// fails on any worker goroutine left behind.
 func TestParallelEngineBatchWorkerLeak(t *testing.T) {
 	set := eia.NewSet(eia.Config{})
 	set.AddPrefix(1, netaddr.MustParsePrefix("61.0.0.0/11"))
@@ -363,7 +379,7 @@ func TestParallelEngineBatchWorkerLeak(t *testing.T) {
 				if err := pe.SubmitBatch(eia.PeerAS(j%4+1), recs); err != nil {
 					t.Fatal(err)
 				}
-				if err := pe.Submit(eia.PeerAS(j%5), recs[0]); err != nil {
+				if err := pe.SubmitBatch(eia.PeerAS(j%5), recs[:1]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -373,9 +389,6 @@ func TestParallelEngineBatchWorkerLeak(t *testing.T) {
 			}
 			if err := pe.SubmitBatch(1, recs); err != ErrEngineClosed {
 				t.Fatalf("SubmitBatch after Close = %v, want ErrEngineClosed", err)
-			}
-			if err := pe.Submit(1, recs[0]); err != ErrEngineClosed {
-				t.Fatalf("Submit after Close = %v, want ErrEngineClosed", err)
 			}
 		}
 	})

@@ -17,16 +17,14 @@ import (
 )
 
 // core is the single pipeline implementation behind both engines: one
-// post-EIA decide path (pipeline.decideVerdict), one stats accounting,
-// one alert emitter. Engine is a core with exactly one shard driven
-// synchronously; ParallelEngine is a core with N shards driven from
-// queues. Both embed it, so the accessors below are defined once.
-//
-// Work reaches a verdict in one of two ways only: processBatch, the
-// single-peer record batch every queued message and Engine.ProcessBatch
-// run, and process, the synchronous one-flow form behind Engine.Process
-// that hands the Decision back to its caller. The equivalence suites
-// compare the two, which is what keeps them from drifting.
+// batch loop (processBatch, the only caller of pipeline.decideVerdict),
+// one stats accounting, one alert emitter. Engine is a core with exactly
+// one shard driven synchronously; ParallelEngine is a core with N shards
+// driven from queues. Both embed it, so the accessors below are defined
+// once. Every queued message and every Engine.ProcessBatch call is a
+// single-peer record batch; a one-record batch, which classifies its flow
+// against the latest snapshot, is the reference the equivalence suites
+// hold wider batches to.
 //
 // Shared state is concurrency-safe by composition: the EIA store is a
 // lock-free copy-on-write snapshot store, the NNS detector is read-only
@@ -52,7 +50,7 @@ type core struct {
 type shard struct {
 	pl     pipeline
 	queue  chan shardBatch
-	blocks *telemetry.Counter // Submits that found the queue full (nil ok)
+	blocks *telemetry.Counter // SubmitBatch calls that found the queue full (nil ok)
 
 	// Batch scratch, touched only by the shard's single driver: the
 	// column views CheckBatch classifies (one snapshot load per batch)
@@ -127,39 +125,19 @@ func newCore(cfg Config, set *eia.Set, detector *nns.Detector, shards int, metri
 	return c, nil
 }
 
-// process runs one flow through shard s synchronously and returns its
-// Decision: classify, decide, fold the outcome into the shard's counters,
-// emit the alert. Only Engine.Process uses it — callers that want the
-// per-flow Decision (experiments, the equivalence suites' reference
-// stream) — while everything queued goes through processBatch.
-func (c *core) process(s *shard, peer eia.PeerAS, rec flow.Record) Decision {
-	start := c.now()
-	d, scanFlagged := s.pl.decide(peer, rec)
-	d.Latency = c.now().Sub(start)
-
-	s.mu.Lock()
-	s.stats.record(d, scanFlagged)
-	s.mu.Unlock()
-	if d.Attack {
-		c.emitAlert(peer, rec, d)
-	}
-	return d
-}
-
 // processBatch is the batch loop: it runs the records of one batch, all
-// observed at peer, through shard s, observationally identical to calling
-// process on each record in order. The EIA stage is amortized: one
-// CheckBatch classifies the whole batch against a single published
-// snapshot (one atomic load, one trie-walk setup), with the measured
-// stage cost attributed evenly across the batch so per-record stage
-// telemetry keeps its one-observation-per-flow invariant. When a record's
-// decision completes a promotion — publishing a new snapshot — the
-// still-unconsumed tail is re-classified against it, so a batch never
-// reports staler verdicts than the per-record path would. Hit/miss
-// counters fold in at consumption time (verdictTally), once per record,
-// tail re-checks notwithstanding. Stats accumulate in the shard's scratch
+// observed at peer, through shard s and, when out is non-nil (then at
+// least len(recs) long), writes each record's Decision into it. The EIA
+// stage is amortized: one CheckBatch classifies the whole batch against a
+// single published snapshot, with the measured stage cost attributed
+// evenly across the batch so per-record stage telemetry keeps its
+// one-observation-per-flow invariant. When a record's decision completes
+// a promotion — publishing a new snapshot — the unconsumed tail is
+// re-classified against it, so any batch width decides every record as
+// one-record batches would. Hit/miss counters fold in at consumption time
+// (verdictTally), once per record. Stats accumulate in the shard's scratch
 // block and merge under one lock per batch.
-func (c *core) processBatch(s *shard, peer eia.PeerAS, recs []flow.Record) {
+func (c *core) processBatch(s *shard, peer eia.PeerAS, recs []flow.Record, out []Decision) {
 	n := len(recs)
 	if n == 0 {
 		return
@@ -191,13 +169,11 @@ func (c *core) processBatch(s *shard, peer eia.PeerAS, recs []flow.Record) {
 			m.observeStage(stageEIA, eiaShare)
 		}
 		tally.add(srcs[i], verdicts[i])
-		// No per-record Decision.Latency on the batch path: the decision is
-		// not returned to any caller here, and stage telemetry already gets
-		// its per-flow observations (amortized for EIA, direct for scan/NNS
-		// inside decideVerdict), so two clock reads per record would buy
-		// nothing and dominate the cheap legal-flow case.
 		d, scanFlagged := s.pl.decideVerdict(peer, &recs[i], verdicts[i])
 		batch.record(d, scanFlagged)
+		if out != nil {
+			out[i] = d
+		}
 		if d.Attack {
 			c.emitAlert(peer, recs[i], d)
 		}

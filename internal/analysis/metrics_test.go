@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"infilter/internal/eia"
+	"infilter/internal/flow"
 	"infilter/internal/nns"
 	"infilter/internal/telemetry"
 )
@@ -78,8 +79,8 @@ func TestParallelEngineMetrics(t *testing.T) {
 		go func(peer eia.PeerAS) {
 			defer wg.Done()
 			for _, r := range w.streams[peer] {
-				if err := pe.Submit(peer, r); err != nil {
-					t.Errorf("Submit: %v", err)
+				if err := pe.SubmitBatch(peer, []flow.Record{r}); err != nil {
+					t.Errorf("SubmitBatch: %v", err)
 					return
 				}
 			}

@@ -136,7 +136,7 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 		for p := 1; p <= workloadPeers; p++ {
 			stream := w.streams[eia.PeerAS(p)]
 			if i < len(stream) {
-				serial.Process(eia.PeerAS(p), stream[i])
+				serial.ProcessBatch(eia.PeerAS(p), stream[i:i+1], nil)
 				any = true
 			}
 		}
@@ -163,8 +163,8 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 				go func(peer eia.PeerAS) {
 					defer wg.Done()
 					for _, r := range w.streams[peer] {
-						if err := pe.Submit(peer, r); err != nil {
-							t.Errorf("Submit: %v", err)
+						if err := pe.SubmitBatch(peer, []flow.Record{r}); err != nil {
+							t.Errorf("SubmitBatch: %v", err)
 							return
 						}
 					}
@@ -213,9 +213,9 @@ func TestParallelEngineScanDetection(t *testing.T) {
 	defer pe.Close()
 
 	probes := attackFlowRecords(t, trace.AttackSlammer, 7, "198.51.100.17")
+	serial.ProcessBatch(2, probes, nil)
 	for _, r := range probes {
-		serial.Process(2, r)
-		if err := pe.Submit(2, r); err != nil {
+		if err := pe.SubmitBatch(2, []flow.Record{r}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -237,7 +237,7 @@ func TestParallelEngineCloseSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := flow.Record{Key: flow.Key{Src: netaddr.MustParseAddr("61.1.1.1")}}
-	if err := pe.Submit(1, rec); err != nil {
+	if err := pe.SubmitBatch(1, []flow.Record{rec}); err != nil {
 		t.Fatal(err)
 	}
 	if err := pe.Close(); err != nil {
@@ -247,8 +247,8 @@ func TestParallelEngineCloseSemantics(t *testing.T) {
 	if st := pe.Stats(); st.Processed != 1 {
 		t.Errorf("Processed = %d after Close, want 1", st.Processed)
 	}
-	if err := pe.Submit(1, rec); err != ErrEngineClosed {
-		t.Errorf("Submit after Close = %v, want ErrEngineClosed", err)
+	if err := pe.SubmitBatch(1, []flow.Record{rec}); err != ErrEngineClosed {
+		t.Errorf("SubmitBatch after Close = %v, want ErrEngineClosed", err)
 	}
 	if err := pe.Close(); err != nil {
 		t.Errorf("second Close = %v", err)
@@ -287,7 +287,7 @@ func TestParallelEngineWorkerLeak(t *testing.T) {
 				t.Fatal(err)
 			}
 			for j := 0; j < 20; j++ {
-				if err := pe.Submit(eia.PeerAS(j%4+1), rec); err != nil {
+				if err := pe.SubmitBatch(eia.PeerAS(j%4+1), []flow.Record{rec}); err != nil {
 					t.Fatal(err)
 				}
 			}

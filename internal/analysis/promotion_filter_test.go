@@ -33,8 +33,8 @@ func TestPromotionFilterGatesTraining(t *testing.T) {
 	moved := flowsFromPackets(t, 8, 300, netaddr.MustParsePrefix("70.4.4.0/24"))
 
 	notOwned := trainedFilteredEngine(t, func(peer eia.PeerAS) bool { return peer != 1 })
-	for _, r := range moved {
-		if d := notOwned.Process(1, r); d.Promoted {
+	for _, d := range decide(notOwned, 1, moved...) {
+		if d.Promoted {
 			t.Fatal("promotion completed although the filter rejects peer 1")
 		}
 	}
@@ -47,11 +47,8 @@ func TestPromotionFilterGatesTraining(t *testing.T) {
 
 	owned := trainedFilteredEngine(t, func(peer eia.PeerAS) bool { return peer == 1 })
 	promoted := false
-	for _, r := range moved {
-		if owned.Process(1, r).Promoted {
-			promoted = true
-			break
-		}
+	for _, d := range decide(owned, 1, moved...) {
+		promoted = promoted || d.Promoted
 	}
 	if !promoted {
 		t.Fatal("accepting filter blocked promotion")

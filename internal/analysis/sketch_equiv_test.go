@@ -69,8 +69,8 @@ func buildScanEquivWorkload(t *testing.T) parallelWorkload {
 // TestSketchMatchesRingOracleThroughParallelEngine is the end-to-end
 // arm of the sketch-vs-ring equivalence: at small cardinalities the
 // streaming backend must reproduce the exact ring oracle's verdicts
-// flow for flow. The reference is the ring under the serial per-record
-// Engine.Process; both backends then run the same mixed-peer stream
+// flow for flow. The reference is the ring under the serial engine's
+// one-record batches; both backends then run the same mixed-peer stream
 // through the batch loop of a ParallelEngine at 1 and 3 shards and every
 // pinned batch width. Run under -race this also exercises the sketch
 // registers' single-driver-per-shard ownership.
@@ -81,7 +81,7 @@ func TestSketchMatchesRingOracleThroughParallelEngine(t *testing.T) {
 
 	ring := w.cfg
 	ring.Scan.ExactBuffer = true
-	want, _ := runSerialReference(t, ring, w, detector, stream)
+	want := runSerialReference(t, ring, w, detector, stream)
 	if want.stats.ByStage[idmef.StageScan] == 0 {
 		t.Fatalf("degenerate workload: ring oracle stats %+v", want.stats)
 	}
@@ -154,9 +154,7 @@ func TestSketchDivergesOnlyBeyondRingCapacity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, r := range probes {
-				eng.Process(1, r)
-			}
+			eng.ProcessBatch(1, probes, nil)
 			trips := eng.Stats().ByStage[idmef.StageScan]
 			if tc.detects && trips == 0 {
 				t.Error("sketch backend missed a 400-host scan above ring capacity")

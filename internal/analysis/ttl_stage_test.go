@@ -62,21 +62,21 @@ func TestTTLSecondOpinionOverridesMatch(t *testing.T) {
 
 	legal.TTL = 57
 	for i := 0; i < 3; i++ { // learn to MinSamples
-		if d := eng.Process(1, legal); d.Attack || d.Verdict != eia.Match {
+		if d := decide(eng, 1, legal)[0]; d.Attack || d.Verdict != eia.Match {
 			t.Fatalf("learning flow %d: %+v", i, d)
 		}
 	}
 	legal.TTL = 59 // within tolerance 2: folds, no alarm
-	if d := eng.Process(1, legal); d.Attack {
+	if d := decide(eng, 1, legal)[0]; d.Attack {
 		t.Fatalf("in-tolerance TTL flagged: %+v", d)
 	}
 	legal.TTL = 40 // 19 hops off the profile
-	d := eng.Process(1, legal)
+	d := decide(eng, 1, legal)[0]
 	if !d.Attack || d.Stage != idmef.StageTTL {
 		t.Fatalf("spoofed-TTL Match not flagged at TTL stage: %+v", d)
 	}
 	legal.TTL = 0 // no TTL information: never assessed
-	if d := eng.Process(1, legal); d.Attack {
+	if d := decide(eng, 1, legal)[0]; d.Attack {
 		t.Fatalf("TTL-less flow flagged: %+v", d)
 	}
 	if exp, _, ok := eng.TTLProfile().Expected(legal.Key.Src); !ok || exp != 59 {
@@ -97,12 +97,12 @@ func TestTTLSecondOpinionBlocksVouch(t *testing.T) {
 
 	rec.TTL = 60
 	for i := 0; i < 3; i++ { // three clean vouches, learning the profile
-		if d := eng.Process(1, rec); d.Attack || d.Promoted {
+		if d := decide(eng, 1, rec)[0]; d.Attack || d.Promoted {
 			t.Fatalf("clean suspect %d: %+v", i, d)
 		}
 	}
 	rec.TTL = 30 // would be the promoting fourth vouch — must be denied
-	d := eng.Process(1, rec)
+	d := decide(eng, 1, rec)[0]
 	if !d.Attack || d.Stage != idmef.StageTTL {
 		t.Fatalf("spoofed-TTL suspect not flagged at TTL stage: %+v", d)
 	}
@@ -110,7 +110,7 @@ func TestTTLSecondOpinionBlocksVouch(t *testing.T) {
 		t.Fatalf("spoofed flow still advanced promotion: %+v, promotions %d", d, eng.Stats().Promotions)
 	}
 	rec.TTL = 60 // the real source comes back: fourth vouch promotes
-	if d := eng.Process(1, rec); d.Attack || !d.Promoted {
+	if d := decide(eng, 1, rec)[0]; d.Attack || !d.Promoted {
 		t.Fatalf("consistent suspect after spoof burst: %+v", d)
 	}
 }
@@ -151,7 +151,7 @@ func TestTTLProfileSharedAcrossShards(t *testing.T) {
 	// Alternate peers (distinct shards), flushing between submissions so
 	// the observation order is deterministic.
 	for i, peer := range []eia.PeerAS{1, 2, 1} {
-		if err := pe.Submit(peer, rec); err != nil {
+		if err := pe.SubmitBatch(peer, []flow.Record{rec}); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 		pe.Flush()
@@ -160,7 +160,7 @@ func TestTTLProfileSharedAcrossShards(t *testing.T) {
 		t.Fatalf("profile sources = %d, want 1 shared aggregate", got)
 	}
 	rec.TTL = 30
-	if err := pe.Submit(2, rec); err != nil {
+	if err := pe.SubmitBatch(2, []flow.Record{rec}); err != nil {
 		t.Fatal(err)
 	}
 	pe.Flush()

@@ -9,8 +9,8 @@ import (
 	"infilter/internal/telemetry"
 )
 
-// Metrics are the EIA runtime counters: Check outcomes split into hits
-// (expected ingress) and misses (wrong peer or unknown source), plus
+// Metrics are the EIA runtime counters: consumed verdicts (settled by the
+// batch loop through AddVerdictCounts) split into hits (expected ingress) and misses (wrong peer or unknown source), plus
 // completed promotions. The hit and miss series carry a `family` label
 // ("4" or "6") keyed on the checked source address, so a dual-stack
 // deployment can see per-family verdict rates; summing over the label
@@ -71,10 +71,11 @@ type snapshot struct {
 }
 
 // Store is the shared EIA state for concurrent analysis shards, built as
-// a copy-on-write snapshot store. The hot path — Check, one longest-prefix
-// lookup per flow (paper §5.2) — is a pure lock-free read: it loads the
-// current snapshot through an atomic pointer and walks an immutable trie,
-// acquiring no mutex and issuing no writes beyond its metric counters.
+// a copy-on-write snapshot store. The hot path — CheckBatch, one
+// longest-prefix lookup per flow (paper §5.2) — is a pure lock-free read:
+// it loads the current snapshot through an atomic pointer and walks an
+// immutable trie, acquiring no mutex and issuing no writes beyond its
+// Bloom-tier counters.
 //
 // All mutation funnels through a single writer side guarded by one
 // mutex: promotions of repeatedly-vouched sources (RecordLegal), operator
@@ -148,39 +149,20 @@ func (c *Store) SetMetrics(m *Metrics) {
 	}
 }
 
-// Check classifies a flow's source address observed at peer. It is the
-// per-flow hot path and performs no locking: one atomic snapshot load,
-// then — when the Bloom tier is enabled — a handful of cache-line probes
-// that either prove the source unknown outright or defer to the exact
-// longest-prefix walk over the immutable trie. Verdicts are identical
-// with the tier on or off; only the cost profile changes.
+// Check classifies one source address observed at peer, lock-free: one
+// atomic snapshot load, then — when the Bloom tier is enabled — a handful
+// of cache-line probes that either prove the source unknown outright or
+// defer to the exact longest-prefix walk over the immutable trie. It is
+// the one-address form of CheckBatch, which the verdict path uses, and
+// like it leaves the hit/miss and Bloom counters alone.
 func (c *Store) Check(peer PeerAS, src netaddr.Addr) Verdict {
 	snap := c.snap.Load()
-	m := c.metrics
 	if t := snap.tier; t != nil {
 		if v, ok := t.probe(t.peerFilter(peer), src); ok {
-			if m != nil {
-				m.BloomFastpath.Inc()
-				m.Misses.Pick(src.Is6()).Inc() // fast path only ever yields Unknown
-			}
 			return v
 		}
-		if m != nil {
-			m.BloomFallbacks.Inc()
-		}
 	}
-	v := peer.classify(snap.index.Lookup(src))
-	if m != nil {
-		if v == Match {
-			m.Hits.Pick(src.Is6()).Inc()
-		} else {
-			m.Misses.Pick(src.Is6()).Inc()
-		}
-		if v == Unknown && snap.tier != nil {
-			m.BloomFalsePositives.Inc()
-		}
-	}
-	return v
+	return peer.classify(snap.index.Lookup(src))
 }
 
 // CheckBatch classifies a batch of sources observed at one peer — the
@@ -191,8 +173,8 @@ func (c *Store) Check(peer PeerAS, src netaddr.Addr) Verdict {
 // slices must have equal length; out[i] receives the verdict for
 // (peer, srcs[i]).
 //
-// Unlike Check, CheckBatch does NOT fold outcomes into the hit/miss
-// counters: the batch loop refreshes the still-unconsumed tail of a batch
+// CheckBatch does NOT fold outcomes into the hit/miss counters: the batch
+// loop refreshes the still-unconsumed tail of a batch
 // after a mid-batch promotion swaps in a new snapshot, and counting at
 // check time would then count those entries twice. Consumers count each
 // verdict exactly once, at consumption time, via AddVerdictCounts.
@@ -262,10 +244,10 @@ func (c *Store) addBloomCounts(fast, fall, fp, bypassed int64) {
 }
 
 // AddVerdictCounts folds a batch's consumed verdicts for one address
-// family into the hit/miss counters in two atomic adds, exactly as Check
-// does internally per flow: the batch loop tallies hits (Match) and
-// misses (everything else) per family locally while consuming and
-// settles once per family per batch instead of once per record.
+// family into the hit/miss counters in two atomic adds: the batch loop
+// tallies hits (Match) and misses (everything else) per family locally
+// while consuming and settles once per family per batch instead of once
+// per record.
 func (c *Store) AddVerdictCounts(fam netaddr.Family, hits, misses int64) {
 	if m := c.metrics; m != nil {
 		v6 := fam == netaddr.FamilyV6

@@ -214,8 +214,9 @@ func TestBloomCheckpointRehydration(t *testing.T) {
 }
 
 // TestBloomMetrics: the diagnostic counters must account for every
-// check (fastpath + fallbacks + bypassed = checks), false positives can
-// only be a subset of fallbacks, and the writer refreshes the gauges.
+// batch check (fastpath + fallbacks + bypassed = checks) and for no
+// single-address Check, false positives can only be a subset of
+// fallbacks, and the writer refreshes the gauges.
 func TestBloomMetrics(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	set, _ := trainRandom(rng, bloomCfg, 300, 4)
@@ -241,9 +242,9 @@ func TestBloomMetrics(t *testing.T) {
 
 	fast, fall := m.BloomFastpath.Value(), m.BloomFallbacks.Value()
 	fp, byp := m.BloomFalsePositives.Value(), m.BloomBypassed.Value()
-	if fast+fall+byp != n+100 {
-		t.Errorf("fastpath(%d) + fallbacks(%d) + bypassed(%d) = %d, want %d checks",
-			fast, fall, byp, fast+fall+byp, n+100)
+	if fast+fall+byp != n {
+		t.Errorf("fastpath(%d) + fallbacks(%d) + bypassed(%d) = %d, want %d batch checks",
+			fast, fall, byp, fast+fall+byp, n)
 	}
 	if fp > fall {
 		t.Errorf("false positives (%d) exceed fallbacks (%d)", fp, fall)

@@ -106,11 +106,13 @@ func CompareBaselines(opts Options) ([]BaselineResult, error) {
 		detected[i] = make(map[int]bool)
 	}
 
+	biDecisions, _ := replay(biEngine, wl.flows)
+	eiDecisions, _ := replay(eiEngine, wl.flows)
 	var (
 		curSecond time.Time
 		curCount  int
 	)
-	for _, lf := range wl.flows {
+	for i, lf := range wl.flows {
 		// Drive the HIF overload clock.
 		sec := lf.rec.End.Truncate(time.Second)
 		if !sec.Equal(curSecond) {
@@ -120,19 +122,19 @@ func CompareBaselines(opts Options) ([]BaselineResult, error) {
 		curCount++
 
 		verdicts := []bool{
-			biEngine.Process(lf.peer, lf.rec).Attack,
-			eiEngine.Process(lf.peer, lf.rec).Attack,
+			biDecisions[i].Attack,
+			eiDecisions[i].Attack,
 			!urpf.Check(lf.rec.Key.Src, uint16(lf.peer)),
 			!hif.Admit(lf.rec.Key.Src),
 		}
-		for i, flagged := range verdicts {
+		for k, flagged := range verdicts {
 			if lf.attackID == 0 {
-				results[i].BenignFlows++
+				results[k].BenignFlows++
 				if flagged {
-					results[i].FalsePositives++
+					results[k].FalsePositives++
 				}
 			} else if flagged {
-				detected[i][lf.attackID] = true
+				detected[k][lf.attackID] = true
 			}
 		}
 	}

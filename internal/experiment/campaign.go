@@ -435,12 +435,16 @@ func runCampaignPoint(cfg CampaignConfig, wl *campaignWorkload, rate float64) (C
 		DeployedPeers:  deployed,
 		ByKind:         make(map[CampaignEventKind]TypeStats),
 	}
-	detected := make(map[int]bool)
+	var monitored []labeledFlow
 	for _, lf := range wl.flows {
-		if int(lf.peer) > deployed {
-			continue
+		if int(lf.peer) <= deployed {
+			monitored = append(monitored, lf)
 		}
-		d := engine.Process(lf.peer, lf.rec)
+	}
+	detected := make(map[int]bool)
+	decisions, _ := replay(engine, monitored)
+	for i, lf := range monitored {
+		d := decisions[i]
 		if lf.attackID == 0 {
 			pt.BenignFlows++
 			if d.Attack {

@@ -145,9 +145,7 @@ func TestTracebackFromEngineAlerts(t *testing.T) {
 		cache.Observe(p, 1)
 	}
 	cache.FlushAll()
-	for _, r := range cache.Drain() {
-		engine.Process(1, r) // attack enters via peer AS 1
-	}
+	engine.ProcessBatch(1, cache.Drain(), nil) // attack enters via peer AS 1
 
 	eps := tr.EntryPoints(clock)
 	if len(eps) != 1 {

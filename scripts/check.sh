@@ -5,9 +5,11 @@
 # The race run includes the serial/parallel equivalence stress test
 # (internal/analysis/parallel_test.go), the batch-loop equivalence tests
 # at batch sizes 1, 16 and 256 (internal/analysis/batch_test.go,
-# bloom_equiv_test.go, sketch_equiv_test.go — the batch loop must be
-# observationally identical to the serial per-record Engine.Process
-# stream, including across mid-batch promotions), the cluster-mode
+# bloom_equiv_test.go, sketch_equiv_test.go — every batch width must
+# reproduce the one-record-batch reference decision for decision,
+# including across mid-batch promotions), the goldens that pin the
+# paper's figures and the examples' output to the batch loop
+# (internal/experiment/testdata, examples/*/testdata), the cluster-mode
 # e2e suite (cmd/infilterd/cluster_daemon_test.go — two-node snapshot
 # convergence against a single-node union daemon, peer-down isolation,
 # and the 3-node in-process kill-one test inside a goroutine-leak gate)
