@@ -879,45 +879,36 @@ func BenchmarkEIACheckBloomTier(b *testing.B) {
 	}
 }
 
-// BenchmarkScanSuspect measures the per-suspect cost of the two scan
-// backends as the distinct probe cardinality grows 100x: a one-source
-// network scan fanning out over `scale` distinct target hosts on one
-// port. The streaming sketch's state is bounded (KMV registers capped
-// at sketch.DefaultK, register tables by MaxRegisters), so a scan 100x wider
-// must cost about the same per suspect (sketch-1000x within ~1.2x of
-// sketch-10x). The ring rows are recorded for contrast: the ring
-// is also flat per suspect, but only because its 200-entry window has
-// long since saturated and is silently forgetting the scan it is
-// supposed to be counting (see TestSketchDivergesOnlyBeyondRingCapacity).
+// BenchmarkScanSuspect measures the per-suspect cost of scan analysis as
+// the distinct probe cardinality grows 100x: a one-source network scan
+// fanning out over `scale` distinct target hosts on one port. The
+// analyzer's state is bounded (KMV registers capped at sketch.DefaultK,
+// register tables by MaxRegisters), so a scan 100x wider must cost about
+// the same per suspect (sketch-1000x within ~1.2x of sketch-10x).
 func BenchmarkScanSuspect(b *testing.B) {
 	const base = 100
-	for _, bk := range []struct {
-		name  string
-		exact bool
-	}{{"sketch", false}, {"ring", true}} {
-		for _, scale := range []int{10, 1000} {
-			b.Run(bk.name+"-"+itoa(scale)+"x", func(b *testing.B) {
-				distinct := base * scale
-				probes := make([]flow.Record, distinct)
-				for i := range probes {
-					probes[i] = flow.Record{
-						Key: flow.Key{
-							Src:     netaddr.IPv4(0xc9090909).Addr(),
-							Dst:     netaddr.IPv4(uint32(0x0a000000 + i)).Addr(),
-							Proto:   flow.ProtoUDP,
-							SrcPort: uint16(1024 + i%60000),
-							DstPort: 1434,
-						},
-						Packets: 1, Bytes: 404,
-					}
+	for _, scale := range []int{10, 1000} {
+		b.Run("sketch-"+itoa(scale)+"x", func(b *testing.B) {
+			distinct := base * scale
+			probes := make([]flow.Record, distinct)
+			for i := range probes {
+				probes[i] = flow.Record{
+					Key: flow.Key{
+						Src:     netaddr.IPv4(0xc9090909).Addr(),
+						Dst:     netaddr.IPv4(uint32(0x0a000000 + i)).Addr(),
+						Proto:   flow.ProtoUDP,
+						SrcPort: uint16(1024 + i%60000),
+						DstPort: 1434,
+					},
+					Packets: 1, Bytes: 404,
 				}
-				a := scan.New(scan.Config{ExactBuffer: bk.exact})
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					a.Add(probes[i%distinct])
-				}
-			})
-		}
+			}
+			a := scan.New(scan.Config{})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.Add(probes[i%distinct])
+			}
+		})
 	}
 }
 

@@ -171,6 +171,9 @@ func runWith(ctx context.Context, args []string, onReady func(ports []int, admin
 	if *batchSize < 1 || *batchWait <= 0 {
 		return fmt.Errorf("bad batch settings: -batch-size %d (want >= 1) -batch-timeout %s", *batchSize, *batchWait)
 	}
+	if *statsPeriod <= 0 {
+		return fmt.Errorf("bad -stats %s: want a positive period", *statsPeriod)
+	}
 	shards := *workers
 	if shards <= 0 {
 		shards = len(ports)

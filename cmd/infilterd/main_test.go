@@ -764,6 +764,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-batch-size", "-1"},
 		{"-batch-size", "0"}, // the per-record fork is gone: 1 is the minimum
 		{"-batch-timeout", "0s"},
+		{"-stats", "0"}, // would panic in time.NewTicker after the listeners bind
+		{"-stats", "-1s"},
 		// Removed settings must fail the parse, not be silently ignored.
 		{"-heavy-hitter-threshold", "5"},
 		{"-heavy-hitter-counters", "64"},

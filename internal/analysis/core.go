@@ -22,9 +22,8 @@ import (
 // one shard driven synchronously; ParallelEngine is a core with N shards
 // driven from queues. Both embed it, so the accessors below are defined
 // once. Every queued message and every Engine.ProcessBatch call is a
-// single-peer record batch; a one-record batch, which classifies its flow
-// against the latest snapshot, is the reference the equivalence suites
-// hold wider batches to.
+// single-peer record batch, and a batch of any width decides its records
+// as one-record batches would, each against the latest snapshot.
 //
 // Shared state is concurrency-safe by composition: the EIA store is a
 // lock-free copy-on-write snapshot store, the NNS detector is read-only

@@ -49,23 +49,21 @@ func sumSeries(m map[string]float64, name string) float64 {
 	return sum
 }
 
-// TestParallelEngineMetrics replays the stress workload through an
-// instrumented engine and checks the scraped counters against the
-// engine's own Stats — the same invariants the /metrics endpoint must
-// satisfy in the daemon's end-to-end test, minus the network.
+// TestParallelEngineMetrics replays the oracle suite's workload through
+// an instrumented engine, one goroutine per peer, and checks the scraped
+// counters against the engine's own Stats — the same invariants the
+// /metrics endpoint must satisfy in the daemon's end-to-end test, minus
+// the network.
 func TestParallelEngineMetrics(t *testing.T) {
-	w := buildParallelWorkload(t)
-	serial, err := Train(w.cfg, w.labeled)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := buildWorkload(t)
+	detector := mustDetector(t, w)
 	const shards = 3
 	reg := telemetry.NewRegistry()
 	pm := NewPipelineMetrics(reg, shards)
-	serial.Detector().SetMetrics(nns.NewMetrics(reg))
+	detector.SetMetrics(nns.NewMetrics(reg))
 	pe, err := NewParallelEngine(
 		ParallelConfig{Config: w.cfg, Shards: shards, QueueDepth: 16, Metrics: pm},
-		freshTrainedSet(w.cfg, w.labeled), serial.Detector())
+		w.set(w.cfg), detector)
 	if err != nil {
 		t.Fatal(err)
 	}

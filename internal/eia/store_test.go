@@ -286,24 +286,3 @@ func TestStoreParallelAccess(t *testing.T) {
 		}
 	}
 }
-
-// checkByPeer classifies a mixed-peer column through the single-peer
-// CheckBatch: one batch per distinct peer, verdicts scattered back to
-// their input positions.
-func checkByPeer(st *Store, peers []PeerAS, srcs []netaddr.Addr, out []Verdict) {
-	idx := map[PeerAS][]int{}
-	for i, p := range peers {
-		idx[p] = append(idx[p], i)
-	}
-	for p, at := range idx {
-		col := make([]netaddr.Addr, len(at))
-		for j, i := range at {
-			col[j] = srcs[i]
-		}
-		got := make([]Verdict, len(at))
-		st.CheckBatch(p, col, got)
-		for j, i := range at {
-			out[i] = got[j]
-		}
-	}
-}

@@ -4,16 +4,15 @@
 // scans (many destination ports on one host, e.g. nmap Idlescan). It
 // sits between EIA analysis and NNS search.
 //
-// Two interchangeable counting backends live behind the same Analyzer
-// API. The default is streaming: per-port and per-host KMV registers
+// Counting is streaming: per-port and per-host KMV registers
 // (internal/sketch) estimate distinct targets over an unbounded suspect
-// stream in fixed memory, with a two-generation rotation that forgets
-// old observations the way the paper's bounded buffer does. The paper's
-// original 200-entry ring buffer is kept behind Config.ExactBuffer as
-// the exact small-N oracle: below the register size k the KMV estimates
-// are exact, so the two backends provably emit identical trip decisions
-// for streams that fit the ring — the equivalence suite in
-// internal/analysis pins that down.
+// stream in fixed memory. Every Config.BufferSize suspects the registers
+// rotate one generation, which forgets old observations the way the
+// paper's 200-entry buffer does. Below the register size k the estimates
+// are exact, so until the first rotation the trip decisions are those of
+// exact distinct-target sets. The reference engine in the
+// internal/analysis tests counts with exact sets and holds the analyzer
+// to that.
 //
 // The package also hosts TTLProfile (ttl.go), the per-source
 // expected-TTL second-opinion detector.
@@ -25,15 +24,15 @@ import (
 	"infilter/internal/telemetry"
 )
 
-// Metrics count scan-threshold trips and sketch-backend activity. One
-// Metrics may be shared by many analyzers (analysis.ParallelEngine
-// gives each shard its own Analyzer but one shared Metrics):
-// increments are single atomics.
+// Metrics count scan-threshold trips and register activity. One Metrics
+// may be shared by many analyzers (analysis.ParallelEngine gives each
+// shard its own Analyzer but one shared Metrics): increments are single
+// atomics.
 type Metrics struct {
 	NetworkScans *telemetry.Counter
 	HostScans    *telemetry.Counter
-	// SketchDecays counts register-generation rotations (the sketch
-	// backend's analogue of ring eviction).
+	// SketchDecays counts register-generation rotations, one per
+	// BufferSize suspects.
 	SketchDecays *telemetry.Counter
 	// SketchOverflows counts suspect flows that could not open a new
 	// register because a register table was at MaxRegisters and held no
@@ -53,9 +52,11 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 
 // Config tunes the analyzer. Zero values take the paper's settings.
 type Config struct {
-	// BufferSize bounds the suspect-flow ring of the exact backend and
-	// sets the default decay window of the sketch backend. Zero defaults
-	// to 200, the size used in the paper's experiments.
+	// BufferSize is the counting window: after this many probe-like
+	// suspects every register rotates one generation, and a register idle
+	// for two generations is dropped, so distinct counts cover the last
+	// one-to-two windows of suspects. Zero defaults to 200, the buffer
+	// size used in the paper's experiments.
 	BufferSize int
 	// NetworkScanThreshold flags a network scan when one destination port
 	// is targeted on at least this many distinct hosts. Zero defaults
@@ -64,22 +65,9 @@ type Config struct {
 	// HostScanThreshold flags a host scan when one host is targeted on at
 	// least this many distinct ports. Zero defaults to 10.
 	HostScanThreshold int
-	// ExactBuffer selects the paper's bounded ring buffer instead of the
-	// streaming-sketch backend. The ring counts exactly but saturates at
-	// BufferSize suspects; it is kept as the small-N oracle the sketch
-	// backend is verified against.
-	ExactBuffer bool
-	// MaxRegisters bounds each register table (per-port and per-host) of
-	// the sketch backend. Zero defaults to 65536. Ignored under
-	// ExactBuffer.
+	// MaxRegisters bounds each register table (per-port and per-host).
+	// Zero defaults to 65536.
 	MaxRegisters int
-	// DecayEvery is the sketch backend's decay window: after this many
-	// buffered suspects every register rotates one generation, and a
-	// register idle for two generations is dropped, so distinct counts
-	// cover the last one-to-two windows of suspects. Zero defaults to
-	// BufferSize, aligning the sketch's memory horizon with the ring the
-	// oracle keeps. Ignored under ExactBuffer.
-	DecayEvery int
 }
 
 // Defaults for Config.
@@ -103,9 +91,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxRegisters <= 0 {
 		c.MaxRegisters = DefaultMaxRegisters
 	}
-	if c.DecayEvery <= 0 {
-		c.DecayEvery = c.BufferSize
-	}
 	return c
 }
 
@@ -125,61 +110,31 @@ type Result struct {
 // Attack reports whether either scan counter fired.
 func (r Result) Attack() bool { return r.NetworkScan || r.HostScan }
 
-type portHost struct {
-	port uint16
-	host netaddr.Addr
-}
-
-type bufEntry struct {
-	port uint16
-	host netaddr.Addr
-}
-
-// Analyzer runs scan analysis over a suspect stream with one of the two
-// counting backends. Not safe for concurrent use: callers that process
-// flows in parallel give each worker its own Analyzer, as
-// analysis.ParallelEngine does with one per shard (the stream then sees
-// only that shard's peers, which preserves detection since scans arrive
-// through a single ingress).
+// Analyzer runs scan analysis over a suspect stream. Not safe for
+// concurrent use: callers that process flows in parallel give each
+// worker its own Analyzer, as analysis.ParallelEngine does with one per
+// shard. A shard's analyzer sees only the suspects of the peers routed
+// to it, so a scan whose probes enter through peers on different shards
+// is split across analyzers and can stay under the thresholds on every
+// one (analysis.TestScanEvidenceIsPerShard pins this).
 type Analyzer struct {
 	cfg     Config
 	metrics *Metrics
 
-	// Exact ring-buffer oracle (cfg.ExactBuffer).
-	ring []bufEntry
-	next int
-	full bool
-	// pairCount tracks duplicate (port,host) pairs inside the buffer so
-	// distinct counts stay exact under eviction.
-	pairCount map[portHost]int
-	// hostsPerPort counts distinct hosts targeted per destination port.
-	hostsPerPort map[uint16]int
-	// portsPerHost counts distinct ports targeted per destination host.
-	portsPerHost map[netaddr.Addr]int
-
-	// Streaming-sketch backend (the default).
 	portRegs map[uint16]*register
 	hostRegs map[netaddr.Addr]*register
 	gen      uint64
-	// sinceRotate counts buffered suspects in the current generation;
-	// it doubles as the sketch backend's Buffered() answer.
+	// sinceRotate counts buffered suspects in the current generation.
 	sinceRotate int
 }
 
 // New returns an empty analyzer.
 func New(cfg Config) *Analyzer {
-	cfg = cfg.withDefaults()
-	a := &Analyzer{cfg: cfg}
-	if cfg.ExactBuffer {
-		a.ring = make([]bufEntry, cfg.BufferSize)
-		a.pairCount = make(map[portHost]int)
-		a.hostsPerPort = make(map[uint16]int)
-		a.portsPerHost = make(map[netaddr.Addr]int)
-	} else {
-		a.portRegs = make(map[uint16]*register)
-		a.hostRegs = make(map[netaddr.Addr]*register)
+	return &Analyzer{
+		cfg:      cfg.withDefaults(),
+		portRegs: make(map[uint16]*register),
+		hostRegs: make(map[netaddr.Addr]*register),
 	}
-	return a
 }
 
 // probeLike reports whether a flow has the shape of a scan probe: one or
@@ -196,12 +151,7 @@ func (a *Analyzer) Add(rec flow.Record) Result {
 	if !probeLike(rec) {
 		return Result{}
 	}
-	var res Result
-	if a.cfg.ExactBuffer {
-		res = a.addExact(rec)
-	} else {
-		res = a.addSketch(rec)
-	}
+	res := a.addSketch(rec)
 	if m := a.metrics; m != nil {
 		if res.NetworkScan {
 			m.NetworkScans.Inc()
@@ -213,102 +163,20 @@ func (a *Analyzer) Add(rec flow.Record) Result {
 	return res
 }
 
-func (a *Analyzer) addExact(rec flow.Record) Result {
-	if a.full {
-		a.evict(a.ring[a.next])
-	}
-	e := bufEntry{port: rec.Key.DstPort, host: rec.Key.Dst}
-	a.ring[a.next] = e
-	a.next++
-	if a.next == len(a.ring) {
-		a.next = 0
-		a.full = true
-	}
-	a.admit(e)
-
-	return Result{
-		Buffered:    true,
-		NetworkScan: a.hostsPerPort[e.port] >= a.cfg.NetworkScanThreshold,
-		HostScan:    a.portsPerHost[e.host] >= a.cfg.HostScanThreshold,
-	}
-}
-
 // SetMetrics installs trip counters (nil disables). Call it before the
 // analyzer's owner starts feeding it flows.
 func (a *Analyzer) SetMetrics(m *Metrics) { a.metrics = m }
 
-func (a *Analyzer) admit(e bufEntry) {
-	ph := portHost{port: e.port, host: e.host}
-	a.pairCount[ph]++
-	if a.pairCount[ph] == 1 {
-		a.hostsPerPort[e.port]++
-		a.portsPerHost[e.host]++
-	}
-}
-
-func (a *Analyzer) evict(e bufEntry) {
-	ph := portHost{port: e.port, host: e.host}
-	a.pairCount[ph]--
-	if a.pairCount[ph] == 0 {
-		delete(a.pairCount, ph)
-		a.hostsPerPort[e.port]--
-		if a.hostsPerPort[e.port] == 0 {
-			delete(a.hostsPerPort, e.port)
-		}
-		a.portsPerHost[e.host]--
-		if a.portsPerHost[e.host] == 0 {
-			delete(a.portsPerHost, e.host)
-		}
-	}
-}
-
-// Buffered returns the number of flows in the current counting window:
-// the ring fill level under ExactBuffer, the suspects buffered since
-// the last generation rotation otherwise.
-func (a *Analyzer) Buffered() int {
-	if a.cfg.ExactBuffer {
-		if a.full {
-			return len(a.ring)
-		}
-		return a.next
-	}
-	return a.sinceRotate
-}
-
 // HostsOnPort exposes the distinct-host count for a destination port
-// (estimated under the sketch backend, exact while below sketch.DefaultK).
+// (estimated, exact while below sketch.DefaultK).
 func (a *Analyzer) HostsOnPort(port uint16) int {
-	if a.cfg.ExactBuffer {
-		return a.hostsPerPort[port]
-	}
 	return int(a.regEstimate(a.portRegs[port]) + 0.5)
 }
 
 // PortsOnHost exposes the distinct-port count for a destination host
-// (estimated under the sketch backend, exact while below sketch.DefaultK).
+// (estimated, exact while below sketch.DefaultK).
 func (a *Analyzer) PortsOnHost(host netaddr.Addr) int {
-	if a.cfg.ExactBuffer {
-		return a.portsPerHost[host]
-	}
 	return int(a.regEstimate(a.hostRegs[host]) + 0.5)
-}
-
-// Reset clears all counting state — both backends and the window
-// position — leaving the analyzer as freshly constructed.
-func (a *Analyzer) Reset() {
-	if a.cfg.ExactBuffer {
-		a.next = 0
-		a.full = false
-		clear(a.ring)
-		clear(a.pairCount)
-		clear(a.hostsPerPort)
-		clear(a.portsPerHost)
-		return
-	}
-	clear(a.portRegs)
-	clear(a.hostRegs)
-	a.gen = 0
-	a.sinceRotate = 0
 }
 
 // sketchKey folds an address into the 64-bit key space of the KMV

@@ -76,77 +76,15 @@ func TestDuplicatePairsDoNotInflateCounts(t *testing.T) {
 	}
 }
 
-func TestBufferEvictionDecaysCounts(t *testing.T) {
-	a := New(Config{BufferSize: 4, NetworkScanThreshold: 100, ExactBuffer: true})
-	// Fill buffer with 4 distinct hosts on port 9.
-	for i := 0; i < 4; i++ {
-		a.Add(suspect(netaddr.FromOctets(192, 0, 2, byte(i+1)).String(), 9))
-	}
-	if a.HostsOnPort(9) != 4 {
-		t.Fatalf("HostsOnPort = %d", a.HostsOnPort(9))
-	}
-	// Push 4 unrelated flows; the port-9 entries must age out.
-	for i := 0; i < 4; i++ {
-		a.Add(suspect(netaddr.FromOctets(10, 0, 0, byte(i+1)).String(), uint16(5000+i)))
-	}
-	if a.HostsOnPort(9) != 0 {
-		t.Errorf("HostsOnPort(9) = %d after eviction", a.HostsOnPort(9))
-	}
-	if a.Buffered() != 4 {
-		t.Errorf("Buffered = %d, want 4", a.Buffered())
-	}
-}
-
-func TestBufferedGrowth(t *testing.T) {
-	a := New(Config{BufferSize: 10, ExactBuffer: true})
-	if a.Buffered() != 0 {
-		t.Errorf("empty Buffered = %d", a.Buffered())
-	}
-	for i := 0; i < 7; i++ {
-		a.Add(suspect("192.0.2.1", uint16(i)))
-	}
-	if a.Buffered() != 7 {
-		t.Errorf("Buffered = %d, want 7", a.Buffered())
-	}
-	for i := 0; i < 10; i++ {
-		a.Add(suspect("192.0.2.1", uint16(100+i)))
-	}
-	if a.Buffered() != 10 {
-		t.Errorf("Buffered = %d at capacity", a.Buffered())
-	}
-}
-
-func TestReset(t *testing.T) {
-	a := New(Config{})
-	for i := 0; i < 50; i++ {
-		a.Add(suspect(netaddr.FromOctets(192, 0, 2, byte(i)).String(), 1434))
-	}
-	a.Reset()
-	if a.Buffered() != 0 || a.HostsOnPort(1434) != 0 {
-		t.Error("Reset did not clear state")
-	}
-	// Still usable after reset.
-	r := a.Add(suspect("192.0.2.1", 1434))
-	if r.Attack() {
-		t.Error("attack flagged right after reset")
-	}
-}
-
 func TestDefaultsApplied(t *testing.T) {
-	a := New(Config{ExactBuffer: true})
-	if len(a.ring) != DefaultBufferSize {
-		t.Errorf("default buffer %d", len(a.ring))
-	}
-	if a.cfg.NetworkScanThreshold != DefaultNetworkScanThreshold ||
-		a.cfg.HostScanThreshold != DefaultHostScanThreshold {
-		t.Errorf("defaults %+v", a.cfg)
-	}
 	s := New(Config{})
-	if s.cfg.MaxRegisters != DefaultMaxRegisters || s.cfg.DecayEvery != DefaultBufferSize {
-		t.Errorf("sketch defaults %+v", s.cfg)
-	}
-	if s.ring != nil || s.portRegs == nil {
-		t.Error("default backend is not the sketch path")
+	if want := (Config{
+		BufferSize:           DefaultBufferSize,
+		NetworkScanThreshold: DefaultNetworkScanThreshold,
+		HostScanThreshold:    DefaultHostScanThreshold,
+		MaxRegisters:         DefaultMaxRegisters,
+	}); s.cfg != want {
+		t.Errorf("defaults %+v, want %+v", s.cfg, want)
 	}
 	s.Add(suspect("192.0.2.1", 1434))
 	if k := s.portRegs[1434].cur.K(); k != sketch.DefaultK {
@@ -230,7 +168,7 @@ func TestEstablishedFlowsBypassBuffer(t *testing.T) {
 			t.Fatalf("established flow buffered or flagged: %+v", res)
 		}
 	}
-	if a.Buffered() != 0 {
-		t.Errorf("buffer holds %d established flows", a.Buffered())
+	if a.sinceRotate != 0 || len(a.portRegs) != 0 {
+		t.Errorf("window holds %d established flows in %d port registers", a.sinceRotate, len(a.portRegs))
 	}
 }

@@ -12,7 +12,8 @@ const scanSketchSeed = 0x5ca9_90a1
 
 // newKMV returns an empty register sketch. k is fixed at
 // sketch.DefaultK, far above every scan threshold, so a count that can
-// still decide a trip is exact: the ring-oracle equivalence rests on it.
+// still decide a trip is exact: holding the analyzer to exact
+// distinct-target sets rests on it.
 func newKMV() *sketch.KMV { return sketch.New(sketch.DefaultK, scanSketchSeed) }
 
 // register is one distinct-count slot of the sketch backend: a KMV for
@@ -61,7 +62,7 @@ func (r *register) estimate(g uint64) float64 {
 
 func (a *Analyzer) regEstimate(r *register) float64 { return r.estimate(a.gen) }
 
-// addSketch is the streaming backend's admission path: insert the
+// addSketch is the admission path: insert the
 // destination host into the port's register and the destination port
 // into the host's register, then compare windowed distinct estimates
 // against the thresholds. Cost is bounded by the register size k no
@@ -81,7 +82,7 @@ func (a *Analyzer) addSketch(rec flow.Record) Result {
 	}
 
 	a.sinceRotate++
-	if a.sinceRotate >= a.cfg.DecayEvery {
+	if a.sinceRotate >= a.cfg.BufferSize {
 		a.rotate()
 	}
 	return res

@@ -4,8 +4,8 @@
 // observed in a stream and estimates the stream's distinct cardinality
 // from the k-th order statistic. Below k distinct elements the kept set
 // IS the distinct set, so small streams are counted exactly — which is
-// what lets the sketch-based scan analyzer reproduce the ring-buffer
-// oracle's trip decisions bit for bit at small cardinalities. Above k
+// what lets the scan analyzer reproduce the trip decisions of exact
+// distinct-target sets at small cardinalities. Above k
 // the estimator is (k-1)/U(k) with U(k) the k-th smallest hash mapped
 // to (0,1], unbiased with relative standard error ~ 1/sqrt(k-2)
 // (Beyer et al., "On Synopses for Distinct-Value Estimation Under

@@ -2,12 +2,12 @@
 # Expanded tier-1 gate: vet + build + race-enabled tests + the benchmark
 # module's vet and tests + fuzz smoke.
 #
-# The race run includes the serial/parallel equivalence stress test
-# (internal/analysis/parallel_test.go), the batch-loop equivalence tests
-# at batch sizes 1, 16 and 256 (internal/analysis/batch_test.go,
-# bloom_equiv_test.go, sketch_equiv_test.go — every batch width must
-# reproduce the one-record-batch reference decision for decision,
-# including across mid-batch promotions), the goldens that pin the
+# The race run includes the engine-vs-oracle suite
+# (internal/analysis/oracle_test.go: a naive one-record-at-a-time
+# reference engine against the serial and sharded engines at Bloom bits
+# 0, 1 and 10 and batch sizes 1, 16 and 256, decision for decision on the
+# serial engine, including across mid-batch promotions, plus one
+# submitting goroutine per peer), the goldens that pin the
 # paper's figures and the examples' output to the batch loop
 # (internal/experiment/testdata, examples/*/testdata), the cluster-mode
 # e2e suite (cmd/infilterd/cluster_daemon_test.go — two-node snapshot
