@@ -137,6 +137,10 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// exportInterval is the period at which an instance batches expired
+// flows into export datagrams.
+const exportInterval = time.Second
+
 // Config parameterizes one Dagflow instance, which emulates one border
 // router: it owns a flow cache, an export engine and a destination port.
 type Config struct {
@@ -148,9 +152,6 @@ type Config struct {
 	InputIf uint16
 	// Cache configures the emulated router flow cache.
 	Cache netflow.CacheConfig
-	// ExportInterval batches expirations into datagrams at this period.
-	// Zero defaults to one second.
-	ExportInterval time.Duration
 	// EngineID tags the export stream: the v5 engine id, or the v9 source
 	// id / IPFIX observation domain id.
 	EngineID uint8
@@ -176,21 +177,17 @@ func New(cfg Config, boot time.Time) *Instance {
 	if cfg.Policy == nil {
 		cfg.Policy = IdentityPolicy{}
 	}
-	if cfg.ExportInterval <= 0 {
-		cfg.ExportInterval = time.Second
-	}
-	var enc netflow.WireEncoder
+	var tmpl *netflow.TemplateEncoder
 	switch cfg.Version {
 	case netflow.VersionV9:
-		v9 := netflow.NewV9Encoder(boot, uint32(cfg.EngineID))
-		v9.SetTemplateDelay(cfg.TemplateDelay)
-		enc = v9
+		tmpl = netflow.NewV9Encoder(boot, uint32(cfg.EngineID))
 	case netflow.VersionIPFIX:
-		ix := netflow.NewIPFIXEncoder(uint32(cfg.EngineID))
-		ix.SetTemplateDelay(cfg.TemplateDelay)
-		enc = ix
-	default:
-		enc = netflow.NewV5Encoder(boot, cfg.EngineID)
+		tmpl = netflow.NewIPFIXEncoder(uint32(cfg.EngineID))
+	}
+	var enc netflow.WireEncoder = netflow.NewV5Encoder(boot, cfg.EngineID)
+	if tmpl != nil {
+		tmpl.SetTemplateDelay(cfg.TemplateDelay)
+		enc = tmpl
 	}
 	return &Instance{
 		cfg:      cfg,
@@ -216,7 +213,7 @@ func (in *Instance) Replay(pkts []packet.Packet) ([]netflow.WireDatagram, error)
 	}
 	var (
 		out        []netflow.WireDatagram
-		nextExport = pkts[0].Time.Add(in.cfg.ExportInterval)
+		nextExport = pkts[0].Time.Add(exportInterval)
 	)
 	for i, p := range pkts {
 		if i > 0 && p.Time.Before(pkts[i-1].Time) {
@@ -228,7 +225,7 @@ func (in *Instance) Replay(pkts []packet.Packet) ([]netflow.WireDatagram, error)
 			in.cache.Advance(nextExport)
 			in.exporter.Add(in.cache.Drain()...)
 			out = append(out, in.exporter.Export(nextExport)...)
-			nextExport = nextExport.Add(in.cfg.ExportInterval)
+			nextExport = nextExport.Add(exportInterval)
 		}
 	}
 	// End of trace: flush everything still cached, then the encoder (a
@@ -236,8 +233,8 @@ func (in *Instance) Replay(pkts []packet.Packet) ([]netflow.WireDatagram, error)
 	last := pkts[len(pkts)-1].Time
 	in.cache.FlushAll()
 	in.exporter.Add(in.cache.Drain()...)
-	out = append(out, in.exporter.Export(last.Add(in.cfg.ExportInterval))...)
-	out = append(out, in.exporter.Flush(last.Add(in.cfg.ExportInterval))...)
+	out = append(out, in.exporter.Export(last.Add(exportInterval))...)
+	out = append(out, in.exporter.Flush(last.Add(exportInterval))...)
 	return out, nil
 }
 

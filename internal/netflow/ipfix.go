@@ -14,9 +14,9 @@ const (
 	ipfixSetOptionsTemplate = 3
 )
 
-// decodeIPFIX decodes one IPFIX message. The set grammar matches v9
-// closely; the differences are the 16-byte header carrying an explicit
-// message length and export time in seconds, enterprise-specific template
+// decodeIPFIX decodes one IPFIX message. Its set grammar matches v9;
+// the differences are the 16-byte header carrying an explicit message
+// length and export time in seconds, enterprise-specific template
 // fields, variable-length fields, and sequence numbers that count data
 // records rather than datagrams.
 func decodeIPFIX(raw []byte, buf *DecodeBuffer) (Message, error) {
@@ -27,61 +27,24 @@ func decodeIPFIX(raw []byte, buf *DecodeBuffer) (Message, error) {
 	if msgLen < ipfixHeaderSize || msgLen > len(raw) {
 		return Message{}, fmt.Errorf("%w: message length %d of %d bytes", ErrBadCount, msgLen, len(raw))
 	}
-	raw = raw[:msgLen]
-	var (
-		exportSecs = binary.BigEndian.Uint32(raw[4:8])
-		seq        = binary.BigEndian.Uint32(raw[8:12])
-		domain     = binary.BigEndian.Uint32(raw[12:16])
-	)
-	export := time.Unix(int64(exportSecs), 0).UTC()
+	export := time.Unix(int64(binary.BigEndian.Uint32(raw[4:8])), 0).UTC()
 	// IPFIX has no sysUptime basis; absolute timestamp elements (150-153)
 	// are the norm, so relative stamps fall back to the export time.
-	ctx := recordContext{boot: export, export: export}
-	key := domainKey{exporter: buf.exporter, domain: domain}
-
-	buf.recs = buf.recs[:0]
-	msg := Message{
+	msg, key, err := decodeSets(raw[:msgLen], ipfixHeaderSize, Message{
 		Version:    VersionIPFIX,
-		Exporter:   buf.exporter,
-		Domain:     domain,
+		Domain:     binary.BigEndian.Uint32(raw[12:16]),
 		ExportTime: export,
-		Sequence:   seq,
+		Sequence:   binary.BigEndian.Uint32(raw[8:12]),
+	}, recordContext{boot: export, export: export}, buf)
+	if err != nil {
+		return Message{}, err
 	}
-
-	off := ipfixHeaderSize
-	for off+4 <= len(raw) {
-		setID := binary.BigEndian.Uint16(raw[off : off+2])
-		setLen := int(binary.BigEndian.Uint16(raw[off+2 : off+4]))
-		if setLen < 4 || off+setLen > len(raw) {
-			return Message{}, fmt.Errorf("%w: set id=%d len=%d at offset %d", ErrBadSet, setID, setLen, off)
-		}
-		payload := raw[off+4 : off+setLen]
-		switch {
-		case setID == ipfixSetTemplate:
-			n, err := decodeTemplateSet(payload, true, key, ctx, buf, &msg)
-			if err != nil {
-				return Message{}, err
-			}
-			msg.TemplateSets += n
-		case setID == ipfixSetOptionsTemplate:
-			// Exporter self-description; skip.
-		case setID >= minDataSetID:
-			decodeDataSet(payload, setID, VersionIPFIX, 0, key, ctx, buf, &msg)
-		default:
-			// Set ids 0,1 and 4-255 are reserved in IPFIX; skip.
-		}
-		off += setLen
-	}
-
 	buf.cache.metrics.DatagramsIPFIX.Inc()
 	// Sequence numbers count data records at their original export, so
 	// orphan-recovered records (already counted by the message that
 	// carried them) must not advance the expectation here.
-	newRecords := len(buf.recs) - msg.Resolved
-	if newRecords < 0 {
-		newRecords = 0
-	}
-	msg.SeqGap = buf.cache.seqCheck(key, seq, uint32(newRecords))
+	newRecords := max(len(msg.Records)-msg.Resolved, 0)
+	msg.SeqGap = buf.cache.seqCheck(key, msg.Sequence, uint32(newRecords))
 	if msg.Orphaned > 0 {
 		// The orphaned sets' record counts are unknown until their
 		// template arrives, so the next expected sequence value is
@@ -89,6 +52,5 @@ func decodeIPFIX(raw []byte, buf *DecodeBuffer) (Message, error) {
 		// reporting false gaps.
 		buf.cache.seqReset(key)
 	}
-	msg.Records = buf.recs
 	return msg, nil
 }

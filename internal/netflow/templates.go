@@ -149,15 +149,14 @@ type domainKey struct {
 	domain   uint32
 }
 
-// orphan is one buffered data set awaiting its template, with the header
-// context of the datagram it arrived in (needed to resolve v9
-// sysUptime-relative timestamps once decodable).
+// orphan is one buffered data set awaiting its template, with the clock
+// basis computed from the datagram it arrived in (v9 sysUptime-relative
+// timestamps resolve against that datagram's boot, not the one carrying
+// the template).
 type orphan struct {
-	data        []byte
-	exportTime  time.Time
-	sysUptimeMS uint32
-	version     uint16
-	stored      time.Time
+	data   []byte
+	ctx    recordContext
+	stored time.Time
 }
 
 // seqState tracks the expected next export sequence number for one
