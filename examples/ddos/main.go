@@ -13,11 +13,9 @@ import (
 	"infilter/internal/analysis"
 	"infilter/internal/dagflow"
 	"infilter/internal/eia"
-	"infilter/internal/flow"
 	"infilter/internal/idmef"
 	"infilter/internal/netaddr"
 	"infilter/internal/netflow"
-	"infilter/internal/packet"
 	"infilter/internal/trace"
 )
 
@@ -44,7 +42,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		for _, r := range aggregate(pkts) {
+		for _, r := range netflow.Aggregate(pkts, 1) {
 			labeled = append(labeled, analysis.LabeledRecord{Peer: peer, Record: r})
 		}
 	}
@@ -120,13 +118,4 @@ func run() error {
 		flagged, attackFlows, alerts.Load())
 	fmt.Printf("stage breakdown: %v\n", engine.Stats().ByStage)
 	return nil
-}
-
-func aggregate(pkts []packet.Packet) []flow.Record {
-	cache := netflow.NewCache(netflow.CacheConfig{ExpireOnFINRST: true})
-	for _, p := range pkts {
-		cache.Observe(p, 1)
-	}
-	cache.FlushAll()
-	return cache.Drain()
 }

@@ -13,7 +13,6 @@ import (
 	"infilter/internal/flow"
 	"infilter/internal/netaddr"
 	"infilter/internal/netflow"
-	"infilter/internal/packet"
 	"infilter/internal/trace"
 )
 
@@ -44,7 +43,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		for _, r := range aggregate(pkts) {
+		for _, r := range netflow.Aggregate(pkts, 1) {
 			labeled = append(labeled, analysis.LabeledRecord{Peer: peer, Record: r})
 		}
 	}
@@ -87,17 +86,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	engine.ProcessBatch(1, aggregate(pkts), nil)
+	engine.ProcessBatch(1, netflow.Aggregate(pkts, 1), nil)
 	st := engine.Stats() // the benign flow above raised nothing
 	fmt.Printf("spoofed slammer:   %d flows flagged (stages: %v)\n", st.Attacks, st.ByStage)
 	return nil
-}
-
-func aggregate(pkts []packet.Packet) []flow.Record {
-	cache := netflow.NewCache(netflow.CacheConfig{ExpireOnFINRST: true})
-	for _, p := range pkts {
-		cache.Observe(p, 1)
-	}
-	cache.FlushAll()
-	return cache.Drain()
 }

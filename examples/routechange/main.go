@@ -12,10 +12,8 @@ import (
 
 	"infilter/internal/analysis"
 	"infilter/internal/eia"
-	"infilter/internal/flow"
 	"infilter/internal/netaddr"
 	"infilter/internal/netflow"
-	"infilter/internal/packet"
 	"infilter/internal/trace"
 )
 
@@ -43,7 +41,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		for _, r := range aggregate(pkts) {
+		for _, r := range netflow.Aggregate(pkts, 1) {
 			labeled = append(labeled, analysis.LabeledRecord{Peer: peer, Record: r})
 		}
 	}
@@ -56,7 +54,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	movedFlows := aggregate(movedPkts)
+	movedFlows := netflow.Aggregate(movedPkts, 1)
 
 	for _, mode := range []analysis.Mode{analysis.ModeBasic, analysis.ModeEnhanced} {
 		engine, err := analysis.Train(analysis.Config{Mode: mode}, labeled)
@@ -86,13 +84,4 @@ func run() error {
 		}
 	}
 	return nil
-}
-
-func aggregate(pkts []packet.Packet) []flow.Record {
-	cache := netflow.NewCache(netflow.CacheConfig{ExpireOnFINRST: true})
-	for _, p := range pkts {
-		cache.Observe(p, 1)
-	}
-	cache.FlushAll()
-	return cache.Drain()
 }

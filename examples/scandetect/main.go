@@ -10,11 +10,9 @@ import (
 	"time"
 
 	"infilter/internal/analysis"
-	"infilter/internal/flow"
 	"infilter/internal/idmef"
 	"infilter/internal/netaddr"
 	"infilter/internal/netflow"
-	"infilter/internal/packet"
 	"infilter/internal/trace"
 )
 
@@ -37,7 +35,7 @@ func run() error {
 		return err
 	}
 	var labeled []analysis.LabeledRecord
-	for _, r := range aggregate(pkts) {
+	for _, r := range netflow.Aggregate(pkts, 1) {
 		labeled = append(labeled, analysis.LabeledRecord{Peer: 1, Record: r})
 	}
 	engine, err := analysis.Train(analysis.Config{Mode: analysis.ModeEnhanced}, labeled)
@@ -63,7 +61,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		recs := aggregate(attack)
+		recs := netflow.Aggregate(attack, 1)
 		decisions := make([]analysis.Decision, len(recs))
 		engine.ProcessBatch(1, recs, decisions)
 		flagged, stages := 0, map[idmef.Stage]int{}
@@ -76,13 +74,4 @@ func run() error {
 		fmt.Printf("%-50s %d/%d flows flagged, stages=%v\n", sc.name, flagged, len(recs), stages)
 	}
 	return nil
-}
-
-func aggregate(pkts []packet.Packet) []flow.Record {
-	cache := netflow.NewCache(netflow.CacheConfig{ExpireOnFINRST: true})
-	for _, p := range pkts {
-		cache.Observe(p, 1)
-	}
-	cache.FlushAll()
-	return cache.Drain()
 }

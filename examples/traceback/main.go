@@ -12,10 +12,8 @@ import (
 
 	"infilter/internal/analysis"
 	"infilter/internal/eia"
-	"infilter/internal/flow"
 	"infilter/internal/netaddr"
 	"infilter/internal/netflow"
-	"infilter/internal/packet"
 	"infilter/internal/trace"
 	"infilter/internal/traceback"
 )
@@ -46,7 +44,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		for _, r := range aggregate(pkts) {
+		for _, r := range netflow.Aggregate(pkts, 1) {
 			labeled = append(labeled, analysis.LabeledRecord{Peer: peer, Record: r})
 		}
 	}
@@ -78,7 +76,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		engine.ProcessBatch(sc.peer, aggregate(pkts), nil)
+		engine.ProcessBatch(sc.peer, netflow.Aggregate(pkts, 1), nil)
 	}
 	// Benign flows at peer 2 from its own space must not implicate it.
 	benign, err := trace.GenerateNormal(trace.NormalConfig{
@@ -88,7 +86,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	engine.ProcessBatch(2, aggregate(benign), nil)
+	engine.ProcessBatch(2, netflow.Aggregate(benign, 1), nil)
 
 	fmt.Printf("alerts in window: %d\n", tracker.WindowSize(clock))
 	fmt.Println("traceback verdict — attack entry points:")
@@ -96,13 +94,4 @@ func run() error {
 		fmt.Printf("  %s (stages: %v)\n", in, in.ByStage)
 	}
 	return nil
-}
-
-func aggregate(pkts []packet.Packet) []flow.Record {
-	cache := netflow.NewCache(netflow.CacheConfig{ExpireOnFINRST: true})
-	for _, p := range pkts {
-		cache.Observe(p, 1)
-	}
-	cache.FlushAll()
-	return cache.Drain()
 }

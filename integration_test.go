@@ -9,7 +9,6 @@ import (
 	"infilter/internal/analysis"
 	"infilter/internal/dagflow"
 	"infilter/internal/eia"
-	"infilter/internal/flow"
 	"infilter/internal/flowtools"
 	"infilter/internal/idmef"
 	"infilter/internal/netaddr"
@@ -36,7 +35,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	var labeled []analysis.LabeledRecord
 	for peer, block := range peerBlocks {
 		pkts := genNormal(t, int64(peer), 700, block, target, start)
-		for _, r := range aggregateAll(pkts) {
+		for _, r := range netflow.Aggregate(pkts, 1) {
 			labeled = append(labeled, analysis.LabeledRecord{Peer: peer, Record: r})
 		}
 	}
@@ -224,13 +223,4 @@ func genNormal(t *testing.T, seed int64, flows int, src, dst netaddr.Prefix, sta
 		t.Fatal(err)
 	}
 	return pkts
-}
-
-func aggregateAll(pkts []packet.Packet) []flow.Record {
-	cache := netflow.NewCache(netflow.CacheConfig{ExpireOnFINRST: true})
-	for _, p := range pkts {
-		cache.Observe(p, 1)
-	}
-	cache.FlushAll()
-	return cache.Drain()
 }

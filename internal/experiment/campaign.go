@@ -27,7 +27,6 @@ import (
 	"infilter/internal/blocks"
 	"infilter/internal/dagflow"
 	"infilter/internal/eia"
-	"infilter/internal/flow"
 	"infilter/internal/idmef"
 	"infilter/internal/netaddr"
 	"infilter/internal/netflow"
@@ -240,33 +239,11 @@ func stampTTL(pkts []packet.Packet, ttl uint8) {
 	}
 }
 
-// campaignReplay is replayThroughRouter pinned to IPFIX export, the wire
-// format that carries the minimumTTL information element. Replaying the
-// campaign over v5 would silently zero every TTL and blind the second
-// opinion — the wire version is part of what the campaign validates.
-func campaignReplay(name string, pkts []packet.Packet, policy dagflow.SourcePolicy, inputIf uint16) ([]flow.Record, error) {
-	in := dagflow.New(dagflow.Config{
-		Name:    name,
-		Policy:  policy,
-		InputIf: inputIf,
-		Cache:   netflow.CacheConfig{ExpireOnFINRST: true},
-		Version: netflow.VersionIPFIX,
-	}, experimentEpoch.Add(-time.Hour))
-	dgs, err := in.Replay(pkts)
-	if err != nil {
-		return nil, err
-	}
-	db := netflow.NewDecodeBuffer(nil)
-	var out []flow.Record
-	for _, d := range dgs {
-		msg, err := netflow.Decode(d.Raw, db)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, msg.Records...)
-	}
-	return out, nil
-}
+// campaignWire is the export format the campaign replays over: IPFIX
+// carries the minimumTTL information element. Replaying the campaign
+// over v5 would silently zero every TTL and blind the second opinion —
+// the wire version is part of what the campaign validates.
+const campaignWire = netflow.VersionIPFIX
 
 // buildCampaignWorkload assembles benign traffic for all ten peers and,
 // when withEvents is set, the four event kinds at every peer.
@@ -290,7 +267,7 @@ func buildCampaignWorkload(cfg CampaignConfig, hops []int, withEvents bool) (*ca
 			return nil, err
 		}
 		stampTTL(pkts, campaignTTL(hops, s))
-		recs, err := campaignReplay(fmt.Sprintf("C%d", s), pkts, nil, uint16(s))
+		recs, err := replayThroughRouter(fmt.Sprintf("C%d", s), pkts, nil, uint16(s), campaignWire)
 		if err != nil {
 			return nil, err
 		}
@@ -326,7 +303,7 @@ func campaignEventFlows(cfg CampaignConfig, hops []int, s int, window time.Durat
 	launch := func(kind CampaignEventKind, pkts []packet.Packet, policy dagflow.SourcePolicy) error {
 		*id++
 		stampTTL(pkts, attackerTTL(hops, s))
-		recs, err := campaignReplay(fmt.Sprintf("C%d-%s", s, kind), pkts, policy, uint16(s))
+		recs, err := replayThroughRouter(fmt.Sprintf("C%d-%s", s, kind), pkts, policy, uint16(s), campaignWire)
 		if err != nil {
 			return err
 		}
@@ -408,7 +385,7 @@ func campaignEngine(cfg CampaignConfig) (*analysis.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	detector, err := trainDetector(Config{}, cfg.Seed, aggregateFlows(pkts, 0))
+	detector, err := trainDetector(Config{}, cfg.Seed, netflow.Aggregate(pkts, 0))
 	if err != nil {
 		return nil, err
 	}

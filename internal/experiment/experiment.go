@@ -15,7 +15,6 @@ import (
 	"infilter/internal/flow"
 	"infilter/internal/netaddr"
 	"infilter/internal/netflow"
-	"infilter/internal/packet"
 	"infilter/internal/stats"
 	"infilter/internal/trace"
 )
@@ -310,20 +309,10 @@ func buildEngine(cfg Config, seed int64, set *eia.Set) (*analysis.Engine, error)
 	if err != nil {
 		return nil, err
 	}
-	training := aggregateFlows(pkts, 0)
+	training := netflow.Aggregate(pkts, 0)
 	detector, err := trainDetector(cfg, seed, training)
 	if err != nil {
 		return nil, err
 	}
 	return analysis.NewEngine(analysis.Config{Mode: analysis.ModeEnhanced}, set, detector)
-}
-
-// aggregateFlows runs a packet trace through a router flow cache.
-func aggregateFlows(pkts []packet.Packet, ifIndex uint16) []flow.Record {
-	cache := netflow.NewCache(netflow.CacheConfig{ExpireOnFINRST: true})
-	for _, p := range pkts {
-		cache.Observe(p, ifIndex)
-	}
-	cache.FlushAll()
-	return cache.Drain()
 }

@@ -67,7 +67,7 @@ func normalSourceFlows(cfg Config, seed int64, src int) ([]labeledFlow, int, err
 			return nil, 0, err
 		}
 		packets += len(pkts)
-		recs, err := replayThroughRouter(fmt.Sprintf("S%d-p%d", src, k), pkts, nil, uint16(src))
+		recs, err := replayThroughRouter(fmt.Sprintf("S%d-p%d", src, k), pkts, nil, uint16(src), netflow.VersionV5)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -170,7 +170,7 @@ func attackSetFlows(cfg Config, seed int64, s, normalPkts int, attackID *int) ([
 		if err != nil {
 			return nil, nil, err
 		}
-		recs, err := replayThroughRouter(fmt.Sprintf("atk%d", id), pkts, spoof, uint16(s))
+		recs, err := replayThroughRouter(fmt.Sprintf("atk%d", id), pkts, spoof, uint16(s), netflow.VersionV5)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -199,15 +199,17 @@ func foreignPrefixes(s int) []netaddr.Prefix {
 }
 
 // replayThroughRouter pushes a packet trace through one Dagflow instance
-// (source rewriting + router flow cache + NetFlow export) and decodes the
-// exported datagrams back into flow records — the same path a record takes
-// from a real border router to the analysis module.
-func replayThroughRouter(name string, pkts []packet.Packet, policy dagflow.SourcePolicy, inputIf uint16) ([]flow.Record, error) {
+// (source rewriting + router flow cache + export in the given wire
+// version) and decodes the exported datagrams back into flow records —
+// the same path a record takes from a real border router to the analysis
+// module.
+func replayThroughRouter(name string, pkts []packet.Packet, policy dagflow.SourcePolicy, inputIf, version uint16) ([]flow.Record, error) {
 	in := dagflow.New(dagflow.Config{
 		Name:    name,
 		Policy:  policy,
 		InputIf: inputIf,
 		Cache:   netflow.CacheConfig{ExpireOnFINRST: true},
+		Version: version,
 	}, experimentEpoch.Add(-time.Hour))
 	dgs, err := in.Replay(pkts)
 	if err != nil {

@@ -70,6 +70,18 @@ func NewCache(cfg CacheConfig) *Cache {
 	}
 }
 
+// Aggregate runs a packet trace through a fresh router flow cache (FIN/RST
+// expiry on) with every packet arriving on ifIndex, and returns all of
+// its flows in expiry order.
+func Aggregate(pkts []packet.Packet, ifIndex uint16) []flow.Record {
+	c := NewCache(CacheConfig{ExpireOnFINRST: true})
+	for _, p := range pkts {
+		c.Observe(p, ifIndex)
+	}
+	c.FlushAll()
+	return c.Drain()
+}
+
 // Len returns the number of active (unexpired) flows.
 func (c *Cache) Len() int { return len(c.entries) }
 
