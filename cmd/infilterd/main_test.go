@@ -69,10 +69,16 @@ func TestParsePorts(t *testing.T) {
 	if len(got) != 3 || got[0] != 5001 || got[2] != 5003 {
 		t.Errorf("parsePorts = %v", got)
 	}
-	for _, in := range []string{"", "abc", "70000", "-1", "5001,,5002"} {
+	// A repeated port would bind twice under SO_REUSEPORT and hand both
+	// exporters' flows to the later peer AS.
+	for _, in := range []string{"", "abc", "70000", "-1", "5001,,5002", "5001,5001", "5001, 5002 ,5001"} {
 		if _, err := parsePorts(in); err == nil {
 			t.Errorf("parsePorts(%q): want error", in)
 		}
+	}
+	// Port 0 may repeat: every bind gets its own ephemeral port.
+	if got, err := parsePorts("0,0"); err != nil || len(got) != 2 {
+		t.Errorf("parsePorts(\"0,0\") = %v, %v; want two ephemeral ports", got, err)
 	}
 }
 
@@ -759,6 +765,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-mode", "XX"},
 		{"-ports", "abc"},
+		{"-ports", "5001,5001"},
 		{"-no-such-flag"},
 		{"-eia-file", filepath.Join(t.TempDir(), "missing")},
 		{"-batch-size", "-1"},
@@ -798,6 +805,9 @@ func TestObtainDetectorTrainsSavesAndLoads(t *testing.T) {
 	}
 	if _, statErr := os.Stat(path); statErr != nil {
 		t.Fatalf("model not saved: %v", statErr)
+	}
+	if _, statErr := os.Stat(path + ".tmp"); !os.IsNotExist(statErr) {
+		t.Errorf("temporary model file left behind: %v", statErr)
 	}
 	loaded, err := obtainDetector(path, 999, 10) // params ignored on load
 	if err != nil {
