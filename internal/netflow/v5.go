@@ -1,11 +1,14 @@
 // Package netflow implements the flow-export wire formats a border router
 // emits and the router-side flow cache emulation the testbed replays
 // through (paper §5.1.1). The original prototype spoke only NetFlow v5;
-// this package now decodes v5, template-based NetFlow v9 and IPFIX behind
-// one version-agnostic entry point, netflow.Decode, so no consumer depends
-// on a per-version wire type. Encoding is likewise version-agnostic via
-// WireEncoder (NewV5Encoder / NewV9Encoder / NewIPFIXEncoder) feeding the
-// batching Exporter.
+// this package decodes v5, template-based NetFlow v9 and IPFIX behind one
+// version-agnostic entry point, netflow.Decode, so no consumer depends on
+// a per-version wire type. v9 and IPFIX share one set walker and one
+// encoder, TemplateEncoder; only their headers and export field tables
+// differ. Encoding is version-agnostic via WireEncoder (NewV5Encoder, or
+// NewV9Encoder / NewIPFIXEncoder for a TemplateEncoder) feeding the
+// batching Exporter. Aggregate turns a packet trace into flows through
+// the router cache.
 package netflow
 
 import (
