@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"os"
@@ -14,32 +13,6 @@ import (
 	"infilter/internal/idmef"
 	"infilter/internal/testutil"
 )
-
-// startDaemonAdmin is startDaemon plus the admin address.
-func startDaemonAdmin(t *testing.T, args []string) (ports []int, admin string, cancel context.CancelFunc, done chan error) {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	type readyInfo struct {
-		ports []int
-		admin string
-	}
-	ready := make(chan readyInfo, 1)
-	done = make(chan error, 1)
-	go func() {
-		done <- runWith(ctx, args, func(p []int, a string) { ready <- readyInfo{ports: p, admin: a} })
-	}()
-	select {
-	case info := <-ready:
-		return info.ports, info.admin, cancel, done
-	case err := <-done:
-		cancel()
-		t.Fatalf("run exited before ready: %v", err)
-	case <-time.After(30 * time.Second):
-		cancel()
-		t.Fatal("daemon never became ready")
-	}
-	return nil, "", nil, nil
-}
 
 // TestBatchedShutdownDrainsPartialBatch is the SIGTERM-mid-batch drain
 // test: with a batch size far above the traffic and a batch-timeout that
@@ -75,7 +48,7 @@ func TestBatchedShutdownDrainsPartialBatch(t *testing.T) {
 	testutil.ExpectNoGoroutineGrowth(t, func() {
 		tr := &http.Transport{}
 		defer tr.CloseIdleConnections()
-		ports, admin, cancel, done := startDaemonAdmin(t, args)
+		ports, admin, cancel, done := startDaemon(t, args)
 		defer cancel()
 		base := "http://" + admin
 
@@ -111,15 +84,7 @@ func TestBatchedShutdownDrainsPartialBatch(t *testing.T) {
 		}
 
 		tr.CloseIdleConnections()
-		cancel()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("run returned %v after cancel", err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("run did not return after cancel")
-		}
+		stopDaemon(t, cancel, done)
 		// The drain delivered the partial batch and the sender flushed
 		// before run returned; the TCP consumer may lag a beat.
 		deadline = time.Now().Add(10 * time.Second)
@@ -176,7 +141,7 @@ func testAdminMetricsIngest(t *testing.T, batching []string) {
 	testutil.ExpectNoGoroutineGrowth(t, func() {
 		tr := &http.Transport{}
 		defer tr.CloseIdleConnections()
-		ports, admin, cancel, done := startDaemonAdmin(t, args)
+		ports, admin, cancel, done := startDaemon(t, args)
 		defer cancel()
 		base := "http://" + admin
 
@@ -218,14 +183,6 @@ func testAdminMetricsIngest(t *testing.T, batching []string) {
 		}
 
 		tr.CloseIdleConnections()
-		cancel()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("run returned %v after cancel", err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("run did not return after cancel")
-		}
+		stopDaemon(t, cancel, done)
 	})
 }

@@ -83,32 +83,6 @@ func awaitClusterPrefixes(t *testing.T, adminAddr string, want int) {
 	}
 }
 
-// startClusterDaemon is startDaemon plus the admin address.
-func startClusterDaemon(t *testing.T, args []string) (ports []int, adminAddr string, cancel context.CancelFunc, done chan error) {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	type readyInfo struct {
-		ports []int
-		admin string
-	}
-	ready := make(chan readyInfo, 1)
-	done = make(chan error, 1)
-	go func() {
-		done <- runWith(ctx, args, func(p []int, a string) { ready <- readyInfo{ports: p, admin: a} })
-	}()
-	select {
-	case r := <-ready:
-		return r.ports, r.admin, cancel, done
-	case err := <-done:
-		cancel()
-		t.Fatalf("run exited before ready: %v", err)
-	case <-time.After(30 * time.Second):
-		cancel()
-		t.Fatal("daemon never became ready")
-	}
-	return nil, "", nil, nil
-}
-
 func writeEIAFile(t *testing.T, lines ...string) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "eia.txt")
@@ -152,13 +126,13 @@ func TestClusterTwoNodeConvergenceMatchesUnionDaemon(t *testing.T) {
 		return append(args, extra...)
 	}
 
-	portsA, adminA, cancelA, doneA := startClusterDaemon(t, mk(fileA, alertPortA,
+	portsA, adminA, cancelA, doneA := startDaemon(t, mk(fileA, alertPortA,
 		"-cluster-listen", addrA, "-cluster-peers", addrB, "-replicate-interval", "50ms"))
 	defer stopDaemon(t, cancelA, doneA)
-	portsB, adminB, cancelB, doneB := startClusterDaemon(t, mk(fileB, alertPortB,
+	portsB, adminB, cancelB, doneB := startDaemon(t, mk(fileB, alertPortB,
 		"-cluster-listen", addrB, "-cluster-peers", addrA, "-replicate-interval", "50ms"))
 	defer stopDaemon(t, cancelB, doneB)
-	portsU, _, cancelU, doneU := startClusterDaemon(t, mk(fileU, alertPortU))
+	portsU, _, cancelU, doneU := startDaemon(t, mk(fileU, alertPortU))
 	defer stopDaemon(t, cancelU, doneU)
 
 	// Both nodes must fold the other's half: 2 prefixes each.
@@ -241,7 +215,7 @@ func TestClusterPeerDownKeepsLocalVerdicts(t *testing.T) {
 	}
 	defer consumer.Close()
 
-	ports, admin, cancel, done := startClusterDaemon(t, []string{
+	ports, admin, cancel, done := startDaemon(t, []string{
 		"-eia-file", writeEIAFile(t, "1 61.0.0.0/11"),
 		"-alert", fmt.Sprintf("127.0.0.1:%d", alertPort),
 		"-ports", "0", "-mode", "BI", "-stats", "1h", "-admin-addr", "127.0.0.1:0",
@@ -299,7 +273,7 @@ func TestClusterThreeNodeKillOneConverges(t *testing.T) {
 					peers = append(peers, a)
 				}
 			}
-			_, admin, cancel, done := startClusterDaemon(t, []string{
+			_, admin, cancel, done := startDaemon(t, []string{
 				"-eia-file", files[i],
 				"-ports", "0", "-mode", "BI", "-stats", "1h", "-admin-addr", "127.0.0.1:0",
 				"-cluster-listen", addrs[i], "-cluster-peers", strings.Join(peers, ","),

@@ -95,7 +95,7 @@ func TestDualStackIPFIXIngestEndToEnd(t *testing.T) {
 		tr := &http.Transport{}
 		defer tr.CloseIdleConnections()
 
-		ports, admin, cancel, done := startDaemonAdmin(t, args)
+		ports, admin, cancel, done := startDaemon(t, args)
 		base := "http://" + admin
 
 		// Template state is keyed by exporter address: the whole stream

@@ -9,9 +9,9 @@
 //	infilterd -ports 5001,5002,5003 -mode EI -train-flows 1500 [-alert 127.0.0.1:6000]
 //
 // Port i in the list carries flows from peer AS i (the testbed's
-// demultiplexing convention, paper §6.2). EIA sets are trained from the
-// first -eia-training flows observed per port unless -eia-file provides
-// them explicitly (lines: "<peerAS> <cidr>").
+// demultiplexing convention, paper §6.2). EIA sets are preloaded from
+// -eia-file (lines: "<peerAS> <cidr>") and grow at runtime as legal
+// traffic from new prefixes is promoted.
 //
 // Ingest is batched by default: each port runs -readers reader sockets
 // (SO_REUSEPORT kernel load balancing on Linux, with recvmmsg-style
@@ -35,11 +35,12 @@
 // daemon resumes with its learned state instead of retraining.
 //
 // NetFlow v9 and IPFIX streams are template-driven: templates are
-// learned into a bounded per-exporter cache (-template-max, -template-ttl)
-// shared by every listening port, and data sets that arrive before their
-// template are buffered (-orphan-max) and decoded once the template shows
-// up. Template learning, orphan buffering and per-exporter sequence gaps
-// are all reported on /metrics (infilter_netflow_* families).
+// learned into a bounded per-exporter cache (4096 templates, expiring 30m
+// after their last refresh) shared by every listening port, and data sets
+// that arrive before their template are buffered (up to 512) and decoded
+// once the template shows up. Template learning, orphan buffering and
+// per-exporter sequence gaps are all reported on /metrics
+// (infilter_netflow_* families).
 //
 // With -cluster-listen/-cluster-peers several infilterd instances run as
 // one logical deployment: a rendezvous hash ring over the node addresses
@@ -62,6 +63,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -74,12 +76,12 @@ import (
 	"sync"
 	"syscall"
 	"time"
+	"unicode"
 
 	"infilter/internal/analysis"
 	"infilter/internal/checkpoint"
 	"infilter/internal/cluster"
 	"infilter/internal/eia"
-	"infilter/internal/flow"
 	"infilter/internal/flowtools"
 	"infilter/internal/idmef"
 	"infilter/internal/netaddr"
@@ -97,13 +99,6 @@ const (
 	ttlCheckpointName = "ttl.ckpt"
 )
 
-// ingester is the daemon's view of the flowtools.Collector.
-type ingester interface {
-	Listen(port int) (int, error)
-	Stats() (received, malformed int)
-	Close() error
-}
-
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -115,149 +110,206 @@ func main() {
 // run is the daemon body: it returns once ctx is canceled (the signal
 // path) and every in-flight flow has been drained and flushed.
 func run(ctx context.Context, args []string) error {
-	return runWith(ctx, args, nil)
-}
-
-// runWith additionally reports the bound UDP ports and the admin HTTP
-// address ("" when disabled) through onReady, letting tests drive a
-// daemon listening on ephemeral ports.
-func runWith(ctx context.Context, args []string, onReady func(ports []int, adminAddr string)) error {
-	fs := flag.NewFlagSet("infilterd", flag.ContinueOnError)
-	var (
-		portsFlag   = fs.String("ports", "5001", "comma-separated UDP ports; port i carries peer AS i")
-		modeFlag    = fs.String("mode", "EI", "BI (basic) or EI (enhanced)")
-		alertFlag   = fs.String("alert", "", "IDMEF consumer TCP address (empty: log alerts)")
-		adminAddr   = fs.String("admin-addr", "", "admin HTTP address serving /metrics, /healthz and /debug/pprof (empty: disabled)")
-		eiaFile     = fs.String("eia-file", "", "file of '<peerAS> <cidr>' lines preloading EIA sets")
-		modelFile   = fs.String("model", "", "detector model file: loaded if present, else trained and saved there (EI mode)")
-		trainFlows  = fs.Int("train-flows", 1500, "synthetic flows for NNS training (EI mode)")
-		trainSeed   = fs.Int64("train-seed", 1, "seed for synthetic training traffic")
-		captureDir  = fs.String("capture", "", "archive received flows into this directory (flow-capture role)")
-		statsPeriod = fs.Duration("stats", 30*time.Second, "period for stats logging")
-		workers     = fs.Int("workers", 0, "analysis shards; flows route by peer AS (0: one per port)")
-		queueDepth  = fs.Int("queue-depth", analysis.DefaultQueueDepth, "bounded per-shard queue depth (backpressure)")
-		readers     = fs.Int("readers", 1, "UDP reader sockets per port (>1 uses SO_REUSEPORT; Linux only)")
-		batchSize   = fs.Int("batch-size", flowtools.DefaultBatchRecords, "flow records per ingest batch handed to the pipeline (1: every datagram as it decodes)")
-		batchWait   = fs.Duration("batch-timeout", flowtools.DefaultFlushTimeout, "max wait before a partial ingest batch is flushed")
-		stateDir    = fs.String("state-dir", "", "warm-restart directory: EIA and NNS state checkpointed here and loaded on startup (empty: disabled)")
-		ckptPeriod  = fs.Duration("checkpoint-interval", checkpoint.DefaultInterval, "period between background checkpoints (with -state-dir)")
-		tplMax      = fs.Int("template-max", netflow.DefaultMaxTemplates, "max NetFlow v9/IPFIX templates cached across all exporters")
-		tplTTL      = fs.Duration("template-ttl", netflow.DefaultTemplateTTL, "NetFlow v9/IPFIX templates unrefreshed this long expire")
-		orphanMax   = fs.Int("orphan-max", netflow.DefaultMaxOrphans, "max buffered v9/IPFIX data sets awaiting their template")
-		bloomBits   = fs.Int("eia-bloom-bits-per-entry", 10, "EIA Bloom fast-tier bits per prefix (0 disables the tier; verdicts are identical either way)")
-		ttlTol      = fs.Int("ttl-tolerance", 0, "TTL-profile hop tolerance for the second-opinion detector (0 disables the stage; EI mode only)")
-
-		clusterListen = fs.String("cluster-listen", "", "TCP address for inbound EIA snapshot replication (enables cluster mode)")
-		clusterPeers  = fs.String("cluster-peers", "", "comma-separated replication addresses of the other cluster nodes")
-		clusterNodeID = fs.String("cluster-node", "", "this node's ring identity, the address peers dial it at (default: -cluster-listen)")
-		replInterval  = fs.Duration("replicate-interval", cluster.DefaultInterval, "period between EIA snapshot replication rounds")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-
-	mode := analysis.ModeEnhanced
-	switch strings.ToUpper(*modeFlag) {
-	case "EI":
-	case "BI":
-		mode = analysis.ModeBasic
-	default:
-		return fmt.Errorf("unknown mode %q", *modeFlag)
-	}
-
-	ports, err := parsePorts(*portsFlag)
+	cfg, err := parseConfig(args)
 	if err != nil {
 		return err
 	}
-	if *batchSize < 1 || *batchWait <= 0 {
-		return fmt.Errorf("bad batch settings: -batch-size %d (want >= 1) -batch-timeout %s", *batchSize, *batchWait)
+	return runWith(ctx, cfg, nil)
+}
+
+// config is the daemon's command line, parsed and checked by parseConfig;
+// runWith uses it as is.
+type config struct {
+	ports         []int
+	mode          analysis.Mode
+	alert         string
+	adminAddr     string
+	eiaFile       string
+	modelFile     string
+	trainFlows    int
+	trainSeed     int64
+	captureDir    string
+	stats         time.Duration
+	workers       int // analysis shards, never 0: parseConfig resolves 0 to one per port
+	queueDepth    int
+	readers       int
+	batchSize     int
+	batchTimeout  time.Duration
+	stateDir      string
+	ckptInterval  time.Duration
+	ttlTolerance  int
+	clusterListen string
+	clusterPeers  []string
+	clusterNode   string // ring identity; non-empty exactly in cluster mode
+	replInterval  time.Duration
+}
+
+// parseConfig parses args and rejects every bad setting, so a daemon that
+// starts runs with exactly what was asked for and nothing has bound yet
+// when a setting is refused.
+func parseConfig(args []string) (config, error) {
+	cfg := config{ports: []int{5001}, mode: analysis.ModeEnhanced}
+	fs := flag.NewFlagSet("infilterd", flag.ContinueOnError)
+	fs.Func("ports", "comma-separated UDP ports; port i carries peer AS i (default 5001)", func(s string) (err error) {
+		cfg.ports, err = parsePorts(s)
+		return err
+	})
+	fs.Func("mode", "BI (basic) or EI (enhanced) (default EI)", func(s string) error {
+		m, ok := map[string]analysis.Mode{"BI": analysis.ModeBasic, "EI": analysis.ModeEnhanced}[strings.ToUpper(s)]
+		if !ok {
+			return fmt.Errorf("unknown mode %q", s)
+		}
+		cfg.mode = m
+		return nil
+	})
+	fs.StringVar(&cfg.alert, "alert", "", "IDMEF consumer TCP address (empty: log alerts)")
+	fs.StringVar(&cfg.adminAddr, "admin-addr", "", "admin HTTP address serving /metrics, /healthz and /debug/pprof (empty: disabled)")
+	fs.StringVar(&cfg.eiaFile, "eia-file", "", "file of '<peerAS> <cidr>' lines preloading EIA sets")
+	fs.StringVar(&cfg.modelFile, "model", "", "detector model file: loaded if present, else trained and saved there (EI mode)")
+	fs.IntVar(&cfg.trainFlows, "train-flows", 1500, "synthetic flows for NNS training (EI mode)")
+	fs.Int64Var(&cfg.trainSeed, "train-seed", 1, "seed for synthetic training traffic")
+	fs.StringVar(&cfg.captureDir, "capture", "", "archive received flows into this directory (flow-capture role)")
+	fs.DurationVar(&cfg.stats, "stats", 30*time.Second, "period for stats logging")
+	fs.IntVar(&cfg.workers, "workers", 0, "analysis shards; flows route by peer AS (0: one per port)")
+	fs.IntVar(&cfg.queueDepth, "queue-depth", analysis.DefaultQueueDepth, "bounded per-shard queue depth (backpressure)")
+	fs.IntVar(&cfg.readers, "readers", 1, "UDP reader sockets per port (>1 uses SO_REUSEPORT; Linux only)")
+	fs.IntVar(&cfg.batchSize, "batch-size", flowtools.DefaultBatchRecords, "flow records per ingest batch handed to the pipeline (1: every datagram as it decodes)")
+	fs.DurationVar(&cfg.batchTimeout, "batch-timeout", flowtools.DefaultFlushTimeout, "max wait before a partial ingest batch is flushed")
+	fs.StringVar(&cfg.stateDir, "state-dir", "", "warm-restart directory: EIA and NNS state checkpointed here and loaded on startup (empty: disabled)")
+	fs.DurationVar(&cfg.ckptInterval, "checkpoint-interval", checkpoint.DefaultInterval, "period between background checkpoints (with -state-dir)")
+	fs.IntVar(&cfg.ttlTolerance, "ttl-tolerance", 0, "TTL-profile hop tolerance for the second-opinion detector (0 disables the stage; EI mode only)")
+	fs.StringVar(&cfg.clusterListen, "cluster-listen", "", "TCP address for inbound EIA snapshot replication (enables cluster mode)")
+	// Each peer gets its own metric series and replication worker, so a
+	// repeated address is refused rather than replicated to twice.
+	fs.Func("cluster-peers", "comma-separated replication addresses of the other cluster nodes", func(s string) error {
+		cfg.clusterPeers = strings.FieldsFunc(s, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
+		for i, p := range cfg.clusterPeers {
+			if slices.Contains(cfg.clusterPeers[:i], p) {
+				return fmt.Errorf("peer %s given twice", p)
+			}
+		}
+		return nil
+	})
+	fs.StringVar(&cfg.clusterNode, "cluster-node", "", "this node's ring identity, the address peers dial it at (default: -cluster-listen)")
+	fs.DurationVar(&cfg.replInterval, "replicate-interval", cluster.DefaultInterval, "period between EIA snapshot replication rounds")
+	if err := fs.Parse(args); err != nil {
+		return config{}, err
 	}
-	if *statsPeriod <= 0 {
-		return fmt.Errorf("bad -stats %s: want a positive period", *statsPeriod)
+
+	// No count, size or period may be negative: the components would
+	// quietly substitute their default. 0 keeps its documented meaning;
+	// -train-seed is an int64, and any seed is valid.
+	var negative error
+	fs.VisitAll(func(f *flag.Flag) {
+		if g, ok := f.Value.(flag.Getter); ok && negative == nil {
+			switch g.Get().(type) {
+			case int, time.Duration:
+				if strings.HasPrefix(f.Value.String(), "-") {
+					negative = fmt.Errorf("bad -%s %s: must not be negative", f.Name, f.Value)
+				}
+			}
+		}
+	})
+	if negative != nil {
+		return config{}, negative
 	}
-	shards := *workers
-	if shards <= 0 {
-		shards = len(ports)
+	if cfg.batchSize == 0 || cfg.batchTimeout == 0 || cfg.stats == 0 {
+		return config{}, fmt.Errorf("bad -batch-size %d, -batch-timeout %s or -stats %s: each must be positive",
+			cfg.batchSize, cfg.batchTimeout, cfg.stats)
 	}
+	if cfg.ttlTolerance > 0 && cfg.mode != analysis.ModeEnhanced {
+		return config{}, fmt.Errorf("-ttl-tolerance %d needs -mode EI: the TTL stage runs only there", cfg.ttlTolerance)
+	}
+	if cfg.workers == 0 {
+		cfg.workers = len(cfg.ports)
+	}
+
+	switch {
+	case cfg.clusterListen == "" && len(cfg.clusterPeers) == 0:
+		if cfg.clusterNode != "" {
+			return config{}, fmt.Errorf("-cluster-node needs -cluster-listen or -cluster-peers")
+		}
+	case cfg.clusterNode == "" && cfg.clusterListen == "":
+		return config{}, fmt.Errorf("-cluster-peers without -cluster-listen needs -cluster-node")
+	case cfg.clusterNode == "":
+		cfg.clusterNode = cfg.clusterListen
+	}
+	if slices.Contains(cfg.clusterPeers, cfg.clusterNode) {
+		return config{}, fmt.Errorf("-cluster-peers lists this node's own ID %s", cfg.clusterNode)
+	}
+	return cfg, nil
+}
+
+// runWith runs the daemon on a parsed config and additionally reports the
+// bound UDP ports and the admin HTTP address ("" when disabled) through
+// onReady, letting tests drive a daemon listening on ephemeral ports.
+// Every return — a failed start or the signal path — tears down through
+// daemon.close.
+func runWith(ctx context.Context, cfg config, onReady func(ports []int, adminAddr string)) (err error) {
+	var d daemon
+	defer func() { err = errors.Join(err, d.close()) }()
 
 	// Cluster mode: N daemons form one logical deployment. The rendezvous
 	// ring over the node IDs decides which node owns each peer AS's EIA
 	// training (the PromotionFilter below); every node still checks all of
 	// its own traffic, and learned state reaches the rest of the cluster
-	// through snapshot replication. The ring is built here, before the
-	// engine, because the promotion filter is engine configuration; the
-	// replication node itself comes after the engine, whose store it feeds.
-	var (
-		clusterRing  *cluster.Ring
-		clusterID    string
-		clusterAddrs []string
-	)
-	if *clusterListen != "" || *clusterPeers != "" {
-		clusterID = *clusterNodeID
-		if clusterID == "" {
-			clusterID = *clusterListen
-		}
-		if clusterID == "" {
-			return fmt.Errorf("-cluster-peers without -cluster-listen needs -cluster-node")
-		}
-		if *clusterPeers != "" {
-			for _, p := range strings.Split(*clusterPeers, ",") {
-				if p = strings.TrimSpace(p); p != "" {
-					clusterAddrs = append(clusterAddrs, p)
-				}
-			}
-		}
-		clusterRing, err = cluster.NewRing(append([]string{clusterID}, clusterAddrs...))
+	// through snapshot replication. The ring is built before the engine,
+	// because the promotion filter is engine configuration; the replication
+	// node itself comes after the engine, whose store it feeds.
+	var ring *cluster.Ring
+	var promotionFilter func(eia.PeerAS) bool
+	if cfg.clusterNode != "" {
+		ring, err = cluster.NewRing(append([]string{cfg.clusterNode}, cfg.clusterPeers...))
 		if err != nil {
 			return err
 		}
+		id := cfg.clusterNode
+		promotionFilter = func(peer eia.PeerAS) bool { return ring.OwnsPeerAS(id, uint16(peer)) }
 	}
 
-	if *bloomBits < 0 {
-		return fmt.Errorf("bad bloom settings: -eia-bloom-bits-per-entry %d", *bloomBits)
-	}
 	// The Bloom config rides on the Set: the engine's snapshot store adopts
 	// the Set's Config, and rebuilds the filters from whatever the trie
 	// holds — file preload, checkpoint, training — when it is constructed.
-	set := eia.NewSet(eia.Config{BloomBitsPerEntry: *bloomBits})
-	if *eiaFile != "" {
-		if err := loadEIAFile(set, *eiaFile); err != nil {
+	// 10 bits per prefix is about a 1% false-positive rate; the tier only
+	// short-circuits provably-unknown sources, so verdicts do not depend on it.
+	set := eia.NewSet(eia.Config{BloomBitsPerEntry: 10})
+	if cfg.eiaFile != "" {
+		if err := loadEIAFile(set, cfg.eiaFile); err != nil {
 			return err
 		}
-		log.Printf("loaded %d EIA prefixes from %s", set.Len(), *eiaFile)
+		log.Printf("loaded %d EIA prefixes from %s", set.Len(), cfg.eiaFile)
 	}
 	// The checkpoint loads after -eia-file: a row present in both re-homes
 	// to its checkpointed peer, so warm-restart state — which includes every
 	// runtime promotion — wins over the static preload.
-	if *stateDir != "" {
-		ok, err := checkpoint.Load(*stateDir, eiaCheckpointName, func(r io.Reader) error {
+	if cfg.stateDir != "" {
+		ok, err := checkpoint.Load(cfg.stateDir, eiaCheckpointName, func(r io.Reader) error {
 			return eia.ReadCheckpointInto(set, r)
 		})
 		if err != nil {
 			return err
 		}
 		if ok {
-			log.Printf("warm restart: %d EIA prefixes from %s", set.Len(), *stateDir)
+			log.Printf("warm restart: %d EIA prefixes from %s", set.Len(), cfg.stateDir)
 		}
 	}
 
 	var detector *nns.Detector
-	if mode == analysis.ModeEnhanced {
-		if *stateDir != "" {
-			ok, err := checkpoint.Load(*stateDir, nnsCheckpointName, func(r io.Reader) error {
-				d, err := nns.LoadDetector(r)
-				detector = d
+	if cfg.mode == analysis.ModeEnhanced {
+		if cfg.stateDir != "" {
+			ok, err := checkpoint.Load(cfg.stateDir, nnsCheckpointName, func(r io.Reader) (err error) {
+				detector, err = nns.LoadDetector(r)
 				return err
 			})
 			if err != nil {
 				return err
 			}
 			if ok {
-				log.Printf("warm restart: detector with %d clusters from %s", len(detector.Clusters()), *stateDir)
+				log.Printf("warm restart: detector with %d clusters from %s", len(detector.Clusters()), cfg.stateDir)
 			}
 		}
 		if detector == nil {
-			detector, err = obtainDetector(*modelFile, *trainSeed, *trainFlows)
+			detector, err = obtainDetector(cfg.modelFile, cfg.trainSeed, cfg.trainFlows)
 			if err != nil {
 				return err
 			}
@@ -273,64 +325,45 @@ func runWith(ctx context.Context, args []string, onReady func(ports []int, admin
 	// Template-driven decode state shared by every listening port: v9 and
 	// IPFIX exporters are keyed by source address + observation domain, so
 	// one cache serves all peers without cross-talk.
-	templates := netflow.NewTemplateCache(netflow.TemplateCacheConfig{
-		MaxTemplates: *tplMax,
-		TemplateTTL:  *tplTTL,
-		MaxOrphans:   *orphanMax,
-	})
+	templates := netflow.NewTemplateCache(netflow.TemplateCacheConfig{})
 	templates.SetMetrics(netflow.NewMetrics(reg))
 	if detector != nil {
 		detector.SetMetrics(nnsMetrics)
 	}
-	var admin *adminServer
-	if *adminAddr != "" {
-		admin, err = newAdminServer(*adminAddr, reg)
+	if cfg.adminAddr != "" {
+		d.admin, err = newAdminServer(cfg.adminAddr, reg)
 		if err != nil {
-			return fmt.Errorf("admin listen %s: %w", *adminAddr, err)
+			return fmt.Errorf("admin listen %s: %w", cfg.adminAddr, err)
 		}
-		log.Printf("admin endpoint on http://%s (/metrics /healthz /debug/pprof)", admin.Addr())
-	}
-	closeAdmin := func() {
-		if admin != nil {
-			admin.Close()
-		}
+		log.Printf("admin endpoint on http://%s (/metrics /healthz /debug/pprof)", d.admin.Addr())
 	}
 
-	var promotionFilter func(eia.PeerAS) bool
-	if clusterRing != nil {
-		ring, id := clusterRing, clusterID
-		promotionFilter = func(peer eia.PeerAS) bool { return ring.OwnsPeerAS(id, uint16(peer)) }
-	}
-	engine, err := analysis.NewParallelEngine(analysis.ParallelConfig{
+	d.engine, err = analysis.NewParallelEngine(analysis.ParallelConfig{
 		Config: analysis.Config{
-			Mode:            mode,
-			TTL:             scan.TTLConfig{Tolerance: *ttlTol},
+			Mode:            cfg.mode,
+			TTL:             scan.TTLConfig{Tolerance: cfg.ttlTolerance},
 			PromotionFilter: promotionFilter,
 		},
-		Shards:     shards,
-		QueueDepth: *queueDepth,
-		Metrics:    analysis.NewPipelineMetrics(reg, shards),
+		Shards:     cfg.workers,
+		QueueDepth: cfg.queueDepth,
+		Metrics:    analysis.NewPipelineMetrics(reg, cfg.workers),
 	}, set, detector)
 	if err != nil {
-		closeAdmin()
 		return err
 	}
 	// TTL profiles are engine state, so their checkpoint loads after the
 	// engine exists. A state dir written before the TTL stage shipped
 	// simply has no ttl.ckpt — the stage cold-starts and the rest of the
 	// warm restart proceeds, so old checkpoints keep loading unchanged.
-	if *stateDir != "" && engine.TTLProfile() != nil {
-		prof := engine.TTLProfile()
-		ok, err := checkpoint.Load(*stateDir, ttlCheckpointName, func(r io.Reader) error {
+	if prof := d.engine.TTLProfile(); cfg.stateDir != "" && prof != nil {
+		ok, err := checkpoint.Load(cfg.stateDir, ttlCheckpointName, func(r io.Reader) error {
 			return scan.ReadCheckpointInto(prof, r)
 		})
 		if err != nil {
-			engine.Close()
-			closeAdmin()
 			return err
 		}
 		if ok {
-			log.Printf("warm restart: %d TTL source profiles from %s", prof.Sources(), *stateDir)
+			log.Printf("warm restart: %d TTL source profiles from %s", prof.Sources(), cfg.stateDir)
 		}
 	}
 
@@ -338,86 +371,62 @@ func runWith(ctx context.Context, args []string, onReady func(ports []int, admin
 	// peer each -replicate-interval and folds inbound snapshots into the
 	// same store. Strictly off the verdict path — a peer being down costs
 	// backoff retries, never a blocked check.
-	var clusterNode *cluster.Node
-	if clusterRing != nil {
-		cm := cluster.NewMetrics(reg, clusterAddrs)
-		clusterNode, err = cluster.NewNode(cluster.Config{
-			NodeID:   clusterID,
-			Listen:   *clusterListen,
-			Peers:    clusterAddrs,
-			Interval: *replInterval,
-		}, engine.EIASet(), cm)
+	if ring != nil {
+		cm := cluster.NewMetrics(reg, cfg.clusterPeers)
+		d.cluster, err = cluster.NewNode(cluster.Config{
+			NodeID:   cfg.clusterNode,
+			Listen:   cfg.clusterListen,
+			Peers:    cfg.clusterPeers,
+			Interval: cfg.replInterval,
+		}, d.engine.EIASet(), cm)
 		if err != nil {
-			engine.Close()
-			closeAdmin()
 			return err
 		}
-		owned := clusterRing.OwnedPeerASCount(clusterID, len(ports))
+		owned := ring.OwnedPeerASCount(cfg.clusterNode, len(cfg.ports))
 		cm.RingOwned.Set(int64(owned))
-		clusterNode.Start()
-		if admin != nil {
-			admin.setClusterStatus(clusterNode.Status)
+		d.cluster.Start()
+		if d.admin != nil {
+			d.admin.setClusterStatus(d.cluster.Status)
 		}
 		log.Printf("cluster mode: node %s, %d peer(s), replicating every %s, owns %d/%d peer ASes",
-			clusterID, len(clusterAddrs), *replInterval, owned, len(ports))
-	}
-	closeCluster := func() {
-		if clusterNode != nil {
-			clusterNode.Close()
-		}
+			cfg.clusterNode, len(cfg.clusterPeers), cfg.replInterval, owned, len(cfg.ports))
 	}
 
 	// Warm-restart checkpoints: the engine's snapshot store and the trained
 	// detector are periodically serialized into -state-dir (atomic rename,
 	// so a crash never corrupts the previous generation) and flushed one
 	// last time during shutdown, after the drain.
-	var ckpt *checkpoint.Manager
-	if *stateDir != "" {
-		arts := []checkpoint.Artifact{{Name: eiaCheckpointName, Write: engine.EIASet().WriteCheckpoint}}
+	if cfg.stateDir != "" {
+		arts := []checkpoint.Artifact{{Name: eiaCheckpointName, Write: d.engine.EIASet().WriteCheckpoint}}
 		if detector != nil {
 			arts = append(arts, checkpoint.Artifact{Name: nnsCheckpointName, Write: detector.Save})
 		}
-		if prof := engine.TTLProfile(); prof != nil {
+		if prof := d.engine.TTLProfile(); prof != nil {
 			arts = append(arts, checkpoint.Artifact{Name: ttlCheckpointName, Write: prof.WriteCheckpoint})
 		}
-		ckpt, err = checkpoint.NewManager(
-			checkpoint.Config{Dir: *stateDir, Interval: *ckptPeriod},
+		d.ckpt, err = checkpoint.NewManager(
+			checkpoint.Config{Dir: cfg.stateDir, Interval: cfg.ckptInterval},
 			checkpoint.NewMetrics(reg), arts...)
 		if err != nil {
-			closeCluster()
-			engine.Close()
-			closeAdmin()
 			return err
 		}
-		ckpt.Start()
-		log.Printf("checkpointing state into %s every %s", *stateDir, *ckptPeriod)
-	}
-	closeCkpt := func() {
-		if ckpt != nil {
-			if err := ckpt.Close(); err != nil {
-				log.Printf("final checkpoint: %v", err)
-			}
-		}
+		d.ckpt.Start()
+		log.Printf("checkpointing state into %s every %s", cfg.stateDir, cfg.ckptInterval)
 	}
 
-	var sender *idmef.Sender
-	if *alertFlag != "" {
-		sender, err = idmef.Dial(*alertFlag)
+	if cfg.alert != "" {
+		d.sender, err = idmef.Dial(cfg.alert)
 		if err != nil {
-			closeCluster()
-			engine.Close()
-			closeCkpt()
-			closeAdmin()
 			return err
 		}
-		sender.SetMetrics(senderMetrics)
-		engine.SetAlertSink(func(a idmef.Alert) {
-			if err := sender.Send(a); err != nil {
+		d.sender.SetMetrics(senderMetrics)
+		d.engine.SetAlertSink(func(a idmef.Alert) {
+			if err := d.sender.Send(a); err != nil {
 				log.Printf("send alert: %v", err)
 			}
 		})
 	} else {
-		engine.SetAlertSink(func(a idmef.Alert) {
+		d.engine.SetAlertSink(func(a idmef.Alert) {
 			senderMetrics.Sent.Inc() // delivered to the log sink
 			log.Printf("ALERT %s stage=%s peerAS=%d %s:%d -> %s:%d",
 				a.MessageID, a.Assessment.Stage, a.Assessment.PeerAS,
@@ -425,154 +434,142 @@ func runWith(ctx context.Context, args []string, onReady func(ports []int, admin
 		})
 	}
 
-	var capture *flowtools.Capture
-	if *captureDir != "" {
-		capture, err = flowtools.NewCapture(*captureDir, flowtools.DefaultRotation)
+	if cfg.captureDir != "" {
+		d.capture, err = flowtools.NewCapture(cfg.captureDir, flowtools.DefaultRotation)
 		if err != nil {
-			closeCluster()
-			engine.Close()
-			closeCkpt()
-			if sender != nil {
-				sender.Close()
-			}
-			closeAdmin()
 			return err
 		}
-		log.Printf("archiving flows into %s", *captureDir)
+		log.Printf("archiving flows into %s", cfg.captureDir)
 	}
 
 	// The receive loops start inside Listen, before the bound port (and so
 	// the peer AS) of an ephemeral listener is known, so the port→peer map
 	// is filled under a lock the handlers share.
-	var (
-		peerMu     sync.RWMutex
-		peerOfPort = make(map[int]eia.PeerAS, len(ports))
-	)
-	lookupPeer := func(port int) (eia.PeerAS, bool) {
-		peerMu.RLock()
-		peer, ok := peerOfPort[port]
-		peerMu.RUnlock()
-		return peer, ok
-	}
-	archive := func(recs []flow.Record) {
-		if capture == nil {
-			return
-		}
-		for _, r := range recs {
-			if err := capture.Write(r); err != nil {
-				log.Printf("archive flow: %v", err)
-			}
-		}
-	}
+	var peerMu sync.RWMutex
+	peerOfPort := make(map[int]eia.PeerAS, len(cfg.ports))
 	// Ingest path: every delivered batch — the records of one port, so of
 	// one peer — is one SubmitBatch, classified against one EIA snapshot.
-	collector := flowtools.New(flowtools.Config{
-		Readers:      *readers,
-		MaxRecords:   *batchSize,
-		FlushTimeout: *batchWait,
+	d.collector = flowtools.New(flowtools.Config{
+		Readers:      cfg.readers,
+		MaxRecords:   cfg.batchSize,
+		FlushTimeout: cfg.batchTimeout,
 		ReadBuffer:   4 << 20,
 	}, func(b flowtools.Batch) {
-		peer, ok := lookupPeer(b.Port)
+		peerMu.RLock()
+		peer, ok := peerOfPort[b.Port]
+		peerMu.RUnlock()
 		if !ok {
 			return
 		}
-		archive(b.Records)
-		if err := engine.SubmitBatch(peer, b.Records); err != nil {
-			return // engine closed: shutdown in progress
+		if d.capture != nil {
+			for _, r := range b.Records {
+				if err := d.capture.Write(r); err != nil {
+					log.Printf("archive flow: %v", err)
+				}
+			}
 		}
+		// An error means the engine is closed: shutdown is in progress.
+		_ = d.engine.SubmitBatch(peer, b.Records)
 	})
-	collector.SetMetrics(flowtools.NewIngestMetrics(reg))
-	collector.SetTemplateCache(templates)
+	d.collector.SetMetrics(flowtools.NewIngestMetrics(reg))
+	d.collector.SetTemplateCache(templates)
 	log.Printf("batched ingest: %d reader(s)/port, batch-size %d, batch-timeout %s",
-		collector.Readers(), *batchSize, *batchWait)
+		d.collector.Readers(), cfg.batchSize, cfg.batchTimeout)
 
-	bound := make([]int, 0, len(ports))
-	for i, p := range ports {
+	bound := make([]int, 0, len(cfg.ports))
+	for i, p := range cfg.ports {
 		peerMu.Lock()
-		bp, err := collector.Listen(p)
+		bp, err := d.collector.Listen(p)
 		if err == nil {
 			peerOfPort[bp] = eia.PeerAS(i + 1)
 			bound = append(bound, bp)
 		}
 		peerMu.Unlock()
 		if err != nil {
-			collector.Close()
-			closeCluster()
-			engine.Close()
-			closeCkpt()
-			if capture != nil {
-				capture.Close()
-			}
-			if sender != nil {
-				sender.Close()
-			}
-			closeAdmin()
 			return fmt.Errorf("listen %d: %w", p, err)
 		}
-		log.Printf("peer AS %d on udp/%d (%s mode, %d shards)", i+1, bp, mode, shards)
+		log.Printf("peer AS %d on udp/%d (%s mode, %d shards)", i+1, bp, cfg.mode, cfg.workers)
 	}
 	if onReady != nil {
 		addr := ""
-		if admin != nil {
-			addr = admin.Addr()
+		if d.admin != nil {
+			addr = d.admin.Addr()
 		}
 		onReady(bound, addr)
 	}
 
-	ticker := time.NewTicker(*statsPeriod)
+	ticker := time.NewTicker(cfg.stats)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-ticker.C:
-			st := engine.Stats()
-			recv, malformed := collector.Stats()
+			st := d.engine.Stats()
+			recv, malformed := d.collector.Stats()
 			log.Printf("stats: received=%d malformed=%d processed=%d suspects=%d attacks=%d promotions=%d",
 				recv, malformed, st.Processed, st.Suspects, st.Attacks, st.Promotions)
 		case <-ctx.Done():
 			log.Printf("shutting down: draining in-flight flows")
-			return shutdown(collector, engine, clusterNode, ckpt, capture, sender, admin)
+			return nil
 		}
 	}
 }
 
-// shutdown tears the daemon down in dependency order: flip /healthz to
-// draining, stop ingest and join the receive loops, drain every queued
-// flow through the analysis shards (emitting their alerts), stop cluster
-// replication — after the drain, so the final replication round a peer
-// pulls includes drain-time promotions — flush the final state
-// checkpoint, then the capture archive and the alert connection, and
-// finally stop the admin server — last, so /metrics stays scrapable
-// through the drain. The first error is reported; later stages still
-// run.
-func shutdown(collector ingester, engine *analysis.ParallelEngine, clusterNode *cluster.Node, ckpt *checkpoint.Manager, capture *flowtools.Capture, sender *idmef.Sender, admin *adminServer) error {
+// daemon holds the running components. A failed start leaves the later
+// ones nil.
+type daemon struct {
+	admin     *adminServer
+	engine    *analysis.ParallelEngine
+	cluster   *cluster.Node
+	ckpt      *checkpoint.Manager
+	sender    *idmef.Sender
+	capture   *flowtools.Capture
+	collector *flowtools.Collector
+}
+
+// close tears the daemon down in dependency order, skipping any component
+// that was never started: flip /healthz to draining, stop ingest and join
+// the receive loops, drain every queued flow through the analysis shards
+// (emitting their alerts), stop cluster replication — after the drain, so
+// the final replication round a peer pulls includes drain-time promotions
+// — flush the final state checkpoint, then the capture archive and the
+// alert connection, and finally stop the admin server — last, so /metrics
+// stays scrapable through the drain. The first error is reported; later
+// stages still run.
+func (d *daemon) close() error {
 	var firstErr error
 	keep := func(err error) {
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	if admin != nil {
-		admin.setDraining()
+	if d.admin != nil {
+		d.admin.setDraining()
 	}
-	keep(collector.Close())
-	keep(engine.Close())
-	if clusterNode != nil {
-		keep(clusterNode.Close())
+	if d.collector != nil {
+		keep(d.collector.Close())
 	}
-	if ckpt != nil {
-		keep(ckpt.Close())
+	if d.engine != nil {
+		keep(d.engine.Close())
 	}
-	if capture != nil {
-		keep(capture.Close())
+	if d.cluster != nil {
+		keep(d.cluster.Close())
 	}
-	if sender != nil {
-		keep(sender.Close())
+	if d.ckpt != nil {
+		keep(d.ckpt.Close())
 	}
-	st := engine.Stats()
-	log.Printf("drained: processed=%d suspects=%d attacks=%d promotions=%d",
-		st.Processed, st.Suspects, st.Attacks, st.Promotions)
-	if admin != nil {
-		keep(admin.Close())
+	if d.capture != nil {
+		keep(d.capture.Close())
+	}
+	if d.sender != nil {
+		keep(d.sender.Close())
+	}
+	if d.engine != nil {
+		st := d.engine.Stats()
+		log.Printf("drained: processed=%d suspects=%d attacks=%d promotions=%d",
+			st.Processed, st.Suspects, st.Attacks, st.Promotions)
+	}
+	if d.admin != nil {
+		keep(d.admin.Close())
 	}
 	return firstErr
 }

@@ -8,12 +8,14 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"infilter/internal/analysis"
 	"infilter/internal/eia"
 	"infilter/internal/flow"
 	"infilter/internal/flowtools"
@@ -154,20 +156,8 @@ func TestRunShutdownDrainsAndFlushes(t *testing.T) {
 	const datagrams, perDatagram = 3, 10
 	const total = int64(datagrams * perDatagram)
 	testutil.ExpectNoGoroutineGrowth(t, func() {
-		ctx, cancel := context.WithCancel(context.Background())
+		ports, _, cancel, done := startDaemon(t, args)
 		defer cancel()
-		ready := make(chan []int, 1)
-		done := make(chan error, 1)
-		go func() { done <- runWith(ctx, args, func(ports []int, _ string) { ready <- ports }) }()
-
-		var ports []int
-		select {
-		case ports = <-ready:
-		case err := <-done:
-			t.Fatalf("run exited before ready: %v", err)
-		case <-time.After(10 * time.Second):
-			t.Fatal("daemon never became ready")
-		}
 		if len(ports) != 2 {
 			t.Fatalf("bound %d ports, want 2", len(ports))
 		}
@@ -187,16 +177,7 @@ func TestRunShutdownDrainsAndFlushes(t *testing.T) {
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
-
-		cancel()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("run returned %v after cancel", err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("run did not return after cancel")
-		}
+		stopDaemon(t, cancel, done)
 	})
 
 	recs, err := flowtools.ReadArchive(captureDir)
@@ -292,32 +273,12 @@ func TestAdminMetricsEndToEnd(t *testing.T) {
 		tr := &http.Transport{}
 		defer tr.CloseIdleConnections()
 
-		ctx, cancel := context.WithCancel(context.Background())
+		ports, admin, cancel, done := startDaemon(t, args)
 		defer cancel()
-		type readyInfo struct {
-			ports []int
-			admin string
-		}
-		ready := make(chan readyInfo, 1)
-		done := make(chan error, 1)
-		go func() {
-			done <- runWith(ctx, args, func(ports []int, admin string) {
-				ready <- readyInfo{ports: ports, admin: admin}
-			})
-		}()
-
-		var info readyInfo
-		select {
-		case info = <-ready:
-		case err := <-done:
-			t.Fatalf("run exited before ready: %v", err)
-		case <-time.After(10 * time.Second):
-			t.Fatal("daemon never became ready")
-		}
-		if info.admin == "" {
+		if admin == "" {
 			t.Fatal("no admin address reported")
 		}
-		base := "http://" + info.admin
+		base := "http://" + admin
 
 		if resp, err := (&http.Client{Transport: tr}).Get(base + "/healthz"); err != nil {
 			t.Fatalf("healthz: %v", err)
@@ -333,17 +294,17 @@ func TestAdminMetricsEndToEnd(t *testing.T) {
 		for j := 0; j < perDatagram; j++ {
 			legalRecs = append(legalRecs, testRec(fmt.Sprintf("61.0.7.%d", j+1), 9, 4040, flow.ProtoTCP, 80))
 		}
-		sendRaw(t, info.ports[0], v5Raw(t, legalRecs))
+		sendRaw(t, ports[0], v5Raw(t, legalRecs))
 		// Spoofed datagrams (99/8 is in no EIA set: one alert per record).
 		for i := 0; i < spoofDatagrams; i++ {
 			var recs []flow.Record
 			for j := 0; j < perDatagram; j++ {
 				recs = append(recs, testRec(fmt.Sprintf("99.0.%d.%d", i, j+1), 1, 404, flow.ProtoUDP, 1434))
 			}
-			sendRaw(t, info.ports[i%len(info.ports)], v5Raw(t, recs))
+			sendRaw(t, ports[i%len(ports)], v5Raw(t, recs))
 		}
 		// One malformed datagram: counted, dropped, no records.
-		sendRaw(t, info.ports[0], []byte("not netflow"))
+		sendRaw(t, ports[0], []byte("not netflow"))
 
 		deadline := time.Now().Add(10 * time.Second)
 		for alerts.Load() < spoofed {
@@ -400,15 +361,7 @@ func TestAdminMetricsEndToEnd(t *testing.T) {
 		}
 
 		tr.CloseIdleConnections()
-		cancel()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("run returned %v after cancel", err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("run did not return after cancel")
-		}
+		stopDaemon(t, cancel, done)
 	})
 }
 
@@ -448,28 +401,9 @@ func TestNetFlowV9IngestEndToEnd(t *testing.T) {
 		tr := &http.Transport{}
 		defer tr.CloseIdleConnections()
 
-		ctx, cancel := context.WithCancel(context.Background())
+		ports, admin, cancel, done := startDaemon(t, args)
 		defer cancel()
-		type readyInfo struct {
-			ports []int
-			admin string
-		}
-		ready := make(chan readyInfo, 1)
-		done := make(chan error, 1)
-		go func() {
-			done <- runWith(ctx, args, func(ports []int, admin string) {
-				ready <- readyInfo{ports: ports, admin: admin}
-			})
-		}()
-		var info readyInfo
-		select {
-		case info = <-ready:
-		case err := <-done:
-			t.Fatalf("run exited before ready: %v", err)
-		case <-time.After(10 * time.Second):
-			t.Fatal("daemon never became ready")
-		}
-		base := "http://" + info.admin
+		base := "http://" + admin
 
 		// Encode 4 data datagrams with the template withheld, then flush
 		// the template datagram the encoder owes.
@@ -497,7 +431,7 @@ func TestNetFlowV9IngestEndToEnd(t *testing.T) {
 		// Template cache state is keyed by exporter address, so the whole
 		// stream must leave one socket. Drop datagram 2 to force a
 		// sequence gap; send the template last so every data set orphans.
-		conn, err := net.Dial("udp", fmt.Sprintf("127.0.0.1:%d", info.ports[0]))
+		conn, err := net.Dial("udp", fmt.Sprintf("127.0.0.1:%d", ports[0]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -545,29 +479,33 @@ func TestNetFlowV9IngestEndToEnd(t *testing.T) {
 		}
 
 		tr.CloseIdleConnections()
-		cancel()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("run returned %v after cancel", err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("run did not return after cancel")
-		}
+		stopDaemon(t, cancel, done)
 	})
 }
 
-// startDaemon launches runWith in the background and waits for readiness,
-// returning the bound ports, a cancel that initiates shutdown, and the
-// done channel carrying run's error.
-func startDaemon(t *testing.T, args []string) (ports []int, cancel context.CancelFunc, done chan error) {
+// startDaemon parses args the way run does, runs the daemon in the
+// background and waits for readiness. It returns the bound ports, the
+// admin address ("" without -admin-addr), a cancel that initiates
+// shutdown, and the done channel carrying runWith's error.
+func startDaemon(t *testing.T, args []string) (ports []int, admin string, cancel context.CancelFunc, done chan error) {
 	t.Helper()
+	cfg, err := parseConfig(args)
+	if err != nil {
+		t.Fatalf("parseConfig(%v): %v", args, err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
-	ready := make(chan []int, 1)
+	type readyInfo struct {
+		ports []int
+		admin string
+	}
+	ready := make(chan readyInfo, 1)
 	done = make(chan error, 1)
-	go func() { done <- runWith(ctx, args, func(p []int, _ string) { ready <- p }) }()
+	go func() {
+		done <- runWith(ctx, cfg, func(p []int, a string) { ready <- readyInfo{ports: p, admin: a} })
+	}()
 	select {
-	case ports = <-ready:
+	case r := <-ready:
+		return r.ports, r.admin, cancel, done
 	case err := <-done:
 		cancel()
 		t.Fatalf("run exited before ready: %v", err)
@@ -575,7 +513,7 @@ func startDaemon(t *testing.T, args []string) (ports []int, cancel context.Cance
 		cancel()
 		t.Fatal("daemon never became ready")
 	}
-	return ports, cancel, done
+	return nil, "", nil, nil
 }
 
 func stopDaemon(t *testing.T, cancel context.CancelFunc, done chan error) {
@@ -651,7 +589,7 @@ func TestWarmRestartReproducesVerdicts(t *testing.T) {
 	// First run: EIA preload + state dir. The 1h checkpoint interval never
 	// fires during the test, so the state on disk can only come from the
 	// shutdown flush.
-	ports, cancel, done := startDaemon(t, append([]string{"-eia-file", eiaPath}, base...))
+	ports, _, cancel, done := startDaemon(t, append([]string{"-eia-file", eiaPath}, base...))
 	replay(ports, spoofed)
 	stopDaemon(t, cancel, done)
 	if _, err := os.Stat(filepath.Join(stateDir, "eia.ckpt")); err != nil {
@@ -659,7 +597,7 @@ func TestWarmRestartReproducesVerdicts(t *testing.T) {
 	}
 
 	// Restart WITHOUT -eia-file: the verdicts must come from the checkpoint.
-	ports, cancel, done = startDaemon(t, base)
+	ports, _, cancel, done = startDaemon(t, base)
 	replay(ports, 2*spoofed)
 	stopDaemon(t, cancel, done)
 
@@ -685,13 +623,13 @@ func TestWarmRestartLoadsDetector(t *testing.T) {
 		"-stats", "1h",
 	}
 
-	_, cancel, done := startDaemon(t, append([]string{"-train-flows", "500", "-train-seed", "3"}, base...))
+	_, _, cancel, done := startDaemon(t, append([]string{"-train-flows", "500", "-train-seed", "3"}, base...))
 	stopDaemon(t, cancel, done)
 	if _, err := os.Stat(filepath.Join(stateDir, "nns.ckpt")); err != nil {
 		t.Fatalf("shutdown flush wrote no NNS checkpoint: %v", err)
 	}
 
-	_, cancel, done = startDaemon(t, append([]string{"-train-flows", "0"}, base...))
+	_, _, cancel, done = startDaemon(t, append([]string{"-train-flows", "0"}, base...))
 	stopDaemon(t, cancel, done)
 }
 
@@ -719,7 +657,7 @@ func TestWarmRestartFromV1GoldenCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ports, cancel, done := startDaemon(t, []string{
+	ports, _, cancel, done := startDaemon(t, []string{
 		"-ports", "0", "-mode", "BI",
 		"-alert", fmt.Sprintf("127.0.0.1:%d", alertPort),
 		"-state-dir", stateDir, "-checkpoint-interval", "1h",
@@ -760,8 +698,12 @@ func TestWarmRestartFromV1GoldenCheckpoint(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadFlags covers the pre-listen validation paths.
+// TestRunRejectsBadFlags covers the pre-listen validation paths. The
+// context is already canceled, so a row that wrongly starts the daemon
+// shuts straight down and fails here instead of hanging the test.
 func TestRunRejectsBadFlags(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, args := range [][]string{
 		{"-mode", "XX"},
 		{"-ports", "abc"},
@@ -771,8 +713,26 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-batch-size", "-1"},
 		{"-batch-size", "0"}, // the per-record fork is gone: 1 is the minimum
 		{"-batch-timeout", "0s"},
+		{"-batch-timeout", "-1s"},
 		{"-stats", "0"}, // would panic in time.NewTicker after the listeners bind
 		{"-stats", "-1s"},
+		// Negative values are refused, not replaced by a default.
+		{"-workers", "-1"},
+		{"-queue-depth", "-1"},
+		{"-readers", "-1"},
+		{"-train-flows", "-1"},
+		{"-mode", "EI", "-ttl-tolerance", "-2"},
+		{"-checkpoint-interval", "-1s"},
+		{"-replicate-interval", "-1s"},
+		// The TTL stage runs only in EI mode.
+		{"-mode", "BI", "-ttl-tolerance", "2"},
+		// A repeated peer would register its metric series twice; the
+		// node's own ID as a peer would replicate to itself.
+		{"-cluster-listen", "127.0.0.1:7000", "-cluster-peers", "127.0.0.1:7001,127.0.0.1:7001"},
+		{"-cluster-listen", "127.0.0.1:7000", "-cluster-peers", "127.0.0.1:7001, 127.0.0.1:7000"},
+		{"-cluster-node", "10.0.0.1:7000", "-cluster-peers", "10.0.0.1:7000"},
+		{"-cluster-peers", "127.0.0.1:7001"}, // no node ID
+		{"-cluster-node", "10.0.0.1:7000"},   // not in cluster mode
 		// Removed settings must fail the parse, not be silently ignored.
 		{"-heavy-hitter-threshold", "5"},
 		{"-heavy-hitter-counters", "64"},
@@ -780,9 +740,56 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-heavy-hitter-decay-every", "10"},
 		{"-eia-bloom-hashes", "3"},
 		{"-scan-sketch-k", "64"},
+		{"-template-max", "4096"},
+		{"-template-ttl", "30m"},
+		{"-orphan-max", "512"},
+		{"-eia-bloom-bits-per-entry", "10"},
 	} {
-		if err := run(context.Background(), args); err == nil {
+		if err := run(ctx, args); err == nil {
 			t.Errorf("run(%v): want error", args)
+		}
+	}
+}
+
+// TestParseConfigResolvesDefaults pins what parseConfig fills in: the
+// mode is case-blind, -workers 0 means one shard per port, the node ID
+// defaults to -cluster-listen, and peers are trimmed with empties dropped.
+func TestParseConfigResolvesDefaults(t *testing.T) {
+	cfg, err := parseConfig([]string{
+		"-ports", "0,0,0", "-mode", "bi",
+		"-cluster-listen", "127.0.0.1:7000", "-cluster-peers", " 127.0.0.1:7001,,127.0.0.1:7002 ",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.mode != analysis.ModeBasic || cfg.workers != 3 || cfg.clusterNode != "127.0.0.1:7000" ||
+		!slices.Equal(cfg.clusterPeers, []string{"127.0.0.1:7001", "127.0.0.1:7002"}) {
+		t.Errorf("parseConfig = %+v", cfg)
+	}
+}
+
+// TestRunFailedStartReleasesEverything fails the daemon's start at the
+// alert dial — nobody listens there — after the admin server, the
+// cluster node and the checkpoint manager are already up. run must
+// return the error and leave no goroutine and no listener behind.
+func TestRunFailedStartReleasesEverything(t *testing.T) {
+	adminAddr, clusterAddr, alertAddr := reserveTCPAddr(t), reserveTCPAddr(t), reserveTCPAddr(t)
+	testutil.ExpectNoGoroutineGrowth(t, func() {
+		err := run(context.Background(), []string{
+			"-ports", "0", "-mode", "BI", "-stats", "1h",
+			"-admin-addr", adminAddr,
+			"-state-dir", t.TempDir(), "-checkpoint-interval", "1h",
+			"-cluster-listen", clusterAddr, "-cluster-peers", reserveTCPAddr(t),
+			"-alert", alertAddr,
+		})
+		if err == nil || !strings.Contains(err.Error(), alertAddr) {
+			t.Fatalf("run = %v, want the alert dial error", err)
+		}
+	})
+	for _, addr := range []string{adminAddr, clusterAddr} {
+		if conn, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+			conn.Close()
+			t.Errorf("%s still accepts connections after the failed start", addr)
 		}
 	}
 }

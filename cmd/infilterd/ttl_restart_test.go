@@ -88,7 +88,7 @@ func TestWarmRestartPreservesTTLProfiles(t *testing.T) {
 
 	testutil.ExpectNoGoroutineGrowth(t, func() {
 		// First run: learn 61.0.7.0/24 at TTL 57, then spoof at TTL 30.
-		ports, cancel, done := startDaemon(t, append([]string{"-eia-file", eiaPath}, base...))
+		ports, _, cancel, done := startDaemon(t, append([]string{"-eia-file", eiaPath}, base...))
 		sendIPFIX(t, ports[0], []flow.Record{
 			ttlRec("61.0.7.1", 57),
 			ttlRec("61.0.7.2", 57),
@@ -108,7 +108,7 @@ func TestWarmRestartPreservesTTLProfiles(t *testing.T) {
 
 		// Restart without the EIA preload: one spoofed flow cannot build a
 		// profile on its own, so this alert proves the warm restart.
-		ports, cancel, done = startDaemon(t, base)
+		ports, _, cancel, done = startDaemon(t, base)
 		sendIPFIX(t, ports[0], []flow.Record{ttlRec("61.0.7.10", 30)})
 		waitAlerts(t, &ttlAlerts, 2)
 		stopDaemon(t, cancel, done)
@@ -147,7 +147,7 @@ func TestWarmRestartFromPreTTLStateDir(t *testing.T) {
 	}
 
 	// First run: TTL stage off — the state dir a pre-TTL daemon leaves.
-	_, cancel, done := startDaemon(t, append([]string{"-eia-file", eiaPath}, base...))
+	_, _, cancel, done := startDaemon(t, append([]string{"-eia-file", eiaPath}, base...))
 	stopDaemon(t, cancel, done)
 	if _, err := os.Stat(filepath.Join(stateDir, "ttl.ckpt")); !os.IsNotExist(err) {
 		t.Fatalf("ttl.ckpt unexpectedly present with the stage disabled: %v", err)
@@ -155,7 +155,7 @@ func TestWarmRestartFromPreTTLStateDir(t *testing.T) {
 
 	// Second run: stage enabled against the old layout. It must come up,
 	// cold-start the profiles, and detect live like a fresh deployment.
-	ports, cancel, done := startDaemon(t, append([]string{"-ttl-tolerance", "2"}, base...))
+	ports, _, cancel, done := startDaemon(t, append([]string{"-ttl-tolerance", "2"}, base...))
 	sendIPFIX(t, ports[0], []flow.Record{
 		ttlRec("61.0.8.1", 57),
 		ttlRec("61.0.8.2", 57),

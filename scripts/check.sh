@@ -26,7 +26,8 @@
 # random inputs on top of the checked-in seed corpus, so new targets are
 # picked up without editing this script. Last, it prints the non-test
 # Go line count outside benchmark/ — the ROADMAP's "non-test LOC going
-# down" figure — so every gate log carries it.
+# down" figure — and the number of flags `infilterd -h` lists (the
+# ROADMAP's one-config-surface figure), so every gate log carries both.
 #
 # Usage: scripts/check.sh [fuzztime]   (default fuzz smoke: 5s per target)
 set -eu
@@ -72,3 +73,5 @@ done
 
 echo "==> all checks passed"
 echo "==> non-test Go lines outside benchmark/: $(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)"
+# -h exits non-zero by design; the flag lines are the two-space-indented ones.
+echo "==> infilterd flags: $(go run ./cmd/infilterd -h 2>&1 | grep -c '^  -' || true)"
