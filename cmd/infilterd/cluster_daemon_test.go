@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -126,9 +127,14 @@ func TestClusterTwoNodeConvergenceMatchesUnionDaemon(t *testing.T) {
 		return append(args, extra...)
 	}
 
+	// Node A also checkpoints, so its final flush must carry what it
+	// merged from B, not only its own preload.
+	stateA := t.TempDir()
 	portsA, adminA, cancelA, doneA := startDaemon(t, mk(fileA, alertPortA,
-		"-cluster-listen", addrA, "-cluster-peers", addrB, "-replicate-interval", "50ms"))
-	defer stopDaemon(t, cancelA, doneA)
+		"-cluster-listen", addrA, "-cluster-peers", addrB, "-replicate-interval", "50ms",
+		"-state-dir", stateA))
+	stopA := sync.OnceFunc(func() { stopDaemon(t, cancelA, doneA) })
+	defer stopA()
 	portsB, adminB, cancelB, doneB := startDaemon(t, mk(fileB, alertPortB,
 		"-cluster-listen", addrB, "-cluster-peers", addrA, "-replicate-interval", "50ms"))
 	defer stopDaemon(t, cancelB, doneB)
@@ -199,6 +205,17 @@ func TestClusterTwoNodeConvergenceMatchesUnionDaemon(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "infilter_cluster_replication_rounds_total") {
 		t.Error("/metrics lacks infilter_cluster_replication_rounds_total")
+	}
+
+	// The checkpoint writer reads the live snapshot: B's prefix, merged
+	// after start-up, is in A's shutdown flush.
+	stopA()
+	ckpt, err := os.ReadFile(filepath.Join(stateA, "eia.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(ckpt), "\n1 4 88.0.0.0/11\n") {
+		t.Errorf("node A's checkpoint lacks the row merged from node B:\n%s", ckpt)
 	}
 }
 

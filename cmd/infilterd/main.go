@@ -397,7 +397,12 @@ func runWith(ctx context.Context, cfg config, onReady func(ports []int, adminAdd
 	// so a crash never corrupts the previous generation) and flushed one
 	// last time during shutdown, after the drain.
 	if cfg.stateDir != "" {
-		arts := []checkpoint.Artifact{{Name: eiaCheckpointName, Write: d.engine.EIASet().WriteCheckpoint}}
+		// The EIA artifact reads the snapshot published at each write, so
+		// promotions and merged cluster state reach the checkpoint.
+		store := d.engine.EIASet()
+		arts := []checkpoint.Artifact{{Name: eiaCheckpointName, Write: func(w io.Writer) error {
+			return store.Snapshot().WriteCheckpoint(w)
+		}}}
 		if detector != nil {
 			arts = append(arts, checkpoint.Artifact{Name: nnsCheckpointName, Write: detector.Save})
 		}

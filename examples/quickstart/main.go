@@ -53,8 +53,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("trained: %d EIA prefixes across peers %v\n",
-		engine.EIASet().Len(), engine.EIASet().Peers())
+	eiaSet := engine.EIASet().Snapshot()
+	fmt.Printf("trained: %d EIA prefixes across peers %v\n", eiaSet.Len(), eiaSet.Peers())
 
 	// 3. A benign flow from a subnet peer 1's training traffic used,
 	// arriving at peer 1 as expected.

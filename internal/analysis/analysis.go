@@ -265,8 +265,8 @@ type Engine struct {
 }
 
 // NewEngine assembles an engine from pre-trained components. detector may
-// be nil only in ModeBasic. The set must not be mutated directly
-// afterwards (the engine's store adopts it).
+// be nil only in ModeBasic. The engine's store adopts the set, so
+// AddPrefix on it panics afterwards.
 func NewEngine(cfg Config, set *eia.Set, detector *nns.Detector) (*Engine, error) {
 	c, err := newCore(cfg, set, detector, 1, nil)
 	if err != nil {

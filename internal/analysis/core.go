@@ -66,7 +66,7 @@ type shard struct {
 // newCore assembles the shared engine substrate: it validates the
 // configuration, wraps the EIA set in a copy-on-write snapshot store and
 // builds the per-shard pipelines. detector may be nil only in ModeBasic.
-// The set must not be mutated directly afterwards (the store adopts it).
+// The store adopts the set, so AddPrefix on it panics afterwards.
 func newCore(cfg Config, set *eia.Set, detector *nns.Detector, shards int, metrics *PipelineMetrics) (*core, error) {
 	if cfg.Mode == 0 {
 		cfg.Mode = ModeEnhanced

@@ -223,7 +223,7 @@ func (o *oracle) promotePrefix(src netaddr.Addr) netaddr.Prefix {
 	return netaddr.MustPrefix(src, orDefault(o.cfg.EIA.PromoteMaskBits, eia.DefaultPromoteMaskBits))
 }
 
-// eiaRows renders the sets the way Store.WriteTo does: "<peer> <cidr>"
+// eiaRows renders the sets the way Set.WriteTo does: "<peer> <cidr>"
 // rows sorted by peer, then address, then length.
 func (o *oracle) eiaRows() []byte {
 	pfxs := make([]netaddr.Prefix, 0, len(o.sets))
@@ -263,11 +263,18 @@ func addTo[K, V comparable](m map[K]map[V]bool, k K, v V) int {
 type workload struct {
 	cfg     Config
 	labeled []LabeledRecord
-	preload []eia.Assignment
+	preload []preloadRow
 	streams map[eia.PeerAS][]flow.Record
 }
 
 const workloadPeers = 4
+
+// preloadRow is one EIA preload row: a prefix and the peer it is
+// expected at.
+type preloadRow struct {
+	Peer   eia.PeerAS
+	Prefix netaddr.Prefix
+}
 
 // set builds the EIA set an engine starts from: the trained sets, as
 // Train builds them, then the preload.
@@ -316,7 +323,7 @@ func buildWorkload(t *testing.T) workload {
 		block := netaddr.MustParsePrefix(fmt.Sprintf("%d.0.0.0/8", 20+p))
 		block6 := netaddr.MustParsePrefix(fmt.Sprintf("2001:db8:%x000::/36", p))
 		blocks, blocks6 = append(blocks, block), append(blocks6, block6)
-		w.preload = append(w.preload, eia.Assignment{Peer: peer, Prefix: block}, eia.Assignment{Peer: peer, Prefix: block6})
+		w.preload = append(w.preload, preloadRow{Peer: peer, Prefix: block}, preloadRow{Peer: peer, Prefix: block6})
 
 		trainPfx := netaddr.MustParsePrefix(fmt.Sprintf("%d.1.0.0/22", 20+p))
 		trainPfx6 := netaddr.MustParsePrefix(fmt.Sprintf("2001:db8:%x001::/48", p))
@@ -421,8 +428,8 @@ func interleave(segs ...[]flow.Record) []flow.Record {
 // block and at most maxBits long, owned by random peers. Every other one
 // nests inside the prefix drawn just before it, so a lookup often has
 // several matches to choose the longest of.
-func nestedPrefixes(rng *rand.Rand, n int, blocks []netaddr.Prefix, maxBits int) []eia.Assignment {
-	out := make([]eia.Assignment, 0, n)
+func nestedPrefixes(rng *rand.Rand, n int, blocks []netaddr.Prefix, maxBits int) []preloadRow {
+	out := make([]preloadRow, 0, n)
 	var prev netaddr.Prefix
 	for i := 0; i < n; i++ {
 		parent := blocks[rng.Intn(len(blocks))]
@@ -431,7 +438,7 @@ func nestedPrefixes(rng *rand.Rand, n int, blocks []netaddr.Prefix, maxBits int)
 		}
 		bits := parent.Bits() + 1 + rng.Intn(maxBits-parent.Bits())
 		prev = netaddr.MustPrefix(randomIn(rng, parent), bits)
-		out = append(out, eia.Assignment{Peer: eia.PeerAS(1 + rng.Intn(workloadPeers)), Prefix: prev})
+		out = append(out, preloadRow{Peer: eia.PeerAS(1 + rng.Intn(workloadPeers)), Prefix: prev})
 	}
 	return out
 }
@@ -554,7 +561,7 @@ func outcomeOf(t *testing.T, e interface {
 }, log *alertLog) outcome {
 	t.Helper()
 	var eiaState bytes.Buffer
-	if _, err := e.EIASet().WriteTo(&eiaState); err != nil {
+	if _, err := e.EIASet().Snapshot().WriteTo(&eiaState); err != nil {
 		t.Fatal(err)
 	}
 	return outcome{stats: e.Stats(), alerts: log.byPeer, eia: eiaState.Bytes()}

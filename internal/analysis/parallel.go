@@ -79,8 +79,8 @@ type ParallelEngine struct {
 
 // NewParallelEngine assembles a sharded engine from pre-trained
 // components and starts its workers. detector may be nil only in
-// ModeBasic. The set is adopted by an eia.Store and must not be mutated
-// directly afterwards.
+// ModeBasic. The set is adopted by an eia.Store, so AddPrefix on it
+// panics afterwards.
 func NewParallelEngine(cfg ParallelConfig, set *eia.Set, detector *nns.Detector) (*ParallelEngine, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)

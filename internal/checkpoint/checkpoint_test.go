@@ -271,8 +271,9 @@ func TestRestartPreservesEIAAndNNS(t *testing.T) {
 
 	// "First process": a store that learns a promotion at runtime, plus a
 	// trained detector.
-	store := eia.NewStore(nil)
-	store.AddPrefix(1, netaddr.MustParsePrefix("61.0.0.0/11"))
+	set := eia.NewSet(eia.Config{})
+	set.AddPrefix(1, netaddr.MustParsePrefix("61.0.0.0/11"))
+	store := eia.NewStore(set)
 	src := netaddr.MustParseAddr("70.9.9.9")
 	promoted := false
 	for i := 0; i < eia.DefaultPromoteThreshold; i++ {
@@ -287,7 +288,7 @@ func TestRestartPreservesEIAAndNNS(t *testing.T) {
 	}
 
 	m, err := NewManager(Config{Dir: dir, Interval: time.Hour}, nil,
-		Artifact{Name: "eia.ckpt", Write: store.WriteCheckpoint},
+		Artifact{Name: "eia.ckpt", Write: func(w io.Writer) error { return store.Snapshot().WriteCheckpoint(w) }},
 		Artifact{Name: "nns.ckpt", Write: detector.Save})
 	if err != nil {
 		t.Fatal(err)
@@ -312,8 +313,8 @@ func TestRestartPreservesEIAAndNNS(t *testing.T) {
 	if got := store2.Check(2, src); got != eia.Match {
 		t.Errorf("runtime promotion lost across restart: %v", got)
 	}
-	if store2.Len() != store.Len() {
-		t.Errorf("restored %d prefixes, had %d", store2.Len(), store.Len())
+	if got, had := store2.Snapshot().Len(), store.Snapshot().Len(); got != had {
+		t.Errorf("restored %d prefixes, had %d", got, had)
 	}
 
 	var detector2 *nns.Detector

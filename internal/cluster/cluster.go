@@ -48,9 +48,6 @@ type Config struct {
 	// MaxBackoff caps the doubling retry backoff toward an unreachable
 	// peer. Zero defaults to DefaultMaxBackoff.
 	MaxBackoff time.Duration
-	// EIA is the Config remote snapshots are decoded under (prefix rows
-	// carry no tuning, so this only seeds the scratch Set).
-	EIA eia.Config
 }
 
 func (c Config) withDefaults() Config {
@@ -329,8 +326,8 @@ func (n *Node) serveConn(conn net.Conn) {
 		}
 		conn.SetDeadline(time.Now().Add(n.cfg.IOTimeout))
 		start := time.Now()
-		remote, err := eia.DecodeCheckpoint(n.cfg.EIA, bytes.NewReader(payload))
-		if err != nil {
+		remote := eia.NewSet(eia.Config{})
+		if err := eia.ReadCheckpointInto(remote, bytes.NewReader(payload)); err != nil {
 			m.RecvErrors.Inc()
 			return
 		}
@@ -341,7 +338,7 @@ func (n *Node) serveConn(conn net.Conn) {
 		m.MergedAdded.Add(int64(added))
 		m.MergedRehomed.Add(int64(rehomed))
 		if err := writeAck(conn, mergeAck{
-			Prefixes: n.store.Len(),
+			Prefixes: n.store.Snapshot().Len(),
 			Added:    added,
 			Rehomed:  rehomed,
 			Node:     n.cfg.NodeID,
@@ -416,10 +413,10 @@ func (n *Node) replicateOnce(p *peerState) (err error) {
 		}
 	}()
 
-	// Serialize one consistent snapshot; WriteCheckpoint reads the COW
-	// store without blocking checks or the promotion writer.
+	// Serialize the published snapshot: an immutable Set, read without
+	// blocking checks or the promotion writer.
 	var buf bytes.Buffer
-	if err := n.store.WriteCheckpoint(&buf); err != nil {
+	if err := n.store.Snapshot().WriteCheckpoint(&buf); err != nil {
 		return err
 	}
 	p.conn.SetDeadline(time.Now().Add(n.cfg.IOTimeout))
@@ -485,7 +482,7 @@ func (p *peerState) status() PeerStatus {
 
 // Status snapshots the node's cluster view for the /cluster endpoint.
 func (n *Node) Status() Status {
-	local := n.store.Len()
+	local := n.store.Snapshot().Len()
 	st := Status{
 		Node:          n.cfg.NodeID,
 		Listen:        n.Addr(),

@@ -32,7 +32,7 @@ func testNode(t *testing.T, set *eia.Set, peers ...string) (*Node, *eia.Store) {
 func storeBytes(t *testing.T, st *eia.Store) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := st.WriteCheckpoint(&buf); err != nil {
+	if err := st.Snapshot().WriteCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -119,8 +119,8 @@ func mustSetClone(t *testing.T, s *eia.Set) *eia.Set {
 	if err := s.WriteCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	c, err := eia.DecodeCheckpoint(eia.Config{}, &buf)
-	if err != nil {
+	c := eia.NewSet(eia.Config{})
+	if err := eia.ReadCheckpointInto(c, &buf); err != nil {
 		t.Fatal(err)
 	}
 	return c
@@ -240,7 +240,7 @@ func TestPeerDownDoesNotBlockLocal(t *testing.T) {
 		return s.Peers[0].Up && s.Peers[0].Rounds > 0
 	})
 	waitFor(t, "late-started peer to learn the snapshot", 3*time.Second, func() bool {
-		return peerStore.Len() == 1
+		return peerStore.Snapshot().Len() == 1
 	})
 }
 
@@ -267,8 +267,8 @@ func TestReceiverRejectsBadMagic(t *testing.T) {
 	waitFor(t, "receive error counter", 3*time.Second, func() bool {
 		return node.metrics.RecvErrors.Value() > 0
 	})
-	if store.Len() != 0 {
-		t.Errorf("store gained %d prefixes from a rejected connection", store.Len())
+	if store.Snapshot().Len() != 0 {
+		t.Errorf("store gained %d prefixes from a rejected connection", store.Snapshot().Len())
 	}
 }
 
@@ -331,7 +331,7 @@ func TestClusterGoroutineHygiene(t *testing.T) {
 		nodeA, storeA := mk(addrA, addrB, netaddr.MustParsePrefix("10.0.0.0/8"), 1)
 		nodeB, storeB := mk(addrB, addrA, netaddr.MustParsePrefix("192.0.2.0/24"), 2)
 		waitFor(t, "cross-replication", 5*time.Second, func() bool {
-			return storeA.Len() == 2 && storeB.Len() == 2
+			return storeA.Snapshot().Len() == 2 && storeB.Snapshot().Len() == 2
 		})
 		if err := nodeA.Close(); err != nil {
 			t.Errorf("close A: %v", err)

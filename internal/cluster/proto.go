@@ -9,9 +9,10 @@ import (
 
 // Wire protocol. Replication deliberately defines no new serialization
 // for EIA state: the payload of every snapshot frame is exactly the
-// bytes eia.(*Store).WriteCheckpoint produces (the versioned checkpoint
-// v2 text format), decoded on the far side by eia.DecodeCheckpoint — the
-// same single codec pair the on-disk warm-restart path uses. The wire
+// bytes eia.(*Set).WriteCheckpoint produces for the store's Snapshot (the
+// versioned checkpoint v2 text format), read on the far side by
+// eia.ReadCheckpointInto — the same single codec pair the on-disk
+// warm-restart path uses. The wire
 // layer adds only a hello handshake and length framing:
 //
 //	hello (each side sends one, client first):

@@ -205,40 +205,40 @@ func buildBloomTier(index *netaddr.PrefixTrie[PeerAS], perPeer map[PeerAS]int, c
 // applied assignments on top of t: touched filters are cloned once and
 // the new keys inserted. If any touched filter overflows its sized
 // capacity the whole tier is rebuilt from the (already-updated) trie.
-func (t *bloomTier) withAssignments(applied []Assignment, index *netaddr.PrefixTrie[PeerAS], perPeer map[PeerAS]int, cfg Config) *bloomTier {
+func (t *bloomTier) withAssignments(applied []assignment, index *netaddr.PrefixTrie[PeerAS], perPeer map[PeerAS]int, cfg Config) *bloomTier {
 	nt := &bloomTier{global: t.global.Clone(), peers: t.peers, lengths: t.lengths, lengths6: t.lengths6}
 	peersCloned := false
 	for _, a := range applied {
-		key := bloomKeyAddr(a.Prefix)
+		key := bloomKeyAddr(a.pfx)
 		nt.global.Add(key)
 		if !peersCloned {
-			nt.peers, peersCloned = clonePeerFilters(t.peers, a.Peer), true
-		} else if int(a.Peer) >= len(nt.peers) {
-			grown := make([]*bloom.Filter, int(a.Peer)+1)
+			nt.peers, peersCloned = clonePeerFilters(t.peers, a.peer), true
+		} else if int(a.peer) >= len(nt.peers) {
+			grown := make([]*bloom.Filter, int(a.peer)+1)
 			copy(grown, nt.peers)
 			nt.peers = grown
 		}
-		f := nt.peers[a.Peer]
+		f := nt.peers[a.peer]
 		switch {
 		case f == nil:
-			f = bloom.New(bloomCapacity(perPeer[a.Peer]), cfg.BloomBitsPerEntry, bloomSeedPeer^uint64(a.Peer))
-			nt.peers[a.Peer] = f
-		case f == t.peers[a.Peer]:
+			f = bloom.New(bloomCapacity(perPeer[a.peer]), cfg.BloomBitsPerEntry, bloomSeedPeer^uint64(a.peer))
+			nt.peers[a.peer] = f
+		case f == t.peerFilter(a.peer): // still t's filter (a peer new to t has none)
 			f = f.Clone()
-			nt.peers[a.Peer] = f
+			nt.peers[a.peer] = f
 		}
 		f.Add(key)
-		if a.Prefix.Family() == netaddr.FamilyV6 {
-			if !nt.hasLength6(a.Prefix.Bits()) {
+		if a.pfx.Family() == netaddr.FamilyV6 {
+			if !nt.hasLength6(a.pfx.Bits()) {
 				lengths := make([]lenMask6, len(nt.lengths6), len(nt.lengths6)+1)
 				copy(lengths, nt.lengths6)
-				hi, lo := maskOf6(a.Prefix.Bits())
-				nt.lengths6 = append(lengths, lenMask6{maskHi: hi, maskLo: lo, bits: uint8(a.Prefix.Bits())})
+				hi, lo := maskOf6(a.pfx.Bits())
+				nt.lengths6 = append(lengths, lenMask6{maskHi: hi, maskLo: lo, bits: uint8(a.pfx.Bits())})
 			}
-		} else if !nt.hasLength(a.Prefix.Bits()) {
+		} else if !nt.hasLength(a.pfx.Bits()) {
 			lengths := make([]lenMask, len(nt.lengths), len(nt.lengths)+1)
 			copy(lengths, nt.lengths)
-			nt.lengths = append(lengths, lenMask{mask: maskOf(a.Prefix.Bits()), bits: uint8(a.Prefix.Bits())})
+			nt.lengths = append(lengths, lenMask{mask: maskOf(a.pfx.Bits()), bits: uint8(a.pfx.Bits())})
 		}
 	}
 	if nt.overflowed() {

@@ -119,14 +119,22 @@ func (peer PeerAS) classify(expected PeerAS, ok bool) Verdict {
 	}
 }
 
-// Set is the load-time builder of the per-peer EIA sets: training,
-// file/checkpoint decoding and Merge fill one, then NewStore adopts it.
-// Checking, vouching and publication live on Store only. It is not safe
-// for concurrent use.
+// Set is the per-peer EIA state: a longest-prefix trie mapping each
+// prefix to the peer AS expected to carry its traffic, the per-peer
+// prefix counts and, once a Store publishes it, the Bloom tier derived
+// from the trie. A Set is built in place (NewSet, AddPrefix, Train,
+// ReadInto, ReadCheckpointInto), which is not safe for concurrent use,
+// and is then shared: NewStore adopts it, Store.Snapshot returns the
+// published one, and Merge takes and returns shared sets. A shared Set
+// is immutable, since lock-free checkers walk its trie, so AddPrefix on
+// one panics instead of corrupting live state; reading it (Len, Peers,
+// WriteTo, WriteCheckpoint, Merge) is safe from any goroutine.
 type Set struct {
 	cfg     Config
 	index   *netaddr.PrefixTrie[PeerAS]
-	perPeer map[PeerAS]int // prefixes per peer, for introspection
+	perPeer map[PeerAS]int // prefixes per peer: Peers and the Bloom tier's sizing
+	tier    *bloomTier     // set only on a Store's published sets, and nil when Config disables it
+	shared  bool
 }
 
 // NewSet returns an empty EIA set.
@@ -140,29 +148,74 @@ func NewSet(cfg Config) *Set {
 
 // AddPrefix records that sources inside p are expected at peer. Inserting
 // the same prefix for a different peer re-homes it (route change handling).
+// It panics on a shared Set.
 func (s *Set) AddPrefix(peer PeerAS, p netaddr.Prefix) {
+	if s.shared {
+		panic("eia: AddPrefix on a shared Set (adopted by a Store or passed to Merge)")
+	}
+	s.put(peer, p, false)
+}
+
+// put maps p to peer, moving p's count off the peer that held it, and
+// reports whether the set changed. It is the one re-homing update: a
+// builder inserts in place, while a successor, whose trie is shared with
+// a published set, inserts by path copying (persistent).
+func (s *Set) put(peer PeerAS, p netaddr.Prefix, persistent bool) bool {
 	if prev, ok := s.index.Get(p); ok {
 		if prev == peer {
-			return
+			return false
 		}
 		s.perPeer[prev]--
 	}
-	s.index.Insert(p, peer)
 	s.perPeer[peer]++
+	if persistent {
+		s.index = s.index.InsertPersistent(p, peer)
+	} else {
+		s.index.Insert(p, peer)
+	}
+	return true
+}
+
+// assignment maps one prefix to the peer AS expected to carry its
+// traffic; a Store publishes a batch of them in one snapshot swap.
+type assignment struct {
+	peer PeerAS
+	pfx  netaddr.Prefix
+}
+
+// with returns a successor of s holding assign on top of s's prefixes,
+// sharing every trie node assign does not touch, together with the
+// assignments that changed anything. s is left as it was. The successor
+// is private until its caller shares it.
+func (s *Set) with(assign []assignment) (*Set, []assignment) {
+	next := &Set{cfg: s.cfg, index: s.index, perPeer: make(map[PeerAS]int, len(s.perPeer)+1)}
+	for p, n := range s.perPeer {
+		next.perPeer[p] = n
+	}
+	applied := assign[:0:0]
+	for _, a := range assign {
+		if next.put(a.peer, a.pfx, true) {
+			applied = append(applied, a)
+		}
+	}
+	return next, applied
+}
+
+// share marks s immutable. It writes only while s is still private, so
+// sharing an already-published set is a pure read.
+func (s *Set) share() {
+	if !s.shared {
+		s.shared = true
+	}
 }
 
 // Len returns the total number of prefixes across all peers.
 func (s *Set) Len() int { return s.index.Len() }
 
-// PeerPrefixCount returns how many prefixes map to peer.
-func (s *Set) PeerPrefixCount(peer PeerAS) int { return s.perPeer[peer] }
-
 // Peers returns the peer ASes with at least one prefix, ascending.
-func (s *Set) Peers() []PeerAS { return peersOf(s.perPeer) }
-
-func peersOf(perPeer map[PeerAS]int) []PeerAS {
-	out := make([]PeerAS, 0, len(perPeer))
-	for p, n := range perPeer {
+func (s *Set) Peers() []PeerAS {
+	out := make([]PeerAS, 0, len(s.perPeer))
+	for p, n := range s.perPeer {
 		if n > 0 {
 			out = append(out, p)
 		}

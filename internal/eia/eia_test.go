@@ -1,6 +1,7 @@
 package eia
 
 import (
+	"reflect"
 	"testing"
 
 	"infilter/internal/blocks"
@@ -46,11 +47,14 @@ func TestExpectedPeerLongestPrefixWins(t *testing.T) {
 	s.AddPrefix(2, netaddr.MustParsePrefix("4.2.101.0/24"))
 	st := NewStore(s)
 	// The §3.2 worked example: 4.2.101.20 routes via the /24's peer.
-	if p, ok := st.ExpectedPeer(netaddr.MustParseAddr("4.2.101.20")); !ok || p != 2 {
-		t.Errorf("ExpectedPeer = %d, %v; want 2", p, ok)
+	if got := st.Check(2, netaddr.MustParseAddr("4.2.101.20")); got != Match {
+		t.Errorf("4.2.101.20 at peer 2 = %v, want Match", got)
 	}
-	if p, ok := st.ExpectedPeer(netaddr.MustParseAddr("4.9.9.9")); !ok || p != 1 {
-		t.Errorf("ExpectedPeer = %d, %v; want 1", p, ok)
+	if got := st.Check(1, netaddr.MustParseAddr("4.2.101.20")); got != WrongPeer {
+		t.Errorf("4.2.101.20 at peer 1 = %v, want WrongPeer", got)
+	}
+	if got := st.Check(1, netaddr.MustParseAddr("4.9.9.9")); got != Match {
+		t.Errorf("4.9.9.9 at peer 1 = %v, want Match", got)
 	}
 }
 
@@ -58,17 +62,17 @@ func TestAddPrefixRehoming(t *testing.T) {
 	s := NewSet(Config{})
 	p := netaddr.MustParsePrefix("61.0.0.0/11")
 	s.AddPrefix(1, p)
-	if s.PeerPrefixCount(1) != 1 {
-		t.Fatalf("peer 1 count = %d", s.PeerPrefixCount(1))
+	if got := s.Peers(); !reflect.DeepEqual(got, []PeerAS{1}) {
+		t.Fatalf("Peers = %v, want [1]", got)
 	}
 	s.AddPrefix(2, p) // route change: same block now enters via peer 2
-	if s.PeerPrefixCount(1) != 0 || s.PeerPrefixCount(2) != 1 {
-		t.Errorf("counts after rehome: peer1=%d peer2=%d", s.PeerPrefixCount(1), s.PeerPrefixCount(2))
+	if got := s.Peers(); !reflect.DeepEqual(got, []PeerAS{2}) {
+		t.Errorf("Peers after rehome = %v, want [2]", got)
 	}
 	// Re-adding same mapping is a no-op.
 	s.AddPrefix(2, p)
-	if s.Len() != 1 || s.PeerPrefixCount(2) != 1 {
-		t.Errorf("idempotent add broke counts: len=%d", s.Len())
+	if got := s.Peers(); s.Len() != 1 || !reflect.DeepEqual(got, []PeerAS{2}) {
+		t.Errorf("idempotent add broke counts: len=%d peers=%v", s.Len(), got)
 	}
 	if got := NewStore(s).Check(2, netaddr.MustParseAddr("61.1.1.1")); got != Match {
 		t.Errorf("after rehoming Check = %v, want Match", got)
@@ -76,19 +80,17 @@ func TestAddPrefixRehoming(t *testing.T) {
 }
 
 func TestPromotionAfterThreshold(t *testing.T) {
-	s := NewStore(NewSet(Config{PromoteThreshold: 3, PromoteMaskBits: 24}))
-	s.AddPrefix(1, netaddr.MustParsePrefix("61.0.0.0/11"))
+	set := NewSet(Config{PromoteThreshold: 3, PromoteMaskBits: 24})
+	set.AddPrefix(1, netaddr.MustParsePrefix("61.0.0.0/11"))
+	s := NewStore(set)
 	src := netaddr.MustParseAddr("61.10.1.7")
 
-	// Route change: traffic from 61.40.1/24 now arrives at peer 2.
+	// Route change: traffic from 61.10.1/24 now arrives at peer 2.
 	if s.Check(2, src) != WrongPeer {
 		t.Fatal("precondition: expected WrongPeer")
 	}
 	if s.RecordLegal(2, src) {
 		t.Error("promoted after 1 flow, threshold 3")
-	}
-	if s.PendingCount(2, src) != 1 {
-		t.Errorf("pending = %d", s.PendingCount(2, src))
 	}
 	if s.RecordLegal(2, src) {
 		t.Error("promoted after 2 flows")
@@ -96,8 +98,9 @@ func TestPromotionAfterThreshold(t *testing.T) {
 	if !s.RecordLegal(2, src) {
 		t.Error("not promoted after 3 flows")
 	}
-	if s.PendingCount(2, src) != 0 {
-		t.Errorf("pending not cleared: %d", s.PendingCount(2, src))
+	// The promotion cleared the pending count: counting starts over.
+	if s.RecordLegal(2, src) || s.RecordLegal(2, src) {
+		t.Error("pending count not cleared by the promotion")
 	}
 	// Now the whole /24 matches at peer 2; the rest of the /11 still
 	// matches at peer 1.
@@ -110,8 +113,9 @@ func TestPromotionAfterThreshold(t *testing.T) {
 }
 
 func TestPromotionCountsPerPeerAndSubnet(t *testing.T) {
-	s := NewStore(NewSet(Config{PromoteThreshold: 2}))
-	s.AddPrefix(1, netaddr.MustParsePrefix("61.0.0.0/11"))
+	set := NewSet(Config{PromoteThreshold: 2})
+	set.AddPrefix(1, netaddr.MustParsePrefix("61.0.0.0/11"))
+	s := NewStore(set)
 	a := netaddr.MustParseAddr("61.10.1.1")
 	b := netaddr.MustParseAddr("61.22.1.1") // different /24
 	s.RecordLegal(2, a)

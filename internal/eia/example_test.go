@@ -2,6 +2,7 @@ package eia_test
 
 import (
 	"fmt"
+	"os"
 
 	"infilter/internal/eia"
 	"infilter/internal/netaddr"
@@ -9,7 +10,8 @@ import (
 
 // Example walks the Basic InFilter check: sources are expected at the peer
 // AS their block was trained on; a spoofed source shows up at the wrong
-// ingress.
+// ingress. The Set is built first, then published by a Store, whose
+// Snapshot serializes the state it checks against.
 func Example() {
 	set := eia.NewSet(eia.Config{})
 	set.AddPrefix(1, netaddr.MustParsePrefix("61.0.0.0/11"))
@@ -23,8 +25,11 @@ func Example() {
 	fmt.Println("61.5.5.5 at peer 1:", store.Check(1, legit))
 	fmt.Println("70.9.9.9 at peer 1:", store.Check(1, spoofed))
 	fmt.Println("9.9.9.9  at peer 1:", store.Check(1, netaddr.MustParseAddr("9.9.9.9")))
+	store.Snapshot().WriteTo(os.Stdout)
 	// Output:
 	// 61.5.5.5 at peer 1: match
 	// 70.9.9.9 at peer 1: wrong-peer
 	// 9.9.9.9  at peer 1: unknown
+	// 1 61.0.0.0/11
+	// 2 70.0.0.0/11
 }

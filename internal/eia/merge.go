@@ -22,34 +22,43 @@ import (
 // above.
 //
 // Merge is a pure function on copy-on-write tries: the larger input's
-// trie is reused as the base and only the overlay's differing paths are
-// path-copied (InsertPersistent), so merging a mostly-identical
-// replicated snapshot costs little and shares almost every subtree with
-// the base input. The returned Set therefore shares structure with its
-// inputs — like a Set adopted by NewStore, the inputs must not be
-// mutated afterwards (decode a fresh Set per replication round, as the
-// cluster receiver does).
+// trie is reused as the base and only the overlay's winning rows are
+// path-copied in, so merging a mostly-identical replicated snapshot
+// costs little and shares almost every subtree with the base input.
+// Because the result shares structure with its inputs, Merge shares all
+// three: AddPrefix on any of them panics afterwards. Store.MergeSet
+// applies the same rows to the published snapshot, so the merge the
+// property tests check is the merge cluster mode runs.
 //
 // The result inherits a's Config.
 func Merge(a, b *Set) *Set {
 	base, overlay := a, b
-	if base.index.Len() < overlay.index.Len() {
+	if base.Len() < overlay.Len() {
 		base, overlay = overlay, base
 	}
-	index := base.index
-	per := clonePeerCounts(base.perPeer)
+	assign, _ := mergeRows(base, overlay)
+	out, _ := base.with(assign)
+	out.cfg = a.cfg
+	a.share()
+	b.share()
+	out.share()
+	return out
+}
+
+// mergeRows is the one lowest-peer-wins walk: it returns the rows of
+// overlay that Merge applies to base — each prefix base lacks, and each
+// prefix base holds at a higher peer AS — and how many of them re-home
+// a prefix base holds.
+func mergeRows(base, overlay *Set) (assign []assignment, rehomed int) {
 	overlay.index.Walk(func(p netaddr.Prefix, peer PeerAS) bool {
-		if prev, ok := index.Get(p); ok {
+		if prev, ok := base.index.Get(p); ok {
 			if prev <= peer {
 				return true // base already holds the winner
 			}
-			per[prev]--
-			per[peer]++
-		} else {
-			per[peer]++
+			rehomed++
 		}
-		index = index.InsertPersistent(p, peer)
+		assign = append(assign, assignment{peer: peer, pfx: p})
 		return true
 	})
-	return &Set{cfg: a.cfg, index: index, perPeer: per}
+	return assign, rehomed
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,8 +15,8 @@ import (
 // randomDualStackSet builds a random EIA set mixing v4 and v6 prefixes,
 // with deliberate peer collisions (small peer space, small address pool)
 // so merges exercise the conflict rule, not just disjoint unions.
-func randomDualStackSet(rng *rand.Rand, n int) *Set {
-	s := NewSet(Config{})
+func randomDualStackSet(rng *rand.Rand, cfg Config, n int) *Set {
+	s := NewSet(cfg)
 	for i := 0; i < n; i++ {
 		peer := PeerAS(rng.Intn(5) + 1)
 		if rng.Intn(2) == 0 {
@@ -48,8 +49,8 @@ func checkpointBytes(t *testing.T, s *Set) []byte {
 func TestMergeCommutative(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
-		a := randomDualStackSet(rng, rng.Intn(60))
-		b := randomDualStackSet(rng, rng.Intn(60))
+		a := randomDualStackSet(rng, Config{}, rng.Intn(60))
+		b := randomDualStackSet(rng, Config{}, rng.Intn(60))
 		ab := checkpointBytes(t, Merge(a, b))
 		ba := checkpointBytes(t, Merge(b, a))
 		if !bytes.Equal(ab, ba) {
@@ -61,9 +62,9 @@ func TestMergeCommutative(t *testing.T) {
 func TestMergeAssociative(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 50; trial++ {
-		a := randomDualStackSet(rng, rng.Intn(40))
-		b := randomDualStackSet(rng, rng.Intn(40))
-		c := randomDualStackSet(rng, rng.Intn(40))
+		a := randomDualStackSet(rng, Config{}, rng.Intn(40))
+		b := randomDualStackSet(rng, Config{}, rng.Intn(40))
+		c := randomDualStackSet(rng, Config{}, rng.Intn(40))
 		left := checkpointBytes(t, Merge(Merge(a, b), c))
 		right := checkpointBytes(t, Merge(a, Merge(b, c)))
 		if !bytes.Equal(left, right) {
@@ -75,13 +76,13 @@ func TestMergeAssociative(t *testing.T) {
 func TestMergeIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 50; trial++ {
-		a := randomDualStackSet(rng, rng.Intn(80))
+		a := randomDualStackSet(rng, Config{}, rng.Intn(80))
 		want := checkpointBytes(t, a)
 		if got := checkpointBytes(t, Merge(a, a)); !bytes.Equal(got, want) {
 			t.Fatalf("trial %d: Merge(a,a) != a\n--- got ---\n%s--- want ---\n%s", trial, got, want)
 		}
 		// Re-merging an already-folded set must also be a fixpoint.
-		b := randomDualStackSet(rng, rng.Intn(80))
+		b := randomDualStackSet(rng, Config{}, rng.Intn(80))
 		ab := Merge(a, b)
 		want = checkpointBytes(t, ab)
 		if got := checkpointBytes(t, Merge(ab, b)); !bytes.Equal(got, want) {
@@ -92,8 +93,8 @@ func TestMergeIdempotent(t *testing.T) {
 
 func TestMergeLeavesInputsUntouched(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	a := randomDualStackSet(rng, 40)
-	b := randomDualStackSet(rng, 40)
+	a := randomDualStackSet(rng, Config{}, 40)
+	b := randomDualStackSet(rng, Config{}, 40)
 	beforeA, beforeB := checkpointBytes(t, a), checkpointBytes(t, b)
 	Merge(a, b)
 	if !bytes.Equal(checkpointBytes(t, a), beforeA) {
@@ -117,15 +118,14 @@ func TestMergeConflictResolvesToLowestPeer(t *testing.T) {
 
 	for name, m := range map[string]*Set{"ab": Merge(a, b), "ba": Merge(b, a)} {
 		st := NewStore(m)
-		if got, _ := st.ExpectedPeer(netaddr.MustParseAddr("10.1.2.3")); got != 1 {
-			t.Errorf("%s: v4 conflict resolved to peer %d, want 1", name, got)
+		if got := st.Check(1, netaddr.MustParseAddr("10.1.2.3")); got != Match {
+			t.Errorf("%s: v4 conflict not resolved to peer 1: Check(1) = %v", name, got)
 		}
-		if got, _ := st.ExpectedPeer(netaddr.MustParseAddr("2001:db8::9")); got != 2 {
-			t.Errorf("%s: v6 conflict resolved to peer %d, want 2", name, got)
+		if got := st.Check(2, netaddr.MustParseAddr("2001:db8::9")); got != Match {
+			t.Errorf("%s: v6 conflict not resolved to peer 2: Check(2) = %v", name, got)
 		}
-		if m.PeerPrefixCount(3) != 0 || m.PeerPrefixCount(5) != 0 {
-			t.Errorf("%s: losing peers still count prefixes: peer3=%d peer5=%d",
-				name, m.PeerPrefixCount(3), m.PeerPrefixCount(5))
+		if got := m.Peers(); !reflect.DeepEqual(got, []PeerAS{1, 2}) {
+			t.Errorf("%s: Peers = %v, want [1 2] (losing peers must count no prefixes)", name, got)
 		}
 		if m.Len() != 2 {
 			t.Errorf("%s: Len = %d, want 2", name, m.Len())
@@ -136,7 +136,7 @@ func TestMergeConflictResolvesToLowestPeer(t *testing.T) {
 // TestMergeGoldenCheckpointRoundTrip pins the byte-level contract of the
 // replication path: merging two fixed dual-stack sets and checkpointing
 // the result must produce exactly the committed v2 golden bytes, and
-// decoding those bytes through the single codec entry point and
+// decoding those bytes through the format's one reader and
 // re-encoding must round-trip byte-identically. A change to the row
 // codec, the sort order or the merge tie-break shows up here as a golden
 // diff, not as silent cluster divergence.
@@ -162,18 +162,20 @@ func TestMergeGoldenCheckpointRoundTrip(t *testing.T) {
 			goldenPath, got, golden)
 	}
 
-	decoded, err := DecodeCheckpoint(Config{}, bytes.NewReader(golden))
-	if err != nil {
-		t.Fatalf("DecodeCheckpoint(golden): %v", err)
+	decoded := NewSet(Config{})
+	if err := ReadCheckpointInto(decoded, bytes.NewReader(golden)); err != nil {
+		t.Fatalf("ReadCheckpointInto(golden): %v", err)
 	}
 	if again := checkpointBytes(t, decoded); !bytes.Equal(again, golden) {
 		t.Fatalf("decode→re-encode not byte-identical:\n--- got ---\n%s--- want ---\n%s", again, golden)
 	}
 }
 
+// TestDecodeCheckpointRejectsGarbage decodes a frame the way a cluster
+// receiver does before merging: into a fresh untuned set.
 func TestDecodeCheckpointRejectsGarbage(t *testing.T) {
-	if _, err := DecodeCheckpoint(Config{}, strings.NewReader("not a checkpoint\n")); err == nil {
-		t.Error("DecodeCheckpoint accepted a headerless stream")
+	if err := ReadCheckpointInto(NewSet(Config{}), strings.NewReader("not a checkpoint\n")); err == nil {
+		t.Error("ReadCheckpointInto accepted a headerless stream")
 	}
 }
 
@@ -210,17 +212,44 @@ func TestStoreMergeSet(t *testing.T) {
 	}
 
 	// The store's state must equal the pure Merge of the inputs.
-	var fromStore bytes.Buffer
-	if err := st.WriteCheckpoint(&fromStore); err != nil {
-		t.Fatal(err)
+	if got, want := checkpointBytes(t, st.Snapshot()), checkpointBytes(t, Merge(local, remote)); !bytes.Equal(got, want) {
+		t.Errorf("MergeSet result differs from Merge:\n--- store ---\n%s--- merge ---\n%s", got, want)
 	}
-	localAgain := NewSet(Config{})
-	localAgain.AddPrefix(3, netaddr.MustParsePrefix("10.1.0.0/16"))
-	localAgain.AddPrefix(1, netaddr.MustParsePrefix("4.0.0.0/8"))
-	want := checkpointBytes(t, Merge(localAgain, remote))
-	if !bytes.Equal(fromStore.Bytes(), want) {
-		t.Errorf("MergeSet result differs from Merge:\n--- store ---\n%s--- merge ---\n%s",
-			fromStore.Bytes(), want)
+
+	// Property rows: over random dual-stack pairs, with and without the
+	// Bloom tier, MergeSet publishes exactly Merge's bytes and reports
+	// the added and re-homed rows a direct count over b finds.
+	rng := rand.New(rand.NewSource(29))
+	for _, bits := range []int{0, 10} {
+		for trial := 0; trial < 50; trial++ {
+			a := randomDualStackSet(rng, Config{BloomBitsPerEntry: bits}, rng.Intn(60))
+			b := randomDualStackSet(rng, Config{}, rng.Intn(60))
+			held := map[netaddr.Prefix]PeerAS{}
+			a.index.Walk(func(p netaddr.Prefix, peer PeerAS) bool {
+				held[p] = peer
+				return true
+			})
+			wantAdded, wantRehomed := 0, 0
+			b.index.Walk(func(p netaddr.Prefix, peer PeerAS) bool {
+				if prev, ok := held[p]; !ok {
+					wantAdded++
+				} else if peer < prev {
+					wantRehomed++
+				}
+				return true
+			})
+
+			st := NewStore(a)
+			added, rehomed := st.MergeSet(b)
+			if added != wantAdded || rehomed != wantRehomed {
+				t.Errorf("bits=%d trial %d: MergeSet = (added %d, rehomed %d), want (%d, %d)",
+					bits, trial, added, rehomed, wantAdded, wantRehomed)
+			}
+			if got, want := checkpointBytes(t, st.Snapshot()), checkpointBytes(t, Merge(a, b)); !bytes.Equal(got, want) {
+				t.Fatalf("bits=%d trial %d: MergeSet differs from Merge:\n--- store ---\n%s--- merge ---\n%s",
+					bits, trial, got, want)
+			}
+		}
 	}
 }
 
@@ -229,8 +258,8 @@ func TestStoreMergeSet(t *testing.T) {
 // identical to an exact tier-free store over the same state.
 func TestStoreMergeSetBloomTier(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	local := randomDualStackSet(rng, 50)
-	remote := randomDualStackSet(rng, 50)
+	local := randomDualStackSet(rng, Config{}, 50)
+	remote := randomDualStackSet(rng, Config{}, 50)
 
 	bloomLocal := NewSet(Config{BloomBitsPerEntry: 10})
 	exactLocal := NewSet(Config{})
@@ -258,6 +287,18 @@ func TestStoreMergeSetBloomTier(t *testing.T) {
 		if got, want := bloomed.Check(peer, src), exact.Check(peer, src); got != want {
 			t.Fatalf("check %d: bloom-tier store = %v, exact store = %v (peer %d, src %s)",
 				i, got, want, peer, src)
+		}
+	}
+
+	// Two prefixes for a peer AS above every peer the tier has filters
+	// for: the second must reuse the filter the first created.
+	newPeer := NewSet(Config{})
+	newPeer.AddPrefix(9, netaddr.MustParsePrefix("11.0.0.0/8"))
+	newPeer.AddPrefix(9, netaddr.MustParsePrefix("12.0.0.0/8"))
+	bloomed.MergeSet(newPeer)
+	for _, src := range []string{"11.1.1.1", "12.1.1.1"} {
+		if got := bloomed.Check(9, netaddr.MustParseAddr(src)); got != Match {
+			t.Errorf("new peer's %s: Check = %v, want match", src, got)
 		}
 	}
 }

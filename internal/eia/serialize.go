@@ -12,15 +12,16 @@ import (
 )
 
 // WriteTo serializes the EIA sets as "<peerAS> <cidr>" lines, sorted for
-// stable output. Pending promotion counters are transient and not saved.
+// stable output. A Store's pending vouch counters are transient and not
+// saved.
 func (s *Set) WriteTo(w io.Writer) (int64, error) {
 	return writeRows(w, s.index, false)
 }
 
-// writeRows emits the sorted body shared by the Set and Store
-// serializers: "<peerAS> <cidr>" rows when tagFamily is false (the plain
-// WriteTo format), "<peerAS> <family> <cidr>" rows when true (the v2
-// checkpoint format). Rows sort peer-major, then v4 before v6, then by
+// writeRows emits the sorted body shared by WriteTo and WriteCheckpoint:
+// "<peerAS> <cidr>" rows when tagFamily is false (the plain WriteTo
+// format), "<peerAS> <family> <cidr>" rows when true (the v2 checkpoint
+// format). Rows sort peer-major, then v4 before v6, then by
 // address, so output is stable and diffs cleanly.
 func writeRows(w io.Writer, index *netaddr.PrefixTrie[PeerAS], tagFamily bool) (int64, error) {
 	type row struct {
@@ -140,39 +141,25 @@ const (
 )
 
 // WriteCheckpoint writes a versioned EIA checkpoint: header plus the
-// sorted rows of WriteTo.
+// sorted rows of WriteTo, family-tagged. It is the format's one writer:
+// the warm-restart artifact and every cluster replication frame are
+// these bytes, taken from a Store's Snapshot.
 func (s *Set) WriteCheckpoint(w io.Writer) error {
-	return writeCheckpoint(w, s.index)
-}
-
-func writeCheckpoint(w io.Writer, index *netaddr.PrefixTrie[PeerAS]) error {
 	if _, err := fmt.Fprintf(w, "%s%d\n", checkpointMagic, checkpointVersion); err != nil {
 		return fmt.Errorf("eia: write checkpoint header: %w", err)
 	}
-	_, err := writeRows(w, index, true)
+	_, err := writeRows(w, s.index, true)
 	return err
 }
 
-// DecodeCheckpoint is the single decode entry point for the versioned
-// checkpoint format: it reads one checkpoint stream into a fresh Set
-// carrying cfg. Every consumer of the format goes through it (or through
-// ReadCheckpointInto, which it wraps) — the warm-restart load from
-// -state-dir and the cluster replication receiver both decode the exact
-// bytes WriteCheckpoint produced, so the v2 format has exactly one
-// reader and one writer in the codebase.
-func DecodeCheckpoint(cfg Config, r io.Reader) (*Set, error) {
-	s := NewSet(cfg)
-	if err := ReadCheckpointInto(s, r); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 // ReadCheckpointInto loads a checkpoint written by WriteCheckpoint into
-// s. Malformed input — a missing or unversioned header, an unsupported
-// version, or any malformed row — returns an error; it never panics, so
-// a corrupt or truncated checkpoint file fails a warm restart loudly
-// instead of poisoning the EIA state.
+// s. It is the format's one reader: the warm-restart load from a state
+// directory and the cluster receiver, which decodes each frame into a
+// fresh NewSet(Config{}), both go through it. Malformed input — a
+// missing or unversioned header, an unsupported version, or any
+// malformed row — returns an error; it never panics, so a corrupt or
+// truncated checkpoint file fails a warm restart loudly instead of
+// poisoning the EIA state.
 func ReadCheckpointInto(s *Set, r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	if !sc.Scan() {

@@ -149,9 +149,11 @@ func TestCheckpointV1GoldenUpgrade(t *testing.T) {
 
 	// The restarted daemon keeps learning — including v6 now — and its
 	// next checkpoint flush rewrites the file in the v2 format.
-	st.AddPrefix(2, netaddr.MustParsePrefix("2001:db8:4000::/48"))
+	if !vouch(st, 2, netaddr.MustParseAddr("2001:db8:4000::1"), DefaultPromoteThreshold) {
+		t.Fatal("v6 source never promoted after the v1 restore")
+	}
 	var buf bytes.Buffer
-	if err := st.WriteCheckpoint(&buf); err != nil {
+	if err := st.Snapshot().WriteCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
 	want := "# infilter-eia-checkpoint v2\n" +
@@ -178,6 +180,7 @@ func TestCheckpointV1GoldenUpgrade(t *testing.T) {
 func TestReadCheckpointIntoRejectsMalformed(t *testing.T) {
 	for _, bad := range []string{
 		"",                                  // empty file
+		"not a checkpoint\n",                // no header
 		"1 61.0.0.0/11\n",                   // no header
 		"# infilter-eia-checkpoint vX\n",    // unparsable version
 		"# infilter-eia-checkpoint v99\n",   // future version

@@ -1,7 +1,6 @@
 package eia
 
 import (
-	"io"
 	"sync"
 	"sync/atomic"
 
@@ -58,51 +57,36 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 	}
 }
 
-// snapshot is one immutable published version of the EIA state. Its trie
-// is extended exclusively through persistent inserts, its perPeer map is
-// never written after publication, and its Bloom tier (nil unless
-// Config.BloomBitsPerEntry enables it) is derived from the trie before
-// the snapshot is stored — so readers may traverse all of it freely
-// while the writer assembles a successor.
-type snapshot struct {
-	index   *netaddr.PrefixTrie[PeerAS]
-	perPeer map[PeerAS]int
-	tier    *bloomTier
-}
-
-// Store is the shared EIA state for concurrent analysis shards, built as
-// a copy-on-write snapshot store. The hot path — CheckBatch, one
-// longest-prefix lookup per flow (paper §5.2) — is a pure lock-free read:
-// it loads the current snapshot through an atomic pointer and walks an
-// immutable trie, acquiring no mutex and issuing no writes beyond its
+// Store is the shared EIA state for concurrent analysis shards: it
+// publishes one immutable Set at a time through an atomic pointer. The
+// hot path — CheckBatch, one longest-prefix lookup per flow (paper
+// §5.2) — is a pure lock-free read: it loads the published Set and walks
+// its trie, acquiring no mutex and issuing no writes beyond its
 // Bloom-tier counters.
 //
-// All mutation funnels through a single writer side guarded by one
-// mutex: promotions of repeatedly-vouched sources (RecordLegal), operator
-// preloads (AddPrefix/AddPrefixes) and bulk training (Train). The writer
-// prepares a new snapshot — path-copying only the trie nodes it touches,
-// sharing every unchanged subtree — and publishes it with one atomic
-// pointer swap. Batch mutations build the whole batch against one base
-// and publish once.
+// There is one writer side, guarded by one mutex: promotions of
+// repeatedly-vouched sources (RecordLegal) and replicated snapshots
+// folded in by cluster mode (MergeSet). The writer builds a successor
+// Set — path-copying only the trie nodes it touches, sharing every
+// unchanged subtree, and deriving its Bloom tier — and publishes it with
+// one atomic pointer swap, so a batch lands whole.
 //
 // Readers therefore never block and never retry; the price is a staleness
 // window: a Check racing a promotion may classify against the pre-swap
-// snapshot. That is exactly the tolerance the paper's promotion semantics
+// Set. That is exactly the tolerance the paper's promotion semantics
 // already grant — a source being vouched was, by definition, still
 // suspect a moment earlier, so one extra WrongPeer/Unknown verdict during
 // the swap is indistinguishable from the flow having arrived slightly
 // sooner.
 //
-// Store is the one handle that checks, vouches and publishes; a Set only
-// builds the initial contents. All methods are safe for concurrent use.
-// The Set passed to NewStore must not be used directly afterwards (the
-// store adopts its trie).
+// Store keeps only check, vouch and merge; everything else reads the
+// Set that Snapshot returns. All methods are safe for concurrent use.
 type Store struct {
 	cfg     Config
-	snap    atomic.Pointer[snapshot]
+	snap    atomic.Pointer[Set]
 	metrics *Metrics
 
-	mu      sync.Mutex // writer side: pending counters + snapshot publication
+	mu      sync.Mutex // writer side: pending counters + publication
 	pending map[pendingKey]int
 }
 
@@ -113,30 +97,38 @@ type pendingKey struct {
 	pfx  netaddr.Prefix
 }
 
-// NewStore adopts set's contents as the first published snapshot; a nil
-// set gets a fresh empty Set with the default Config.
+// NewStore publishes set's contents as the first snapshot and shares set
+// (AddPrefix on it panics from then on); a nil set gets a fresh empty Set
+// with the default Config.
 func NewStore(set *Set) *Store {
 	if set == nil {
 		set = NewSet(Config{})
 	}
-	per := make(map[PeerAS]int, len(set.perPeer))
-	for p, n := range set.perPeer {
-		per[p] = n
-	}
+	set.share()
 	st := &Store{
 		cfg:     set.cfg,
 		pending: make(map[pendingKey]int),
 	}
 	// The tier is always rebuilt from the adopted trie, never carried
 	// over: a Set restored from a checkpoint (which serializes only
-	// prefixes) gets correct filters here for free on warm restart.
-	st.snap.Store(&snapshot{
+	// prefixes) gets correct filters here for free on warm restart. The
+	// published Set is a copy, so adopting another store's snapshot
+	// leaves that snapshot's tier alone.
+	st.snap.Store(&Set{
+		cfg:     set.cfg,
 		index:   set.index,
-		perPeer: per,
-		tier:    buildBloomTier(set.index, per, st.cfg),
+		perPeer: set.perPeer,
+		tier:    buildBloomTier(set.index, set.perPeer, set.cfg),
+		shared:  true,
 	})
 	return st
 }
+
+// Snapshot returns the published Set: one atomic load, no lock. It is
+// shared and immutable; later publications swap in a successor and leave
+// it as it was. Serialization (WriteTo, WriteCheckpoint), introspection
+// (Len, Peers) and cluster replication all read it.
+func (c *Store) Snapshot() *Set { return c.snap.Load() }
 
 // SetMetrics installs runtime counters (nil disables). Like the alert
 // sink of the engines, it must be called before the store is shared with
@@ -256,22 +248,10 @@ func (c *Store) AddVerdictCounts(fam netaddr.Family, hits, misses int64) {
 	}
 }
 
-// ExpectedPeer returns the peer AS whose EIA set contains src, by
-// longest-prefix match against the current snapshot (lock-free).
-func (c *Store) ExpectedPeer(src netaddr.Addr) (PeerAS, bool) {
-	return c.snap.Load().index.Lookup(src)
-}
-
-// Assignment maps one prefix to the peer AS expected to carry its
-// traffic; batches of them are applied under a single snapshot swap.
-type Assignment struct {
-	Peer   PeerAS
-	Prefix netaddr.Prefix
-}
-
-// publishLocked swaps in a snapshot with the given prefixes added on top
-// of the current one, preserving the re-homing semantics of Set.AddPrefix.
-// Callers hold c.mu. The whole batch lands in one pointer swap.
+// publishLocked swaps in a successor of the published Set with assign
+// applied on top (see Set.with, which re-homes a prefix another peer
+// holds). Callers hold c.mu. The whole batch lands in one pointer swap;
+// a batch that changes nothing publishes nothing.
 //
 // When the Bloom tier is enabled, the successor tier is derived here as
 // well — normally by cloning only the filters the applied assignments
@@ -280,51 +260,21 @@ type Assignment struct {
 // prefix leaves its key in the old peer's filter; that stale key can
 // only cause a false positive (an extra exact walk), never a wrong
 // verdict, and the next overflow-triggered rebuild sheds it.
-func (c *Store) publishLocked(assign []Assignment) {
+func (c *Store) publishLocked(assign []assignment) {
 	cur := c.snap.Load()
-	index := cur.index
-	per := cur.perPeer
-	copied := false
-	applied := assign[:0:0]
-	for _, a := range assign {
-		if prev, ok := index.Get(a.Prefix); ok {
-			if prev == a.Peer {
-				continue
-			}
-			if !copied {
-				per, copied = clonePeerCounts(per), true
-			}
-			per[prev]--
-			per[a.Peer]++
-		} else {
-			if !copied {
-				per, copied = clonePeerCounts(per), true
-			}
-			per[a.Peer]++
-		}
-		index = index.InsertPersistent(a.Prefix, a.Peer)
-		applied = append(applied, a)
+	next, applied := cur.with(assign)
+	if len(applied) == 0 {
+		return
 	}
-	if !copied {
-		return // every assignment was already in place
+	if cur.tier != nil {
+		next.tier = cur.tier.withAssignments(applied, next.index, next.perPeer, c.cfg)
 	}
-	tier := cur.tier
-	if tier != nil {
-		tier = tier.withAssignments(applied, index, per, c.cfg)
+	next.share()
+	c.snap.Store(next)
+	if m := c.metrics; m != nil && next.tier != nil {
+		m.BloomFillPermille.Set(int64(next.tier.global.FillRatio() * 1000))
+		m.BloomBits.Set(next.tier.totalBits())
 	}
-	c.snap.Store(&snapshot{index: index, perPeer: per, tier: tier})
-	if m := c.metrics; m != nil && tier != nil {
-		m.BloomFillPermille.Set(int64(tier.global.FillRatio() * 1000))
-		m.BloomBits.Set(tier.totalBits())
-	}
-}
-
-func clonePeerCounts(per map[PeerAS]int) map[PeerAS]int {
-	out := make(map[PeerAS]int, len(per)+1)
-	for p, n := range per {
-		out[p] = n
-	}
-	return out
 }
 
 // RecordLegal notes a vouched source and reports whether it was promoted
@@ -339,7 +289,7 @@ func (c *Store) RecordLegal(peer PeerAS, src netaddr.Addr) bool {
 	promoted := c.pending[k] >= c.cfg.PromoteThreshold
 	if promoted {
 		delete(c.pending, k)
-		c.publishLocked([]Assignment{{Peer: peer, Prefix: pfx}})
+		c.publishLocked([]assignment{{peer: peer, pfx: pfx}})
 	}
 	c.mu.Unlock()
 	if promoted {
@@ -348,21 +298,6 @@ func (c *Store) RecordLegal(peer PeerAS, src netaddr.Addr) bool {
 		}
 	}
 	return promoted
-}
-
-// AddPrefix records that sources inside p are expected at peer. Inserting
-// the same prefix for a different peer re-homes it (route change
-// handling), exactly as Set.AddPrefix does.
-func (c *Store) AddPrefix(peer PeerAS, p netaddr.Prefix) {
-	c.AddPrefixes([]Assignment{{Peer: peer, Prefix: p}})
-}
-
-// AddPrefixes applies a batch of assignments under one snapshot swap:
-// readers observe either none or all of the batch.
-func (c *Store) AddPrefixes(assign []Assignment) {
-	c.mu.Lock()
-	c.publishLocked(assign)
-	c.mu.Unlock()
 }
 
 // MergeSet folds a remote EIA set into the store with the semantics of
@@ -375,75 +310,13 @@ func (c *Store) AddPrefixes(assign []Assignment) {
 // merge. It reports how many prefixes were added and how many re-homed.
 //
 // This is the receive side of cluster replication: the remote set is a
-// freshly decoded checkpoint, and folding it in never blocks the Check
-// hot path (checks are lock-free snapshot reads; only other writers
-// briefly serialize behind the merge).
+// freshly decoded checkpoint, which MergeSet only reads, and folding it
+// in never blocks the Check hot path (checks are lock-free snapshot
+// reads; only other writers briefly serialize behind the merge).
 func (c *Store) MergeSet(remote *Set) (added, rehomed int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cur := c.snap.Load()
-	var assign []Assignment
-	remote.index.Walk(func(p netaddr.Prefix, peer PeerAS) bool {
-		if prev, ok := cur.index.Get(p); ok {
-			if peer < prev {
-				rehomed++
-				assign = append(assign, Assignment{Peer: peer, Prefix: p})
-			}
-		} else {
-			added++
-			assign = append(assign, Assignment{Peer: peer, Prefix: p})
-		}
-		return true
-	})
-	if len(assign) > 0 {
-		c.publishLocked(assign)
-	}
-	return added, rehomed
-}
-
-// Train initializes EIA sets from observed traffic the way Set.Train
-// does, publishing the whole training set as one snapshot swap.
-func (c *Store) Train(obs []TrainingSource, maskBits int) {
-	if maskBits <= 0 {
-		maskBits = c.cfg.PromoteMaskBits
-	}
-	assign := make([]Assignment, len(obs))
-	for i, o := range obs {
-		bits := maskBits
-		if o.Src.Family() == netaddr.FamilyV6 {
-			bits = c.cfg.PromoteMaskBitsV6
-		}
-		assign[i] = Assignment{Peer: o.Peer, Prefix: netaddr.MustPrefix(o.Src, bits)}
-	}
-	c.AddPrefixes(assign)
-}
-
-// PendingCount exposes the promotion progress for a source subnet at peer.
-func (c *Store) PendingCount(peer PeerAS, src netaddr.Addr) int {
-	k := pendingKey{peer: peer, pfx: netaddr.MustPrefix(src, c.cfg.promoteBits(src.Family()))}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pending[k]
-}
-
-// Len returns the total number of prefixes across all peers.
-func (c *Store) Len() int { return c.snap.Load().index.Len() }
-
-// PeerPrefixCount returns how many prefixes map to peer.
-func (c *Store) PeerPrefixCount(peer PeerAS) int { return c.snap.Load().perPeer[peer] }
-
-// Peers returns the peer ASes with at least one prefix, ascending.
-func (c *Store) Peers() []PeerAS { return peersOf(c.snap.Load().perPeer) }
-
-// WriteTo serializes the current snapshot in the text format of
-// Set.WriteTo. It reads one consistent snapshot without blocking writers
-// or the Check hot path.
-func (c *Store) WriteTo(w io.Writer) (int64, error) {
-	return writeRows(w, c.snap.Load().index, false)
-}
-
-// WriteCheckpoint writes the current snapshot as a versioned checkpoint
-// (see Set.WriteCheckpoint), again without blocking the hot path.
-func (c *Store) WriteCheckpoint(w io.Writer) error {
-	return writeCheckpoint(w, c.snap.Load().index)
+	assign, rehomed := mergeRows(c.snap.Load(), remote)
+	c.publishLocked(assign)
+	return len(assign) - rehomed, rehomed
 }

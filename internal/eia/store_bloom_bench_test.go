@@ -28,7 +28,7 @@ func BenchmarkCheckBatchMatch(b *testing.B) {
 			srcs := make([]netaddr.Addr, n)
 			out := make([]Verdict, n)
 			for i := range srcs {
-				srcs[i] = v4In(inserted[i%len(inserted)].Prefix, 1)
+				srcs[i] = v4In(inserted[i%len(inserted)].pfx, 1)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

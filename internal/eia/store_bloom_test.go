@@ -20,16 +20,25 @@ func v4In(p netaddr.Prefix, low uint32) netaddr.Addr {
 
 // trainRandom loads n random /24 prefixes spread over nPeers into a
 // fresh Set built with cfg and returns it with the prefixes used.
-func trainRandom(rng *rand.Rand, cfg Config, n, nPeers int) (*Set, []Assignment) {
+func trainRandom(rng *rand.Rand, cfg Config, n, nPeers int) (*Set, []assignment) {
 	set := NewSet(cfg)
-	assigns := make([]Assignment, 0, n)
+	assigns := make([]assignment, 0, n)
 	for i := 0; i < n; i++ {
 		pfx := netaddr.PrefixFrom4(netaddr.IPv4(rng.Uint32()), 24)
 		peer := PeerAS(rng.Intn(nPeers))
 		set.AddPrefix(peer, pfx)
-		assigns = append(assigns, Assignment{Peer: peer, Prefix: pfx})
+		assigns = append(assigns, assignment{peer: peer, pfx: pfx})
 	}
 	return set, assigns
+}
+
+// setOf builds a Set with cfg holding rows.
+func setOf(cfg Config, rows []assignment) *Set {
+	set := NewSet(cfg)
+	for _, a := range rows {
+		set.AddPrefix(a.peer, a.pfx)
+	}
+	return set
 }
 
 // TestBloomDisabledByDefault: the zero-value Config publishes snapshots
@@ -46,11 +55,13 @@ func TestBloomDisabledByDefault(t *testing.T) {
 }
 
 // TestBloomVerdictEquivalence is the tier's contract: for a shared
-// randomized mutation-and-check schedule — training, re-homes,
-// promotions via RecordLegal, probes mixing known sources, near-misses
-// and random addresses — a tier-enabled store must emit exactly the
-// verdicts of a tier-free one, across Check and CheckBatch. Run at a deliberately undersized 2 bits/entry too, so
-// heavy false-positive pressure exercises the fallback path hard.
+// randomized mutation-and-check schedule — training, promotions via
+// RecordLegal (some of them re-homes), batches folded in by MergeSet,
+// probes mixing known sources, near-misses and random addresses — a
+// tier-enabled store must emit exactly the verdicts of a tier-free one,
+// across Check and CheckBatch. Run at a deliberately undersized 2
+// bits/entry too, so heavy false-positive pressure exercises the
+// fallback path hard.
 func TestBloomVerdictEquivalence(t *testing.T) {
 	for _, bits := range []int{2, 10} {
 		rng := rand.New(rand.NewSource(int64(31 + bits)))
@@ -59,21 +70,17 @@ func TestBloomVerdictEquivalence(t *testing.T) {
 		exactCfg.BloomBitsPerEntry = 0
 
 		setA, assigns := trainRandom(rng, base, 400, 6)
-		setB := NewSet(exactCfg)
-		for _, a := range assigns {
-			setB.AddPrefix(a.Peer, a.Prefix)
-		}
-		probed, exact := NewStore(setA), NewStore(setB)
+		probed, exact := NewStore(setA), NewStore(setOf(exactCfg, assigns))
 
 		const nPeers = 6
 		srcOf := func() netaddr.Addr {
 			switch rng.Intn(3) {
 			case 0: // inside a trained prefix
 				a := assigns[rng.Intn(len(assigns))]
-				return v4In(a.Prefix, uint32(rng.Intn(256)))
+				return v4In(a.pfx, uint32(rng.Intn(256)))
 			case 1: // adjacent /24 (near-miss)
 				a := assigns[rng.Intn(len(assigns))]
-				v4, _ := a.Prefix.Addr().V4()
+				v4, _ := a.pfx.Addr().V4()
 				return (v4 ^ (1 << 8) | netaddr.IPv4(rng.Intn(256))).Addr()
 			default: // anywhere
 				return netaddr.IPv4(rng.Uint32()).Addr()
@@ -82,11 +89,12 @@ func TestBloomVerdictEquivalence(t *testing.T) {
 
 		for round := 0; round < 200; round++ {
 			switch rng.Intn(4) {
-			case 0: // re-home an existing prefix
+			case 0: // promote a source inside an existing prefix at some peer
 				a := assigns[rng.Intn(len(assigns))]
-				np := PeerAS(rng.Intn(nPeers))
-				probed.AddPrefix(np, a.Prefix)
-				exact.AddPrefix(np, a.Prefix)
+				np, src := PeerAS(rng.Intn(nPeers)), v4In(a.pfx, uint32(rng.Intn(256)))
+				if vouch(probed, np, src, 3) != vouch(exact, np, src, 3) {
+					t.Fatalf("bits=%d round %d: re-homing outcomes diverged", bits, round)
+				}
 			case 1: // drive a source toward promotion on both stores
 				peer, src := PeerAS(rng.Intn(nPeers)), srcOf()
 				for i := 0; i < 3; i++ {
@@ -95,12 +103,13 @@ func TestBloomVerdictEquivalence(t *testing.T) {
 					}
 				}
 			case 2: // fresh prefix batch
-				batch := []Assignment{
-					{Peer: PeerAS(rng.Intn(nPeers)), Prefix: netaddr.PrefixFrom4(netaddr.IPv4(rng.Uint32()), 16)},
-					{Peer: PeerAS(rng.Intn(nPeers)), Prefix: netaddr.PrefixFrom4(netaddr.IPv4(rng.Uint32()), 28)},
+				batch := []assignment{
+					{peer: PeerAS(rng.Intn(nPeers)), pfx: netaddr.PrefixFrom4(netaddr.IPv4(rng.Uint32()), 16)},
+					{peer: PeerAS(rng.Intn(nPeers)), pfx: netaddr.PrefixFrom4(netaddr.IPv4(rng.Uint32()), 28)},
 				}
-				probed.AddPrefixes(batch)
-				exact.AddPrefixes(batch)
+				remote := setOf(exactCfg, batch)
+				probed.MergeSet(remote)
+				exact.MergeSet(remote)
 				assigns = append(assigns, batch...)
 			}
 
@@ -126,10 +135,10 @@ func TestBloomVerdictEquivalence(t *testing.T) {
 
 		// The two stores must have converged to identical serialized state.
 		var a, b bytes.Buffer
-		if _, err := probed.WriteTo(&a); err != nil {
+		if _, err := probed.Snapshot().WriteTo(&a); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := exact.WriteTo(&b); err != nil {
+		if _, err := exact.Snapshot().WriteTo(&b); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -153,16 +162,16 @@ func TestBloomRebuildOnOverflow(t *testing.T) {
 
 	// Push well past the initial 2x-headroom sizing, one small batch at a
 	// time so the incremental clone-and-insert path runs until it can't.
-	var added []Assignment
+	var added []assignment
 	for i := 0; i < 40; i++ {
-		batch := make([]Assignment, 8)
+		batch := make([]assignment, 8)
 		for j := range batch {
-			batch[j] = Assignment{
-				Peer:   PeerAS(rng.Intn(3)),
-				Prefix: netaddr.PrefixFrom4(netaddr.IPv4(rng.Uint32()), 24),
+			batch[j] = assignment{
+				peer: PeerAS(rng.Intn(3)),
+				pfx:  netaddr.PrefixFrom4(netaddr.IPv4(rng.Uint32()), 24),
 			}
 		}
-		st.AddPrefixes(batch)
+		st.MergeSet(setOf(Config{}, batch))
 		added = append(added, batch...)
 	}
 	t1 := st.snap.Load().tier
@@ -175,8 +184,8 @@ func TestBloomRebuildOnOverflow(t *testing.T) {
 			t1.global.Entries(), t1.global.Capacity())
 	}
 	for _, a := range added {
-		if got := st.Check(a.Peer, v4In(a.Prefix, 1)); got != Match {
-			t.Fatalf("after rebuild: Check(%d, in %v) = %v, want Match", a.Peer, a.Prefix, got)
+		if got := st.Check(a.peer, v4In(a.pfx, 1)); got != Match {
+			t.Fatalf("after rebuild: Check(%d, in %v) = %v, want Match", a.peer, a.pfx, got)
 		}
 	}
 }
@@ -190,7 +199,7 @@ func TestBloomCheckpointRehydration(t *testing.T) {
 	orig := NewStore(set)
 
 	var ckpt bytes.Buffer
-	if err := orig.WriteCheckpoint(&ckpt); err != nil {
+	if err := orig.Snapshot().WriteCheckpoint(&ckpt); err != nil {
 		t.Fatal(err)
 	}
 	restoredSet := NewSet(bloomCfg)
@@ -205,7 +214,7 @@ func TestBloomCheckpointRehydration(t *testing.T) {
 		peer, src := PeerAS(rng.Intn(4)), netaddr.IPv4(rng.Uint32()).Addr()
 		if i%2 == 0 { // half the probes inside trained space
 			a := assigns[rng.Intn(len(assigns))]
-			src = v4In(a.Prefix, uint32(rng.Intn(256)))
+			src = v4In(a.pfx, uint32(rng.Intn(256)))
 		}
 		if got, want := restored.Check(peer, src), orig.Check(peer, src); got != want {
 			t.Fatalf("probe %d: restored Check(%d, %v) = %v, original says %v", i, peer, src, got, want)
@@ -257,11 +266,11 @@ func TestBloomMetrics(t *testing.T) {
 	// big batch can trigger a rebuild at doubled capacity, lowering the
 	// ratio — but it must change from the seeded value and stay sane.
 	before := m.BloomFillPermille.Value()
-	var batch []Assignment
+	var batch []assignment
 	for i := 0; i < 200; i++ {
-		batch = append(batch, Assignment{Peer: 1, Prefix: netaddr.PrefixFrom4(netaddr.IPv4(rng.Uint32()), 24)})
+		batch = append(batch, assignment{peer: 1, pfx: netaddr.PrefixFrom4(netaddr.IPv4(rng.Uint32()), 24)})
 	}
-	st.AddPrefixes(batch)
+	st.MergeSet(setOf(Config{}, batch))
 	after := m.BloomFillPermille.Value()
 	if after == before {
 		t.Errorf("fill gauge not refreshed on publication (still %d)", before)
@@ -286,17 +295,17 @@ func TestBloomBatchBypass(t *testing.T) {
 	st.SetMetrics(m)
 
 	const n = 256
-	peer := inserted[0].Peer
-	var own []Assignment
+	peer := inserted[0].peer
+	var own []assignment
 	for _, a := range inserted {
-		if a.Peer == peer {
+		if a.peer == peer {
 			own = append(own, a)
 		}
 	}
 	legal := make([]netaddr.Addr, n)
 	out := make([]Verdict, n)
 	for i := range legal {
-		legal[i] = v4In(own[i%len(own)].Prefix, 1)
+		legal[i] = v4In(own[i%len(own)].pfx, 1)
 	}
 	// Sources in peer's own set: every probe defers to the walk.
 	st.CheckBatch(peer, legal, out)

@@ -2,6 +2,8 @@ package eia
 
 import (
 	"bytes"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -9,10 +11,29 @@ import (
 	"infilter/internal/telemetry"
 )
 
+// storeOf builds a Set from "<peerAS> <cidr>" rows, as an EIA file
+// loads, and publishes it in a new Store.
+func storeOf(t *testing.T, cfg Config, rows ...string) *Store {
+	t.Helper()
+	set := NewSet(cfg)
+	if err := ReadInto(set, strings.NewReader(strings.Join(rows, "\n"))); err != nil {
+		t.Fatal(err)
+	}
+	return NewStore(set)
+}
+
+// vouch calls RecordLegal for src at peer n times and reports whether
+// the last call promoted.
+func vouch(st *Store, peer PeerAS, src netaddr.Addr, n int) bool {
+	promoted := false
+	for i := 0; i < n; i++ {
+		promoted = st.RecordLegal(peer, src)
+	}
+	return promoted
+}
+
 func TestStoreSemantics(t *testing.T) {
-	cs := NewStore(nil)
-	cs.AddPrefix(1, netaddr.MustParsePrefix("61.0.0.0/11"))
-	cs.AddPrefix(2, netaddr.MustParsePrefix("70.0.0.0/11"))
+	cs := storeOf(t, Config{}, "1 61.0.0.0/11", "2 70.0.0.0/11")
 
 	if got := cs.Check(1, netaddr.MustParseAddr("61.1.1.1")); got != Match {
 		t.Errorf("Check = %v, want Match", got)
@@ -23,20 +44,13 @@ func TestStoreSemantics(t *testing.T) {
 	if got := cs.Check(1, netaddr.MustParseAddr("99.1.1.1")); got != Unknown {
 		t.Errorf("Check = %v, want Unknown", got)
 	}
-	if peer, ok := cs.ExpectedPeer(netaddr.MustParseAddr("70.1.1.1")); !ok || peer != 2 {
-		t.Errorf("ExpectedPeer = %v, %v", peer, ok)
-	}
-	if cs.Len() != 2 || cs.PeerPrefixCount(1) != 1 {
-		t.Errorf("Len = %d, PeerPrefixCount(1) = %d", cs.Len(), cs.PeerPrefixCount(1))
+	if snap := cs.Snapshot(); snap.Len() != 2 || !reflect.DeepEqual(snap.Peers(), []PeerAS{1, 2}) {
+		t.Errorf("Len = %d, Peers = %v", snap.Len(), snap.Peers())
 	}
 
 	// Promotion through the store behaves like the bare set.
 	src := netaddr.MustParseAddr("99.2.3.4")
-	var promoted bool
-	for i := 0; i < DefaultPromoteThreshold; i++ {
-		promoted = cs.RecordLegal(3, src)
-	}
-	if !promoted {
+	if !vouch(cs, 3, src, DefaultPromoteThreshold) {
 		t.Fatal("RecordLegal never promoted at the threshold")
 	}
 	if got := cs.Check(3, src); got != Match {
@@ -44,81 +58,79 @@ func TestStoreSemantics(t *testing.T) {
 	}
 }
 
-// TestStoreRehoming covers the route-change path: re-inserting a prefix
-// for a different peer must move it (and its count) in the next snapshot.
+// TestStoreRehoming covers the route-change path: promoting a prefix
+// another peer holds must move it (and its count) in the next snapshot.
 func TestStoreRehoming(t *testing.T) {
-	cs := NewStore(nil)
-	p := netaddr.MustParsePrefix("61.0.0.0/11")
-	cs.AddPrefix(1, p)
-	cs.AddPrefix(2, p)
-	if cs.Len() != 1 {
-		t.Errorf("Len = %d after re-home, want 1", cs.Len())
+	cs := storeOf(t, Config{PromoteThreshold: 2}, "1 61.1.1.0/24")
+	src := netaddr.MustParseAddr("61.1.1.1")
+	if !vouch(cs, 2, src, 2) {
+		t.Fatal("re-homing promotion did not happen")
 	}
-	if got := cs.PeerPrefixCount(1); got != 0 {
-		t.Errorf("PeerPrefixCount(1) = %d, want 0", got)
+	snap := cs.Snapshot()
+	if snap.Len() != 1 {
+		t.Errorf("Len = %d after re-home, want 1", snap.Len())
 	}
-	if got := cs.PeerPrefixCount(2); got != 1 {
-		t.Errorf("PeerPrefixCount(2) = %d, want 1", got)
+	if got := snap.Peers(); !reflect.DeepEqual(got, []PeerAS{2}) {
+		t.Errorf("Peers = %v after re-home, want [2] (peer 1's count must drop to 0)", got)
 	}
-	if got := cs.Check(2, netaddr.MustParseAddr("61.1.1.1")); got != Match {
+	if got := cs.Check(2, src); got != Match {
 		t.Errorf("Check after re-home = %v, want Match", got)
 	}
-	// Re-inserting the same mapping publishes nothing and changes nothing.
-	cs.AddPrefix(2, p)
-	if cs.Len() != 1 || cs.PeerPrefixCount(2) != 1 {
-		t.Errorf("idempotent re-insert: Len=%d count=%d", cs.Len(), cs.PeerPrefixCount(2))
+	if got := cs.Check(1, src); got != WrongPeer {
+		t.Errorf("Check at the old peer = %v, want WrongPeer", got)
+	}
+	// Promoting the same mapping again publishes nothing.
+	vouch(cs, 2, src, 2)
+	if cs.Snapshot() != snap {
+		t.Error("an unchanged promotion published a new snapshot")
 	}
 }
 
-// TestStoreBatchPublish checks that AddPrefixes lands a whole batch and
-// Train aggregates to the promote mask, as Set.Train does.
+// TestStoreBatchPublish checks that MergeSet lands a whole batch in one
+// swap and that a snapshot taken before a publication stays as it was.
 func TestStoreBatchPublish(t *testing.T) {
 	cs := NewStore(nil)
-	cs.AddPrefixes([]Assignment{
-		{Peer: 1, Prefix: netaddr.MustParsePrefix("61.0.0.0/11")},
-		{Peer: 1, Prefix: netaddr.MustParsePrefix("88.32.0.0/11")},
-		{Peer: 2, Prefix: netaddr.MustParsePrefix("70.0.0.0/11")},
-	})
-	if cs.Len() != 3 || cs.PeerPrefixCount(1) != 2 {
-		t.Errorf("Len = %d, PeerPrefixCount(1) = %d", cs.Len(), cs.PeerPrefixCount(1))
+	before := cs.Snapshot()
+	batch := NewSet(Config{})
+	batch.AddPrefix(1, netaddr.MustParsePrefix("61.0.0.0/11"))
+	batch.AddPrefix(1, netaddr.MustParsePrefix("88.32.0.0/11"))
+	batch.AddPrefix(2, netaddr.MustParsePrefix("70.0.0.0/11"))
+	if added, rehomed := cs.MergeSet(batch); added != 3 || rehomed != 0 {
+		t.Fatalf("MergeSet = (%d, %d), want (3, 0)", added, rehomed)
 	}
-	cs.Train([]TrainingSource{{Peer: 3, Src: netaddr.MustParseAddr("10.1.2.3")}}, 0)
-	if got := cs.Check(3, netaddr.MustParseAddr("10.1.2.99")); got != Match {
-		t.Errorf("trained /24 Check = %v, want Match", got)
+	after := cs.Snapshot()
+	if after.Len() != 3 || !reflect.DeepEqual(after.Peers(), []PeerAS{1, 2}) {
+		t.Errorf("after: Len = %d, Peers = %v", after.Len(), after.Peers())
 	}
-	if got := len(cs.Peers()); got != 3 {
-		t.Errorf("Peers = %d, want 3", got)
+	if before.Len() != 0 || len(before.Peers()) != 0 {
+		t.Errorf("earlier snapshot changed: Len = %d, Peers = %v", before.Len(), before.Peers())
 	}
 }
 
 // TestStoreAdoptsSetState verifies NewStore carries over prefixes and
-// config from the seed Set.
+// config from the seed Set, and that the published snapshot serializes
+// the same state as plain rows and as a checkpoint.
 func TestStoreAdoptsSetState(t *testing.T) {
-	set := NewSet(Config{PromoteThreshold: 3})
-	set.AddPrefix(1, netaddr.MustParsePrefix("61.0.0.0/11"))
+	cs := storeOf(t, Config{PromoteThreshold: 3}, "1 61.0.0.0/11")
 	src := netaddr.MustParseAddr("99.2.3.4")
 
-	cs := NewStore(set)
 	if got := cs.Check(1, netaddr.MustParseAddr("61.1.1.1")); got != Match {
 		t.Errorf("adopted prefix Check = %v, want Match", got)
 	}
 	if cs.RecordLegal(2, src) || cs.RecordLegal(2, src) {
 		t.Error("promoted before 3 of 3")
 	}
-	if got := cs.PendingCount(2, src); got != 2 {
-		t.Errorf("PendingCount = %d, want 2", got)
-	}
 	if !cs.RecordLegal(2, src) {
 		t.Error("not promoted at 3 of 3")
 	}
 	var a, b bytes.Buffer
-	if _, err := cs.WriteTo(&a); err != nil {
+	if _, err := cs.Snapshot().WriteTo(&a); err != nil {
 		t.Fatal(err)
 	}
-	if a.Len() == 0 {
-		t.Error("WriteTo wrote nothing")
+	if want := "1 61.0.0.0/11\n2 99.2.3.0/24\n"; a.String() != want {
+		t.Errorf("WriteTo = %q, want %q", a.String(), want)
 	}
-	if err := cs.WriteCheckpoint(&b); err != nil {
+	if err := cs.Snapshot().WriteCheckpoint(&b); err != nil {
 		t.Fatal(err)
 	}
 	// The checkpoint carries exactly the WriteTo state, re-encoded as
@@ -142,15 +154,73 @@ func TestStoreAdoptsSetState(t *testing.T) {
 	}
 }
 
+// TestSharedSetRefusesWrites: a Set adopted by NewStore, returned by
+// Snapshot, or passed to or returned from Merge shares its trie with
+// lock-free readers, so every write path panics on it, and the store's
+// verdicts are unchanged afterwards.
+func TestSharedSetRefusesWrites(t *testing.T) {
+	adopted := NewSet(Config{})
+	adopted.AddPrefix(1, netaddr.MustParsePrefix("61.0.0.0/11"))
+	adopted.AddPrefix(2, netaddr.MustParsePrefix("70.0.0.0/11"))
+	store := NewStore(adopted)
+	a, b := NewSet(Config{}), NewSet(Config{})
+	a.AddPrefix(3, netaddr.MustParsePrefix("10.0.0.0/8"))
+	merged := Merge(a, b)
+
+	srcs := []netaddr.Addr{
+		netaddr.MustParseAddr("61.1.1.1"),
+		netaddr.MustParseAddr("70.1.1.1"),
+		netaddr.MustParseAddr("99.1.1.1"),
+		netaddr.MustParseAddr("10.1.1.1"),
+	}
+	verdicts := func() []Verdict {
+		out := make([]Verdict, len(srcs))
+		store.CheckBatch(1, srcs, out)
+		return out
+	}
+	before := verdicts()
+
+	writes := map[string]func(*Set){
+		"AddPrefix": func(s *Set) { s.AddPrefix(1, netaddr.MustParsePrefix("99.0.0.0/8")) },
+		"Train": func(s *Set) {
+			s.Train([]TrainingSource{{Peer: 1, Src: netaddr.MustParseAddr("10.1.1.1")}}, 24)
+		},
+		"ReadInto": func(s *Set) { ReadInto(s, strings.NewReader("1 99.0.0.0/8\n")) },
+	}
+	sets := map[string]*Set{
+		"NewStore's input": adopted,
+		"Snapshot":         store.Snapshot(),
+		"Merge's input a":  a,
+		"Merge's input b":  b,
+		"Merge's result":   merged,
+	}
+	for setName, s := range sets {
+		for writeName, write := range writes {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s on %s did not panic", writeName, setName)
+					}
+				}()
+				write(s)
+			}()
+		}
+	}
+	if after := verdicts(); !reflect.DeepEqual(after, before) {
+		t.Errorf("verdicts after refused writes = %v, want %v", after, before)
+	}
+	if got := merged.Len(); got != 1 {
+		t.Errorf("Merge's result holds %d prefixes after refused writes, want 1", got)
+	}
+}
+
 // TestStoreCheckBatchMatchesCheck replays one source column through both
 // the per-record and the batched entry point at every peer (expected,
 // other and never-seen): the verdicts must be identical, since CheckBatch
 // only amortizes the snapshot load, and a promotion published between
 // batches is visible to the next one.
 func TestStoreCheckBatchMatchesCheck(t *testing.T) {
-	cs := NewStore(nil)
-	cs.AddPrefix(1, netaddr.MustParsePrefix("61.0.0.0/11"))
-	cs.AddPrefix(2, netaddr.MustParsePrefix("70.0.0.0/11"))
+	cs := storeOf(t, Config{}, "1 61.0.0.0/11", "2 70.0.0.0/11")
 
 	srcs := []netaddr.Addr{
 		netaddr.MustParseAddr("61.1.1.1"),
@@ -219,8 +289,7 @@ func TestStoreAddVerdictCounts(t *testing.T) {
 // batch tail after a mid-batch promotion and settles through
 // AddVerdictCounts).
 func TestStoreCheckBatchMetrics(t *testing.T) {
-	cs := NewStore(nil)
-	cs.AddPrefix(1, netaddr.MustParsePrefix("61.0.0.0/11"))
+	cs := storeOf(t, Config{}, "1 61.0.0.0/11")
 	m := &Metrics{
 		Hits:       telemetry.NewFamilyCounter(),
 		Misses:     telemetry.NewFamilyCounter(),
@@ -250,10 +319,11 @@ func TestStoreCheckBatchMetrics(t *testing.T) {
 // -race it proves the lock-free Check path and the single-writer side
 // are coherent (readers only ever see fully published snapshots).
 func TestStoreParallelAccess(t *testing.T) {
-	cs := NewStore(nil)
+	set := NewSet(Config{})
 	for i := 0; i < 8; i++ {
-		cs.AddPrefix(PeerAS(i+1), netaddr.PrefixFrom4(netaddr.IPv4(uint32(i+10)<<24), 8))
+		set.AddPrefix(PeerAS(i+1), netaddr.PrefixFrom4(netaddr.IPv4(uint32(i+10)<<24), 8))
 	}
+	cs := NewStore(set)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -265,14 +335,15 @@ func TestStoreParallelAccess(t *testing.T) {
 				src := (base + netaddr.IPv4(i%7)<<8).Addr()
 				cs.Check(peer, src)
 				cs.RecordLegal(peer, src)
-				cs.ExpectedPeer(src)
 				if i%100 == 0 {
-					cs.Len()
-					cs.Peers()
+					snap := cs.Snapshot()
+					snap.Len()
+					snap.Peers()
 					var buf bytes.Buffer
-					if _, err := cs.WriteTo(&buf); err != nil {
+					if _, err := snap.WriteTo(&buf); err != nil {
 						t.Errorf("WriteTo: %v", err)
 					}
+					Merge(snap, NewSet(Config{}))
 				}
 			}
 		}(g)
