@@ -340,6 +340,7 @@ func TestAdminMetricsEndToEnd(t *testing.T) {
 			{"infilter_eia_hits_total", float64(legal)},
 			{"infilter_eia_misses_total", float64(spoofed)},
 			{"infilter_alerts_sent_total", float64(alerts.Load())},
+			{"infilter_pipeline_attacks_total", sumMetric(m, "infilter_alerts_sent_total")},
 			{"infilter_pipeline_stage_latency_seconds_count", float64(total)},
 		}
 		for _, c := range checks {

@@ -87,14 +87,15 @@ type Decision struct {
 	Promoted bool
 }
 
-// Stats accumulates engine counters.
+// Stats is a view of the engine's counters (PipelineMetrics): flows
+// given a verdict, EIA misses, attacks by the stage that flagged them
+// (only stages that flagged any) and their sum, and promotions.
 type Stats struct {
-	Processed   int
-	Suspects    int
-	Attacks     int
-	ByStage     map[idmef.Stage]int
-	Promotions  int
-	ScanFlagged int
+	Processed  int
+	Suspects   int
+	Attacks    int
+	ByStage    map[idmef.Stage]int
+	Promotions int
 }
 
 // pipeline is the normal-processing phase of §5.2 (Figure 12) over a set of
@@ -117,24 +118,19 @@ type pipeline struct {
 	// promote gates EIA promotion by peer AS (Config.PromotionFilter);
 	// nil trains on every peer.
 	promote func(peer eia.PeerAS) bool
-	// metrics is the owning shard's instrumentation (nil on
-	// uninstrumented engines). Stage timing uses the real clock, not the
-	// engine's replay clock: latency telemetry reports wall cost even
-	// when flows carry replayed timestamps.
+	// metrics is the owning shard's instrumentation. Stage timing uses
+	// the real clock, not the engine's replay clock: latency telemetry
+	// reports wall cost even when flows carry replayed timestamps.
 	metrics *shardMetrics
 }
 
 // decideVerdict runs one flow through the stages that follow its EIA-set
-// classification v; scanFlagged reports whether the scan stage fired
-// (tracked separately from the Decision for stats). Its one caller is the
-// batch loop, which classifies a whole batch up front
-// (eia.Store.CheckBatch) and owns the flow counter, EIA stage timing and
-// hit/miss accounting for that phase. The record is passed by pointer (it
-// is large) and not retained or mutated.
-func (p *pipeline) decideVerdict(peer eia.PeerAS, rec *flow.Record, v eia.Verdict) (d Decision, scanFlagged bool) {
-	m := p.metrics
-	var t time.Time
-	d = Decision{Verdict: v}
+// classification v. Its one caller is the batch loop, which classifies a
+// whole batch up front (eia.Store.CheckBatch) and owns the EIA stage
+// timing and the counting of every decision. The record is passed by
+// pointer (it is large) and not retained or mutated.
+func (p *pipeline) decideVerdict(peer eia.PeerAS, rec *flow.Record, v eia.Verdict) Decision {
+	d := Decision{Verdict: v}
 	if d.Verdict == eia.Match {
 		// Case (b): expected ingress. The TTL profile gets a second
 		// opinion: a source spoofed from a host behind the *same* peer
@@ -143,41 +139,32 @@ func (p *pipeline) decideVerdict(peer eia.PeerAS, rec *flow.Record, v eia.Verdic
 		if p.checkTTL(rec) {
 			d.Attack = true
 			d.Stage = idmef.StageTTL
-			return d, false
 		}
-		return d, false
+		return d
 	}
 	// Case (a): unexpected ingress or unknown source.
 	if p.mode == ModeBasic {
 		d.Attack = true
 		d.Stage = idmef.StageEIA
-		return d, false
+		return d
 	}
 	// Enhanced: Scan Analysis first.
-	if m != nil {
-		t = time.Now()
-	}
+	t := time.Now()
 	res := p.scanner.Add(*rec)
-	if m != nil {
-		m.observeStage(stageScan, time.Since(t))
-	}
+	p.metrics.stage[stageScan].ObserveDuration(time.Since(t))
 	if res.Attack() {
 		d.Attack = true
 		d.Stage = idmef.StageScan
-		return d, true
+		return d
 	}
 	// Then NNS search against the flow's subcluster.
-	if m != nil {
-		t = time.Now()
-	}
+	t = time.Now()
 	d.Assessment = p.detector.Assess(*rec)
-	if m != nil {
-		m.observeStage(stageNNS, time.Since(t))
-	}
+	p.metrics.stage[stageNNS].ObserveDuration(time.Since(t))
 	if d.Assessment.Anomalous {
 		d.Attack = true
 		d.Stage = idmef.StageNNS
-		return d, false
+		return d
 	}
 	// TTL second opinion before vouching: a suspect whose TTL contradicts
 	// the source's learned hop profile is flagged instead of vouched, so
@@ -186,7 +173,7 @@ func (p *pipeline) decideVerdict(peer eia.PeerAS, rec *flow.Record, v eia.Verdic
 	if p.checkTTL(rec) {
 		d.Attack = true
 		d.Stage = idmef.StageTTL
-		return d, false
+		return d
 	}
 	// Within normal behavior: vouch for the source; promote after enough
 	// confirmations so a route change stops raising suspicion (§5.2(a)).
@@ -195,7 +182,7 @@ func (p *pipeline) decideVerdict(peer eia.PeerAS, rec *flow.Record, v eia.Verdic
 	if p.promote == nil || p.promote(peer) {
 		d.Promoted = p.eia.RecordLegal(peer, rec.Key.Src)
 	}
-	return d, false
+	return d
 }
 
 // checkTTL runs the TTL-profile stage on one flow, with stage timing;
@@ -205,53 +192,10 @@ func (p *pipeline) checkTTL(rec *flow.Record) bool {
 	if p.ttl == nil || rec.TTL == 0 {
 		return false
 	}
-	m := p.metrics
-	var t time.Time
-	if m != nil {
-		t = time.Now()
-	}
+	t := time.Now()
 	spoofed := p.ttl.Observe(rec.Key.Src, rec.TTL)
-	if m != nil {
-		m.observeStage(stageTTL, time.Since(t))
-	}
+	p.metrics.stage[stageTTL].ObserveDuration(time.Since(t))
 	return spoofed
-}
-
-// record folds one decision into the counters.
-func (s *Stats) record(d Decision, scanFlagged bool) {
-	s.Processed++
-	if d.Verdict != eia.Match {
-		s.Suspects++
-	}
-	if d.Attack {
-		s.Attacks++
-		s.ByStage[d.Stage]++
-	}
-	if d.Promoted {
-		s.Promotions++
-	}
-	if scanFlagged {
-		s.ScanFlagged++
-	}
-}
-
-// reset zeroes the counters in place, keeping the ByStage map's storage,
-// so a scratch Stats can be reused batch after batch.
-func (s *Stats) reset() {
-	clear(s.ByStage)
-	*s = Stats{ByStage: s.ByStage}
-}
-
-// merge adds other's counters into s.
-func (s *Stats) merge(other Stats) {
-	s.Processed += other.Processed
-	s.Suspects += other.Suspects
-	s.Attacks += other.Attacks
-	s.Promotions += other.Promotions
-	s.ScanFlagged += other.ScanFlagged
-	for k, v := range other.ByStage {
-		s.ByStage[k] += v
-	}
 }
 
 // Engine is the per-deployment analysis state: the one-shard synchronous

@@ -156,7 +156,7 @@ func TestEnhancedDetectsScanAttack(t *testing.T) {
 	if detected < len(recs)/2 {
 		t.Errorf("slammer: %d/%d flows detected", detected, len(recs))
 	}
-	if eng.Stats().ScanFlagged == 0 {
+	if eng.Stats().ByStage[idmef.StageScan] == 0 {
 		t.Error("scan analysis never fired on slammer")
 	}
 }

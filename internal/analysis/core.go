@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,23 +17,25 @@ import (
 
 // core is the single pipeline implementation behind both engines: one
 // batch loop (processBatch, the only caller of pipeline.decideVerdict),
-// one stats accounting, one alert emitter. Engine is a core with exactly
-// one shard driven synchronously; ParallelEngine is a core with N shards
-// driven from queues. Both embed it, so the accessors below are defined
-// once. Every queued message and every Engine.ProcessBatch call is a
+// one set of counters (PipelineMetrics, which Stats reads), one alert
+// emitter. Engine is a core with exactly one shard driven synchronously;
+// ParallelEngine is a core with N shards driven from queues. Both embed
+// it, so the accessors below are defined once. Every queued message and every Engine.ProcessBatch call is a
 // single-peer record batch, and a batch of any width decides its records
 // as one-record batches would, each against the latest snapshot.
 //
 // Shared state is concurrency-safe by composition: the EIA store is a
 // lock-free copy-on-write snapshot store, the NNS detector is read-only
-// after training, and everything per-shard (scan buffer, stats block,
-// stage histograms) is touched only by that shard's driver.
+// after training, the counters are atomics, and everything per-shard
+// (scan buffer, batch scratch, stage histograms) is touched only by that
+// shard's driver.
 type core struct {
 	cfg      Config
 	store    *eia.Store
 	detector *nns.Detector
 	ttl      *scan.TTLProfile // shared across shards; nil unless enabled
 	shards   []*shard
+	metrics  *PipelineMetrics
 
 	alertFn  func(idmef.Alert)
 	alertSeq atomic.Int64
@@ -43,30 +44,25 @@ type core struct {
 
 // shard is one driver's private state: its own Scan Analysis buffer
 // (suspect interleaving is per-shard, matching the per-ingress deployment
-// of the paper's prototype) and its own counters, merged only when Stats
-// is read. The queue is set only on ParallelEngine shards; the serial
-// Engine dispatches into its single shard directly.
+// of the paper's prototype). The queue is set only on ParallelEngine
+// shards; the serial Engine dispatches into its single shard directly.
 type shard struct {
-	pl     pipeline
-	queue  chan shardBatch
-	blocks *telemetry.Counter // SubmitBatch calls that found the queue full (nil ok)
+	pl    pipeline
+	queue chan shardBatch
 
 	// Batch scratch, touched only by the shard's single driver: the
-	// column views CheckBatch classifies (one snapshot load per batch)
-	// and the counters a batch accumulates before merging into stats
-	// under one lock (reset, not reallocated, between batches).
+	// column views CheckBatch classifies (one snapshot load per batch),
+	// grown, not reallocated, between batches.
 	srcs     []netaddr.Addr
 	verdicts []eia.Verdict
-	batch    Stats
-
-	mu    sync.Mutex
-	stats Stats
 }
 
 // newCore assembles the shared engine substrate: it validates the
 // configuration, wraps the EIA set in a copy-on-write snapshot store and
 // builds the per-shard pipelines. detector may be nil only in ModeBasic.
-// The store adopts the set, so AddPrefix on it panics afterwards.
+// The store adopts the set, so AddPrefix on it panics afterwards. A nil
+// metrics is replaced by one on a private registry: the engine always
+// counts, since Stats reads those counters.
 func newCore(cfg Config, set *eia.Set, detector *nns.Detector, shards int, metrics *PipelineMetrics) (*core, error) {
 	if cfg.Mode == 0 {
 		cfg.Mode = ModeEnhanced
@@ -77,7 +73,9 @@ func newCore(cfg Config, set *eia.Set, detector *nns.Detector, shards int, metri
 	if cfg.Mode == ModeEnhanced && detector == nil {
 		return nil, fmt.Errorf("analysis: enhanced mode requires a trained NNS detector")
 	}
-	if metrics != nil && metrics.Shards() != shards {
+	if metrics == nil {
+		metrics = NewPipelineMetrics(telemetry.NewRegistry(), shards)
+	} else if metrics.Shards() != shards {
 		return nil, fmt.Errorf("analysis: metrics built for %d shards, engine has %d", metrics.Shards(), shards)
 	}
 	c := &core{
@@ -85,41 +83,32 @@ func newCore(cfg Config, set *eia.Set, detector *nns.Detector, shards int, metri
 		store:    eia.NewStore(set),
 		detector: detector,
 		shards:   make([]*shard, shards),
+		metrics:  metrics,
 		now:      time.Now,
 	}
-	if metrics != nil {
-		c.store.SetMetrics(metrics.eia)
-	}
+	c.store.SetMetrics(metrics.eia)
 	if cfg.Mode == ModeEnhanced {
 		// One profile table for the whole engine: TTL expectations must
 		// aggregate a source's flows across shards (the table is
 		// stripe-locked), unlike the per-shard scan buffers.
 		c.ttl = scan.NewTTLProfile(cfg.TTL) // nil unless enabled
 	}
-	if metrics != nil && c.ttl != nil {
+	if c.ttl != nil {
 		c.ttl.SetMetrics(metrics.ttl)
 		metrics.registerTTLSourcesGauge(c.ttl)
 	}
 	for i := range c.shards {
 		scanner := scan.New(cfg.Scan)
-		s := &shard{
-			pl: pipeline{
-				mode:     cfg.Mode,
-				eia:      c.store,
-				scanner:  scanner,
-				detector: detector,
-				ttl:      c.ttl,
-				promote:  cfg.PromotionFilter,
-			},
-			batch: Stats{ByStage: make(map[idmef.Stage]int)},
-			stats: Stats{ByStage: make(map[idmef.Stage]int)},
-		}
-		if metrics != nil {
-			scanner.SetMetrics(metrics.scan)
-			s.pl.metrics = &metrics.shards[i]
-			s.blocks = metrics.shards[i].blocks
-		}
-		c.shards[i] = s
+		scanner.SetMetrics(metrics.scan)
+		c.shards[i] = &shard{pl: pipeline{
+			mode:     cfg.Mode,
+			eia:      c.store,
+			scanner:  scanner,
+			detector: detector,
+			ttl:      c.ttl,
+			promote:  cfg.PromotionFilter,
+			metrics:  &metrics.shards[i],
+		}}
 	}
 	return c, nil
 }
@@ -133,9 +122,8 @@ func newCore(cfg Config, set *eia.Set, detector *nns.Detector, shards int, metri
 // one-observation-per-flow invariant. When a record's decision completes
 // a promotion — publishing a new snapshot — the unconsumed tail is
 // re-classified against it, so any batch width decides every record as
-// one-record batches would. Hit/miss counters fold in at consumption time
-// (verdictTally), once per record. Stats accumulate in the shard's scratch
-// block and merge under one lock per batch.
+// one-record batches would. Every verdict is tallied as it is consumed
+// (batchTally) and the tally settles into the counters once per batch.
 func (c *core) processBatch(s *shard, peer eia.PeerAS, recs []flow.Record, out []Decision) {
 	n := len(recs)
 	if n == 0 {
@@ -150,26 +138,15 @@ func (c *core) processBatch(s *shard, peer eia.PeerAS, recs []flow.Record, out [
 		srcs[i] = recs[i].Key.Src
 	}
 	m := s.pl.metrics
-	var t time.Time
-	if m != nil {
-		t = time.Now()
-	}
+	t := time.Now()
 	c.store.CheckBatch(peer, srcs, verdicts)
-	var eiaShare time.Duration
-	if m != nil {
-		eiaShare = time.Since(t) / time.Duration(n)
-	}
+	eiaShare := time.Since(t) / time.Duration(n)
 
-	batch := &s.batch
-	var tally verdictTally
+	var tally batchTally
 	for i := range recs {
-		if m != nil {
-			m.flows.Inc()
-			m.observeStage(stageEIA, eiaShare)
-		}
-		tally.add(srcs[i], verdicts[i])
-		d, scanFlagged := s.pl.decideVerdict(peer, &recs[i], verdicts[i])
-		batch.record(d, scanFlagged)
+		m.stage[stageEIA].ObserveDuration(eiaShare)
+		d := s.pl.decideVerdict(peer, &recs[i], verdicts[i])
+		tally.add(srcs[i], d)
 		if out != nil {
 			out[i] = d
 		}
@@ -180,35 +157,42 @@ func (c *core) processBatch(s *shard, peer eia.PeerAS, recs []flow.Record, out [
 			c.store.CheckBatch(peer, srcs[i+1:], verdicts[i+1:])
 		}
 	}
-	tally.settle(c.store)
-	s.mu.Lock()
-	s.stats.merge(*batch)
-	s.mu.Unlock()
-	batch.reset()
+	tally.settle(c.store, c.metrics)
+	m.flows.Add(int64(n))
 }
 
-// verdictTally accumulates a batch's consumed verdicts per address
-// family, so the hit/miss settle stays a handful of atomic adds per
-// batch (now at most four) instead of one per record.
-type verdictTally struct {
+// batchTally accumulates a batch's consumed decisions — hits and misses
+// per address family, attacks per stage — so settling them stays a
+// handful of atomic adds per batch instead of several per record.
+type batchTally struct {
 	hits, misses [2]int64 // indexed 0=v4, 1=v6
+	attacks      [numStages]int64
 }
 
-func (t *verdictTally) add(src netaddr.Addr, v eia.Verdict) {
+func (t *batchTally) add(src netaddr.Addr, d Decision) {
 	f := 0
 	if src.Is6() {
 		f = 1
 	}
-	if v == eia.Match {
+	if d.Verdict == eia.Match {
 		t.hits[f]++
 	} else {
 		t.misses[f]++
 	}
+	if d.Attack {
+		t.attacks[stageIndex(d.Stage)]++
+	}
 }
 
-func (t *verdictTally) settle(store *eia.Store) {
+// settle adds the tally to the counters. The batch loop then adds the
+// shard's flow count last, so a reader that sees a batch's flows counted
+// (Flush, Stats) also sees the rest of its counts.
+func (t *batchTally) settle(store *eia.Store, m *PipelineMetrics) {
 	store.AddVerdictCounts(netaddr.FamilyV4, t.hits[0], t.misses[0])
 	store.AddVerdictCounts(netaddr.FamilyV6, t.hits[1], t.misses[1])
+	for st, n := range t.attacks {
+		m.attacks[st].Add(n)
+	}
 }
 
 func (c *core) emitAlert(peer eia.PeerAS, rec flow.Record, d Decision) {
@@ -250,16 +234,24 @@ func (c *core) Detector() *nns.Detector { return c.detector }
 // monitoring and checkpointing; nil when the stage is disabled.
 func (c *core) TTLProfile() *scan.TTLProfile { return c.ttl }
 
-// Stats returns the counters merged across shards. It may be called
-// concurrently with processing; the snapshot is consistent per shard.
+// Stats reads the engine's counters. It may be called concurrently with
+// processing; each counter is then read at a batch boundary, not all of
+// them at the same one.
 func (c *core) Stats() Stats {
-	out := Stats{ByStage: make(map[idmef.Stage]int)}
-	for _, s := range c.shards {
-		s.mu.Lock()
-		out.merge(s.stats)
-		s.mu.Unlock()
+	m := c.metrics
+	st := Stats{
+		Processed:  int(m.flows()),
+		Suspects:   int(m.eia.Misses.Value()),
+		Promotions: int(m.eia.Promotions.Value()),
+		ByStage:    make(map[idmef.Stage]int),
 	}
-	return out
+	for i, ctr := range m.attacks {
+		if n := int(ctr.Value()); n > 0 {
+			st.ByStage[stageAlerts[i]] = n
+			st.Attacks += n
+		}
+	}
+	return st
 }
 
 // trainComponents builds the trained state both engines start from:

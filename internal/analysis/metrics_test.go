@@ -10,6 +10,7 @@ import (
 
 	"infilter/internal/eia"
 	"infilter/internal/flow"
+	"infilter/internal/idmef"
 	"infilter/internal/nns"
 	"infilter/internal/telemetry"
 )
@@ -102,6 +103,17 @@ func TestParallelEngineMetrics(t *testing.T) {
 	}
 	if got := sumSeries(m, "infilter_eia_promotions_total"); int(got) != st.Promotions {
 		t.Errorf("promotions_total = %v, Stats.Promotions = %d", got, st.Promotions)
+	}
+	for label, stage := range map[string]idmef.Stage{
+		"eia": idmef.StageEIA, "scan": idmef.StageScan, "nns": idmef.StageNNS, "ttl": idmef.StageTTL,
+	} {
+		key := `infilter_pipeline_attacks_total{stage="` + label + `"}`
+		if got, want := m[key], st.ByStage[stage]; int(got) != want {
+			t.Errorf("%s = %v, Stats.ByStage[%s] = %d", key, got, stage, want)
+		}
+	}
+	if got := sumSeries(m, "infilter_pipeline_attacks_total"); int(got) != st.Attacks || st.Attacks == 0 {
+		t.Errorf("attacks_total = %v, Stats.Attacks = %d (want equal and non-zero)", got, st.Attacks)
 	}
 	if got := m[`infilter_pipeline_stage_latency_seconds_count{stage="eia"}`]; got != float64(total) {
 		t.Errorf("eia stage latency count = %v, want %d", got, total)

@@ -138,9 +138,6 @@ func (o *oracle) process(peer eia.PeerAS, rec flow.Record) {
 		o.stats.ByStage[d.Stage]++
 		o.alerts.sink(idmef.NewAlert("", time.Time{}, d.Stage, int(peer), "", rec.Key, d.Assessment.Distance))
 	}
-	if d.Stage == idmef.StageScan {
-		o.stats.ScanFlagged++
-	}
 	if d.Promoted {
 		o.stats.Promotions++
 	}

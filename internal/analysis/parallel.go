@@ -27,9 +27,10 @@ type ParallelConfig struct {
 	// infilterd, the UDP receive loops; the kernel sheds load beyond
 	// that). Zero defaults to DefaultQueueDepth.
 	QueueDepth int
-	// Metrics instruments the engine (nil: no telemetry). It must have
-	// been built with NewPipelineMetrics for the same shard count this
-	// config resolves to, and belongs to exactly one engine.
+	// Metrics receives the engine's counters (nil: a private set the
+	// engine builds itself). It must have been built with
+	// NewPipelineMetrics for the same shard count this config resolves
+	// to, and belongs to exactly one engine.
 	Metrics *PipelineMetrics
 }
 
@@ -58,9 +59,9 @@ var ErrEngineClosed = errors.New("analysis: parallel engine closed")
 // partitions work by peer AS across Shards workers; the EIA store is the
 // shared copy-on-write snapshot store (reads are lock-free, promotions
 // go through its single writer), the NNS detector is shared read-only
-// (Assess is safe for concurrent use after training), and each shard
-// owns a private scan analyzer and stats block so the hot path takes no
-// global locks.
+// (Assess is safe for concurrent use after training), each shard owns a
+// private scan analyzer, and the counters are atomics settled once per
+// batch, so the hot path takes no global locks.
 //
 // SubmitBatch and Stats are safe for concurrent use. SetAlertSink and
 // SetClock must be called before the first SubmitBatch; the installed
@@ -70,7 +71,6 @@ type ParallelEngine struct {
 	*core
 
 	submitted atomic.Int64
-	processed atomic.Int64
 
 	mu     sync.RWMutex
 	closed bool
@@ -94,11 +94,9 @@ func NewParallelEngine(cfg ParallelConfig, set *eia.Set, detector *nns.Detector)
 	}
 	e := &ParallelEngine{core: c}
 	for i, s := range c.shards {
-		s.queue = make(chan shardBatch, cfg.QueueDepth)
-		if cfg.Metrics != nil {
-			q := s.queue
-			cfg.Metrics.registerQueueGauge(i, func() int64 { return int64(len(q)) })
-		}
+		q := make(chan shardBatch, cfg.QueueDepth)
+		s.queue = q
+		c.metrics.registerQueueGauge(i, func() int64 { return int64(len(q)) })
 	}
 	for _, s := range c.shards {
 		e.wg.Add(1)
@@ -155,7 +153,7 @@ func (e *ParallelEngine) enqueue(s *shard, sb shardBatch) {
 	case s.queue <- sb:
 	default:
 		// Full queue: count the backpressure event, then block as before.
-		s.blocks.Inc() // nil-safe
+		s.pl.metrics.blocks.Inc()
 		s.queue <- sb
 	}
 }
@@ -166,16 +164,15 @@ func (e *ParallelEngine) worker(s *shard) {
 		e.processBatch(s, sb.peer, sb.recs, nil)
 		*sb.pooled = sb.recs[:0]
 		recSlicePool.Put(sb.pooled)
-		e.processed.Add(int64(len(sb.recs)))
 	}
 }
 
 // Flush blocks until every flow submitted before the call has been
-// processed. It is a drain barrier for tests and benchmarks; it does not
-// stop the engine.
+// given a verdict and counted. It is a drain barrier for tests and
+// benchmarks; it does not stop the engine.
 func (e *ParallelEngine) Flush() {
 	target := e.submitted.Load()
-	for e.processed.Load() < target {
+	for e.metrics.flows() < target {
 		time.Sleep(50 * time.Microsecond)
 	}
 }

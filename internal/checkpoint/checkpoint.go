@@ -23,7 +23,9 @@ import (
 const DefaultInterval = 30 * time.Second
 
 // Metrics instruments the checkpoint loop: completed passes, failed
-// artifact writes, and the latency of one full checkpoint pass.
+// artifact writes, and the latency of one full checkpoint pass. The zero
+// value is a manager's uninstrumented default: its nil counters discard
+// counts.
 type Metrics struct {
 	Writes  *telemetry.Counter
 	Errors  *telemetry.Counter
@@ -70,7 +72,7 @@ type Config struct {
 type Manager struct {
 	cfg     Config
 	arts    []Artifact
-	metrics *Metrics // nil: uninstrumented
+	metrics *Metrics
 
 	stop    chan struct{}
 	done    chan struct{}
@@ -80,7 +82,7 @@ type Manager struct {
 
 // NewManager validates the configuration and prepares the state
 // directory. Artifact names must be plain file names, unique within the
-// manager.
+// manager. A nil m leaves the manager uninstrumented.
 func NewManager(cfg Config, m *Metrics, arts ...Artifact) (*Manager, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("checkpoint: empty state dir")
@@ -106,6 +108,9 @@ func NewManager(cfg Config, m *Metrics, arts ...Artifact) (*Manager, error) {
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: state dir: %w", err)
+	}
+	if m == nil {
+		m = &Metrics{}
 	}
 	return &Manager{
 		cfg:     cfg,
@@ -147,19 +152,15 @@ func (m *Manager) WriteNow() error {
 	for _, a := range m.arts {
 		if err := WriteAtomic(filepath.Join(m.cfg.Dir, a.Name), a.Write); err != nil {
 			failed = true
-			if mm := m.metrics; mm != nil {
-				mm.Errors.Inc()
-			}
+			m.metrics.Errors.Inc()
 			if firstErr == nil {
 				firstErr = err
 			}
 		}
 	}
-	if mm := m.metrics; mm != nil {
-		mm.Latency.ObserveDuration(time.Since(start))
-		if !failed {
-			mm.Writes.Inc()
-		}
+	m.metrics.Latency.ObserveDuration(time.Since(start))
+	if !failed {
+		m.metrics.Writes.Inc()
 	}
 	return firstErr
 }

@@ -9,8 +9,9 @@ import (
 )
 
 // Metrics are the EIA runtime counters: consumed verdicts (settled by the
-// batch loop through AddVerdictCounts) split into hits (expected ingress) and misses (wrong peer or unknown source), plus
-// completed promotions. The hit and miss series carry a `family` label
+// batch loop through AddVerdictCounts) split into hits (expected
+// ingress) and misses (wrong peer or unknown source), plus completed
+// promotions. The hit and miss series carry a `family` label
 // ("4" or "6") keyed on the checked source address, so a dual-stack
 // deployment can see per-family verdict rates; summing over the label
 // recovers the pre-split totals. All counters are shared across every
@@ -107,6 +108,7 @@ func NewStore(set *Set) *Store {
 	set.share()
 	st := &Store{
 		cfg:     set.cfg,
+		metrics: &Metrics{}, // unregistered: nil counters discard counts
 		pending: make(map[pendingKey]int),
 	}
 	// The tier is always rebuilt from the adopted trie, never carried
@@ -130,12 +132,21 @@ func NewStore(set *Set) *Store {
 // (Len, Peers) and cluster replication all read it.
 func (c *Store) Snapshot() *Set { return c.snap.Load() }
 
-// SetMetrics installs runtime counters (nil disables). Like the alert
-// sink of the engines, it must be called before the store is shared with
-// concurrent checkers.
+// SetMetrics installs runtime counters (nil restores the unregistered
+// default, which discards them). Like the alert sink of the engines, it
+// must be called before the store is shared with concurrent checkers.
 func (c *Store) SetMetrics(m *Metrics) {
+	if m == nil {
+		m = &Metrics{}
+	}
 	c.metrics = m
-	if t := c.snap.Load().tier; t != nil && m != nil {
+	m.setTier(c.snap.Load().tier)
+}
+
+// setTier refreshes the Bloom-tier gauges from t (nil when the tier is
+// disabled, which leaves them alone).
+func (m *Metrics) setTier(t *bloomTier) {
+	if t != nil {
 		m.BloomFillPermille.Set(int64(t.global.FillRatio() * 1000))
 		m.BloomBits.Set(t.totalBits())
 	}
@@ -227,12 +238,11 @@ const bloomBypassAfter = 8
 // addBloomCounts settles a batch's Bloom-tier diagnostics in at most
 // four atomic adds (telemetry.Counter.Add ignores non-positive n).
 func (c *Store) addBloomCounts(fast, fall, fp, bypassed int64) {
-	if m := c.metrics; m != nil {
-		m.BloomFastpath.Add(fast)
-		m.BloomFallbacks.Add(fall)
-		m.BloomFalsePositives.Add(fp)
-		m.BloomBypassed.Add(bypassed)
-	}
+	m := c.metrics
+	m.BloomFastpath.Add(fast)
+	m.BloomFallbacks.Add(fall)
+	m.BloomFalsePositives.Add(fp)
+	m.BloomBypassed.Add(bypassed)
 }
 
 // AddVerdictCounts folds a batch's consumed verdicts for one address
@@ -241,11 +251,9 @@ func (c *Store) addBloomCounts(fast, fall, fp, bypassed int64) {
 // while consuming and settles once per family per batch instead of once
 // per record.
 func (c *Store) AddVerdictCounts(fam netaddr.Family, hits, misses int64) {
-	if m := c.metrics; m != nil {
-		v6 := fam == netaddr.FamilyV6
-		m.Hits.Pick(v6).Add(hits)
-		m.Misses.Pick(v6).Add(misses)
-	}
+	v6 := fam == netaddr.FamilyV6
+	c.metrics.Hits.Pick(v6).Add(hits)
+	c.metrics.Misses.Pick(v6).Add(misses)
 }
 
 // publishLocked swaps in a successor of the published Set with assign
@@ -271,10 +279,7 @@ func (c *Store) publishLocked(assign []assignment) {
 	}
 	next.share()
 	c.snap.Store(next)
-	if m := c.metrics; m != nil && next.tier != nil {
-		m.BloomFillPermille.Set(int64(next.tier.global.FillRatio() * 1000))
-		m.BloomBits.Set(next.tier.totalBits())
-	}
+	c.metrics.setTier(next.tier)
 }
 
 // RecordLegal notes a vouched source and reports whether it was promoted
@@ -293,9 +298,7 @@ func (c *Store) RecordLegal(peer PeerAS, src netaddr.Addr) bool {
 	}
 	c.mu.Unlock()
 	if promoted {
-		if m := c.metrics; m != nil {
-			m.Promotions.Inc()
-		}
+		c.metrics.Promotions.Inc()
 	}
 	return promoted
 }

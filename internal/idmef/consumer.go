@@ -18,6 +18,8 @@ var frameSep = []byte("\n\n")
 
 // SenderMetrics are the alert-sink runtime counters: alerts delivered,
 // write failures, and reconnects performed while recovering from one.
+// The zero value is a sender's uninstrumented default: its nil counters
+// discard counts.
 type SenderMetrics struct {
 	Sent       *telemetry.Counter
 	SendErrors *telemetry.Counter
@@ -50,12 +52,18 @@ func Dial(addr string) (*Sender, error) {
 	if err != nil {
 		return nil, fmt.Errorf("idmef: dial %s: %w", addr, err)
 	}
-	return &Sender{addr: addr, conn: conn}, nil
+	return &Sender{addr: addr, conn: conn, metrics: &SenderMetrics{}}, nil
 }
 
-// SetMetrics installs runtime counters (nil disables). It must be called
-// before the sender is shared with concurrent alert emitters.
-func (s *Sender) SetMetrics(m *SenderMetrics) { s.metrics = m }
+// SetMetrics installs runtime counters (nil restores the uninstrumented
+// default). It must be called before the sender is shared with
+// concurrent alert emitters.
+func (s *Sender) SetMetrics(m *SenderMetrics) {
+	if m == nil {
+		m = &SenderMetrics{}
+	}
+	s.metrics = m
+}
 
 // Send transmits one alert. Safe for concurrent use. When the write
 // fails (consumer restarted, connection reset), the sender redials and
@@ -70,28 +78,20 @@ func (s *Sender) Send(a Alert) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, err := s.conn.Write(payload); err != nil {
-		if m != nil {
-			m.SendErrors.Inc()
-		}
+		m.SendErrors.Inc()
 		conn, derr := net.Dial("tcp", s.addr)
 		if derr != nil {
 			return fmt.Errorf("idmef: send alert %s: %w (redial: %v)", a.MessageID, err, derr)
 		}
 		s.conn.Close()
 		s.conn = conn
-		if m != nil {
-			m.Reconnects.Inc()
-		}
+		m.Reconnects.Inc()
 		if _, err := s.conn.Write(payload); err != nil {
-			if m != nil {
-				m.SendErrors.Inc()
-			}
+			m.SendErrors.Inc()
 			return fmt.Errorf("idmef: send alert %s after reconnect: %w", a.MessageID, err)
 		}
 	}
-	if m != nil {
-		m.Sent.Inc()
-	}
+	m.Sent.Inc()
 	return nil
 }
 

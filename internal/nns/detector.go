@@ -12,7 +12,9 @@ import (
 // Metrics are the NNS runtime counters: assessments performed, anomalous
 // verdicts, and the end-to-end query latency (encode + search). The
 // latency histogram is shared by every goroutine assessing against the
-// detector; recording is atomic, so the detector stays lock-free.
+// detector; recording is atomic, so the detector stays lock-free. The
+// zero value is a detector's uninstrumented default: its nil counters
+// discard counts.
 type Metrics struct {
 	Queries   *telemetry.Counter
 	Anomalies *telemetry.Counter
@@ -105,10 +107,16 @@ type Detector struct {
 	metrics  *Metrics
 }
 
-// SetMetrics installs runtime counters (nil disables). Like the detector
-// itself, the metrics pointer is read concurrently by every assessing
-// goroutine, so SetMetrics must be called before the detector is shared.
-func (d *Detector) SetMetrics(m *Metrics) { d.metrics = m }
+// SetMetrics installs runtime counters (nil restores the uninstrumented
+// default). Like the detector itself, the metrics pointer is read
+// concurrently by every assessing goroutine, so SetMetrics must be
+// called before the detector is shared.
+func (d *Detector) SetMetrics(m *Metrics) {
+	if m == nil {
+		m = &Metrics{}
+	}
+	d.metrics = m
+}
 
 // Assessment is the outcome of one flow assessment.
 type Assessment struct {
@@ -142,7 +150,7 @@ func Train(cfg DetectorConfig, normal []flow.Record) (*Detector, error) {
 		}
 		parts[c] = append(parts[c], enc.EncodeRecord(r))
 	}
-	d := &Detector{cfg: cfg, enc: enc, clusters: make(map[flow.Subcluster]*clusterState, len(parts))}
+	d := &Detector{cfg: cfg, enc: enc, clusters: make(map[flow.Subcluster]*clusterState, len(parts)), metrics: &Metrics{}}
 	for c, vecs := range parts {
 		if len(vecs) < cfg.MinClusterSize {
 			continue
@@ -231,18 +239,13 @@ func calibrate(st *Structure, build, calib []BitVec, cfg DetectorConfig) int {
 // subclusters with no trained structure are anomalous by definition: the
 // detector cannot vouch for a service it never saw.
 func (d *Detector) Assess(r flow.Record) Assessment {
-	m := d.metrics
-	var start time.Time
-	if m != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	a := d.assess(r)
-	if m != nil {
-		m.Latency.ObserveDuration(time.Since(start))
-		m.Queries.Inc()
-		if a.Anomalous {
-			m.Anomalies.Inc()
-		}
+	m := d.metrics
+	m.Latency.ObserveDuration(time.Since(start))
+	m.Queries.Inc()
+	if a.Anomalous {
+		m.Anomalies.Inc()
 	}
 	return a
 }

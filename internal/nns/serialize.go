@@ -80,6 +80,7 @@ func LoadDetector(r io.Reader) (*Detector, error) {
 		cfg:      dto.Config,
 		enc:      enc,
 		clusters: make(map[flow.Subcluster]*clusterState, len(dto.Clusters)),
+		metrics:  &Metrics{},
 	}
 	for c, cd := range dto.Clusters {
 		vecs := make([]BitVec, len(cd.Vecs))

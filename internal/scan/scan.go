@@ -27,7 +27,8 @@ import (
 // Metrics count scan-threshold trips and register activity. One Metrics
 // may be shared by many analyzers (analysis.ParallelEngine gives each
 // shard its own Analyzer but one shared Metrics): increments are single
-// atomics.
+// atomics. The zero value is an analyzer's uninstrumented default: its
+// nil counters discard counts.
 type Metrics struct {
 	NetworkScans *telemetry.Counter
 	HostScans    *telemetry.Counter
@@ -121,8 +122,8 @@ type Analyzer struct {
 	cfg     Config
 	metrics *Metrics
 
-	portRegs map[uint16]*register
-	hostRegs map[netaddr.Addr]*register
+	portRegs regTable[uint16]
+	hostRegs regTable[netaddr.Addr]
 	gen      uint64
 	// sinceRotate counts buffered suspects in the current generation.
 	sinceRotate int
@@ -132,8 +133,9 @@ type Analyzer struct {
 func New(cfg Config) *Analyzer {
 	return &Analyzer{
 		cfg:      cfg.withDefaults(),
-		portRegs: make(map[uint16]*register),
-		hostRegs: make(map[netaddr.Addr]*register),
+		metrics:  &Metrics{},
+		portRegs: make(regTable[uint16]),
+		hostRegs: make(regTable[netaddr.Addr]),
 	}
 }
 
@@ -152,20 +154,23 @@ func (a *Analyzer) Add(rec flow.Record) Result {
 		return Result{}
 	}
 	res := a.addSketch(rec)
-	if m := a.metrics; m != nil {
-		if res.NetworkScan {
-			m.NetworkScans.Inc()
-		}
-		if res.HostScan {
-			m.HostScans.Inc()
-		}
+	if res.NetworkScan {
+		a.metrics.NetworkScans.Inc()
+	}
+	if res.HostScan {
+		a.metrics.HostScans.Inc()
 	}
 	return res
 }
 
-// SetMetrics installs trip counters (nil disables). Call it before the
-// analyzer's owner starts feeding it flows.
-func (a *Analyzer) SetMetrics(m *Metrics) { a.metrics = m }
+// SetMetrics installs trip counters (nil restores the uninstrumented
+// default). Call it before the analyzer's owner starts feeding it flows.
+func (a *Analyzer) SetMetrics(m *Metrics) {
+	if m == nil {
+		m = &Metrics{}
+	}
+	a.metrics = m
+}
 
 // HostsOnPort exposes the distinct-host count for a destination port
 // (estimated, exact while below sketch.DefaultK).

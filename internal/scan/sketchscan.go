@@ -2,7 +2,6 @@ package scan
 
 import (
 	"infilter/internal/flow"
-	"infilter/internal/netaddr"
 	"infilter/internal/sketch"
 )
 
@@ -62,6 +61,39 @@ func (r *register) estimate(g uint64) float64 {
 
 func (a *Analyzer) regEstimate(r *register) float64 { return r.estimate(a.gen) }
 
+// regTable is one register table: per destination port (keyed by
+// uint16) or per destination host (keyed by netaddr.Addr).
+type regTable[K comparable] map[K]*register
+
+// lookup returns key's register synced to generation g, opening one when
+// key has none. A table at limit first reclaims stale registers; when
+// none was stale it returns nil and the caller counts an overflow.
+func (t regTable[K]) lookup(key K, g uint64, limit int) *register {
+	if r, ok := t[key]; ok {
+		r.sync(g)
+		return r
+	}
+	if len(t) >= limit && !t.reclaim(g) {
+		return nil
+	}
+	r := &register{cur: newKMV(), gen: g}
+	t[key] = r
+	return r
+}
+
+// reclaim sweeps registers that aged fully out of the window at
+// generation g; it reports whether any slot was freed.
+func (t regTable[K]) reclaim(g uint64) bool {
+	freed := false
+	for key, r := range t {
+		if r.gen+1 < g {
+			delete(t, key)
+			freed = true
+		}
+	}
+	return freed
+}
+
 // addSketch is the admission path: insert the
 // destination host into the port's register and the destination port
 // into the host's register, then compare windowed distinct estimates
@@ -72,13 +104,17 @@ func (a *Analyzer) addSketch(rec flow.Record) Result {
 	port, host := rec.Key.DstPort, rec.Key.Dst
 	res := Result{Buffered: true}
 
-	if pr := a.lookupPortReg(port); pr != nil {
+	if pr := a.portRegs.lookup(port, a.gen, a.cfg.MaxRegisters); pr != nil {
 		pr.cur.Insert(sketchKey(host))
 		res.NetworkScan = pr.estimate(a.gen) >= float64(a.cfg.NetworkScanThreshold)
+	} else {
+		a.metrics.SketchOverflows.Inc()
 	}
-	if hr := a.lookupHostReg(host); hr != nil {
+	if hr := a.hostRegs.lookup(host, a.gen, a.cfg.MaxRegisters); hr != nil {
 		hr.cur.Insert(uint64(rec.Key.DstPort))
 		res.HostScan = hr.estimate(a.gen) >= float64(a.cfg.HostScanThreshold)
+	} else {
+		a.metrics.SketchOverflows.Inc()
 	}
 
 	a.sinceRotate++
@@ -88,73 +124,13 @@ func (a *Analyzer) addSketch(rec flow.Record) Result {
 	return res
 }
 
-func (a *Analyzer) lookupPortReg(port uint16) *register {
-	if r, ok := a.portRegs[port]; ok {
-		r.sync(a.gen)
-		return r
-	}
-	if len(a.portRegs) >= a.cfg.MaxRegisters && !a.reclaimPortRegs() {
-		a.noteOverflow()
-		return nil
-	}
-	r := &register{cur: newKMV(), gen: a.gen}
-	a.portRegs[port] = r
-	return r
-}
-
-func (a *Analyzer) lookupHostReg(host netaddr.Addr) *register {
-	if r, ok := a.hostRegs[host]; ok {
-		r.sync(a.gen)
-		return r
-	}
-	if len(a.hostRegs) >= a.cfg.MaxRegisters && !a.reclaimHostRegs() {
-		a.noteOverflow()
-		return nil
-	}
-	r := &register{cur: newKMV(), gen: a.gen}
-	a.hostRegs[host] = r
-	return r
-}
-
-// reclaimPortRegs sweeps registers that aged fully out of the window;
-// it reports whether any slot was freed.
-func (a *Analyzer) reclaimPortRegs() bool {
-	freed := false
-	for port, r := range a.portRegs {
-		if r.gen+1 < a.gen {
-			delete(a.portRegs, port)
-			freed = true
-		}
-	}
-	return freed
-}
-
-func (a *Analyzer) reclaimHostRegs() bool {
-	freed := false
-	for host, r := range a.hostRegs {
-		if r.gen+1 < a.gen {
-			delete(a.hostRegs, host)
-			freed = true
-		}
-	}
-	return freed
-}
-
 // rotate advances the decay generation: registers retire lazily on next
 // touch, and registers already two generations stale are dropped so the
 // tables shrink back after a burst of distinct targets.
 func (a *Analyzer) rotate() {
 	a.gen++
 	a.sinceRotate = 0
-	a.reclaimPortRegs()
-	a.reclaimHostRegs()
-	if m := a.metrics; m != nil {
-		m.SketchDecays.Inc()
-	}
-}
-
-func (a *Analyzer) noteOverflow() {
-	if m := a.metrics; m != nil {
-		m.SketchOverflows.Inc()
-	}
+	a.portRegs.reclaim(a.gen)
+	a.hostRegs.reclaim(a.gen)
+	a.metrics.SketchDecays.Inc()
 }

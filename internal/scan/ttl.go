@@ -96,7 +96,8 @@ func (c TTLConfig) withDefaults() TTLConfig {
 }
 
 // TTLMetrics count detector activity; shared across the pipeline since
-// the profile itself is shared.
+// the profile itself is shared. The zero value is a profile's
+// uninstrumented default: its nil counters discard counts.
 type TTLMetrics struct {
 	Trips  *telemetry.Counter
 	Checks *telemetry.Counter
@@ -116,19 +117,24 @@ func NewTTLProfile(cfg TTLConfig) *TTLProfile {
 	if !cfg.Enabled() {
 		return nil
 	}
-	p := &TTLProfile{cfg: cfg.withDefaults()}
+	p := &TTLProfile{cfg: cfg.withDefaults(), metrics: &TTLMetrics{}}
 	for i := range p.stripes {
 		p.stripes[i].m = make(map[netaddr.Addr]ttlEntry)
 	}
 	return p
 }
 
-// SetMetrics installs detector counters (nil disables). Call before the
-// owner starts feeding flows. Safe on a nil receiver.
+// SetMetrics installs detector counters (nil restores the
+// uninstrumented default). Call before the owner starts feeding flows.
+// Safe on a nil receiver.
 func (p *TTLProfile) SetMetrics(m *TTLMetrics) {
-	if p != nil {
-		p.metrics = m
+	if p == nil {
+		return
 	}
+	if m == nil {
+		m = &TTLMetrics{}
+	}
+	p.metrics = m
 }
 
 // Sources reports how many source profiles are currently learned. Zero
@@ -176,18 +182,14 @@ func (p *TTLProfile) Observe(src netaddr.Addr, ttl uint8) bool {
 	e, known := st.m[key]
 	if known && e.samples >= uint32(p.cfg.MinSamples) && deviates(ttl, e.expected, p.cfg.Tolerance) {
 		st.mu.Unlock()
-		if m := p.metrics; m != nil {
-			m.Checks.Inc()
-			m.Trips.Inc()
-		}
+		p.metrics.Checks.Inc()
+		p.metrics.Trips.Inc()
 		return true
 	}
 	if !known {
 		if p.sources.Load() >= int64(p.cfg.MaxSources) {
 			st.mu.Unlock()
-			if m := p.metrics; m != nil {
-				m.Checks.Inc()
-			}
+			p.metrics.Checks.Inc()
 			return false
 		}
 		p.sources.Add(1)
@@ -204,9 +206,7 @@ func (p *TTLProfile) Observe(src netaddr.Addr, ttl uint8) bool {
 	}
 	st.m[key] = e
 	st.mu.Unlock()
-	if m := p.metrics; m != nil {
-		m.Checks.Inc()
-	}
+	p.metrics.Checks.Inc()
 	return false
 }
 
@@ -274,6 +274,10 @@ func (p *TTLProfile) WriteCheckpoint(w io.Writer) error {
 // ReadCheckpointInto loads a checkpoint written by WriteCheckpoint into
 // p. Malformed input returns an error and never panics, so a corrupt
 // file fails a warm restart loudly instead of poisoning the profiles.
+// Beyond unparsable lines, that covers the rows WriteCheckpoint never
+// writes: an address that is not the base of one of p's aggregates
+// (Observe would never match it), a row repeated, and more rows than
+// p's MaxSources.
 func ReadCheckpointInto(p *TTLProfile, r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	if !sc.Scan() {
@@ -311,13 +315,24 @@ func ReadCheckpointInto(p *TTLProfile, r io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("ttl: checkpoint line %d: bad samples: %w", line, err)
 		}
+		if key := p.key(addr); key != addr {
+			return fmt.Errorf("ttl: checkpoint line %d: %s is not an aggregate base (want %s)", line, addr, key)
+		}
 		st := p.stripe(addr)
 		st.mu.Lock()
-		if _, known := st.m[addr]; !known {
+		_, known := st.m[addr]
+		full := p.sources.Load() >= int64(p.cfg.MaxSources)
+		if !known && !full {
 			p.sources.Add(1)
+			st.m[addr] = ttlEntry{expected: uint8(ttl), samples: uint32(samples)}
 		}
-		st.m[addr] = ttlEntry{expected: uint8(ttl), samples: uint32(samples)}
 		st.mu.Unlock()
+		if known {
+			return fmt.Errorf("ttl: checkpoint line %d: duplicate row for %s", line, addr)
+		}
+		if full {
+			return fmt.Errorf("ttl: checkpoint line %d: more than %d sources", line, p.cfg.MaxSources)
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("ttl: read checkpoint: %w", err)

@@ -141,8 +141,14 @@ func TestTTLCheckpointRejectsGarbage(t *testing.T) {
 		"# infilter-ttl-checkpoint v1\nbadrow\n",
 		"# infilter-ttl-checkpoint v1\n1.2.3.4 999 1\n",
 		"# infilter-ttl-checkpoint v1\n1.2.3.4 60 notanumber\n",
+		// Rows WriteCheckpoint never writes: not a /24 (v6: /48)
+		// aggregate base, a repeated row, more rows than MaxSources.
+		"# infilter-ttl-checkpoint v1\n1.2.3.4 60 3\n",
+		"# infilter-ttl-checkpoint v1\n2001:db8:0:1::1 60 3\n",
+		"# infilter-ttl-checkpoint v1\n1.2.3.0 60 3\n1.2.3.0 61 4\n",
+		"# infilter-ttl-checkpoint v1\n1.2.3.0 60 3\n1.2.4.0 60 3\n2001:db8:: 60 3\n",
 	} {
-		p := NewTTLProfile(TTLConfig{Tolerance: 3})
+		p := NewTTLProfile(TTLConfig{Tolerance: 3, MaxSources: 2})
 		if err := ReadCheckpointInto(p, strings.NewReader(in)); err == nil {
 			t.Errorf("input %q: no error", in)
 		}

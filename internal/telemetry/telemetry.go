@@ -1,17 +1,19 @@
-// Package telemetry is the daemon's dependency-free runtime metrics
-// layer: atomic counters and gauges, fixed-bucket latency histograms with
-// lock-free hot-path recording, and a Prometheus text-format encoder.
+// Package telemetry is the dependency-free runtime metrics layer: atomic
+// counters and gauges, fixed-bucket latency histograms with lock-free
+// hot-path recording, and a Prometheus text-format encoder. It is also
+// the only place the analysis engine counts: analysis.Stats is a read of
+// the engine's counters, not a second tally.
 //
-// The design mirrors the per-shard stats-merge pattern of
-// analysis.ParallelEngine: hot-path writers touch only their own atomics
-// (a counter increment or a histogram bucket add — never a mutex), and
-// aggregation happens on the cold scrape path, where per-shard Snapshots
-// are merged in O(shards). Registration is the only locked operation and
-// happens once at startup.
+// Hot-path writers touch only atomics (a counter add or a histogram
+// bucket add — never a mutex), and aggregation happens on the cold read
+// path: per-shard counters are summed and per-shard histogram Snapshots
+// merged in O(shards) at scrape time. Registration is the only locked
+// operation and happens once at startup.
 //
-// All recording methods are nil-receiver safe: a component whose metrics
-// were never wired records into nil and the call is a no-op, so
-// instrumentation needs no "enabled" flag on the hot path.
+// All recording methods are nil-receiver safe. A component keeps a
+// metrics struct that is never nil; its zero value, whose fields are nil
+// counters, is the uninstrumented default and discards every count, so
+// instrumentation needs no "metrics enabled" branch.
 package telemetry
 
 import "sync/atomic"
