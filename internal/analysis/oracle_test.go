@@ -781,7 +781,7 @@ func TestEngineMatchesOracle(t *testing.T) {
 	})
 }
 
-// TestScanEvidenceIsPerShard pins the gap ROADMAP item 8 describes: scan
+// TestScanEvidenceIsPerShard pins the gap ROADMAP item 1 describes: scan
 // evidence lives in one analyzer per shard, so a scan whose probes enter
 // through several peers is seen whole only when those peers share a
 // shard. Twelve probes of one port go round-robin through peers 1, 2 and

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
 	"infilter/internal/eia"
+	"infilter/internal/telemetry"
 )
 
 // Defaults for Config.
@@ -177,8 +179,13 @@ func NewNode(cfg Config, store *eia.Store, m *Metrics) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	for i, p := range cfg.Peers {
+		if slices.Contains(cfg.Peers[:i], p) {
+			return nil, fmt.Errorf("cluster: peer %s given twice", p)
+		}
+	}
 	if m == nil {
-		m = unregisteredMetrics(cfg.Peers)
+		m = NewMetrics(telemetry.NewRegistry(), cfg.Peers)
 	}
 	n := &Node{
 		cfg:     cfg,

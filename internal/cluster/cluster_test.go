@@ -343,3 +343,13 @@ func TestClusterGoroutineHygiene(t *testing.T) {
 		nodeA.Close()
 	})
 }
+
+// A repeated peer would replicate to one address twice and register its
+// peer-up series twice; NewNode refuses it up front.
+func TestNewNodeRejectsRepeatedPeer(t *testing.T) {
+	cfg := Config{NodeID: "127.0.0.1:7001", Peers: []string{"127.0.0.1:7002", "127.0.0.1:7002"}}
+	if n, err := NewNode(cfg, eia.NewStore(eia.NewSet(eia.Config{})), nil); err == nil {
+		n.Close()
+		t.Fatal("NewNode accepted a repeated peer")
+	}
+}

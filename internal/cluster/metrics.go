@@ -78,27 +78,6 @@ func NewMetrics(r *telemetry.Registry, peers []string) *Metrics {
 	return m
 }
 
-// unregisteredMetrics backs a node built without a registry (tests).
-func unregisteredMetrics(peers []string) *Metrics {
-	m := &Metrics{
-		SendRounds:    telemetry.NewCounter(),
-		RecvRounds:    telemetry.NewCounter(),
-		SendErrors:    telemetry.NewCounter(),
-		RecvErrors:    telemetry.NewCounter(),
-		SendBytes:     telemetry.NewCounter(),
-		RecvBytes:     telemetry.NewCounter(),
-		MergeLatency:  telemetry.NewHistogram(telemetry.LatencyBuckets()),
-		MergedAdded:   telemetry.NewCounter(),
-		MergedRehomed: telemetry.NewCounter(),
-		RingOwned:     telemetry.NewGauge(),
-		peerUp:        make(map[string]*telemetry.Gauge, len(peers)),
-	}
-	for _, p := range peers {
-		m.peerUp[p] = telemetry.NewGauge()
-	}
-	return m
-}
-
 // setPeerUp flips the peer's up gauge.
 func (m *Metrics) setPeerUp(peer string, up bool) {
 	g, ok := m.peerUp[peer]

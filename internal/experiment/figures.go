@@ -169,12 +169,7 @@ func Figure19(bi, ei *RouteChangeSweep) stats.Table {
 // absolute numbers reflect this substrate, the ordering is what carries).
 func LatencyComparison(opts Options) (biLat, eiLat time.Duration, err error) {
 	for _, mode := range []analysis.Mode{analysis.ModeBasic, analysis.ModeEnhanced} {
-		cfg := opts.config()
-		cfg.Mode = mode
-		cfg.AttackPercent = 4
-		cfg.AttackSets = 1
-		cfg.RouteChangePercent = 2 // suspects must exist for EI to do work
-		res, runErr := Run(cfg)
+		res, runErr := Run(latencyConfig(opts, mode))
 		if runErr != nil {
 			return 0, 0, runErr
 		}
@@ -185,6 +180,16 @@ func LatencyComparison(opts Options) (biLat, eiLat time.Duration, err error) {
 		}
 	}
 	return biLat, eiLat, nil
+}
+
+// latencyConfig is the point LatencyComparison times in each mode.
+func latencyConfig(opts Options, mode analysis.Mode) Config {
+	cfg := opts.config()
+	cfg.Mode = mode
+	cfg.AttackPercent = 4
+	cfg.AttackSets = 1
+	cfg.RouteChangePercent = 2 // suspects must exist for EI to do work
+	return cfg
 }
 
 // AttackBreakdown runs one EI point and renders the per-attack-type

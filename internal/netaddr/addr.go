@@ -2,8 +2,7 @@ package netaddr
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
+	"net/netip"
 )
 
 // Family tags the address family of an Addr or Prefix. The zero value
@@ -209,73 +208,35 @@ func (a Addr) addOffset(n uint64) Addr {
 	return a
 }
 
-// String renders the address: dotted quad for v4, RFC 5952 form for v6
-// (lowercase hex, longest zero run compressed, 4-in-6 as ::ffff:a.b.c.d).
+// String renders the address through net/netip: dotted quad for v4,
+// RFC 5952 form for v6 (lowercase hex, longest zero run compressed,
+// 4-in-6 as ::ffff:a.b.c.d). The zero Addr prints "invalid".
 func (a Addr) String() string {
-	switch {
-	case a.fam == FamilyV4:
-		return IPv4(uint32(a.lo)).String()
-	case a.fam == FamilyV6:
-		return a.string6()
-	default:
+	if !a.IsValid() {
 		return "invalid"
 	}
+	ip := netip.AddrFrom16(a.As16())
+	if a.fam == FamilyV4 {
+		ip = ip.Unmap()
+	}
+	return ip.String()
 }
 
-func (a Addr) string6() string {
-	if a.Is4In6() {
-		return "::ffff:" + IPv4(uint32(a.lo)).String()
-	}
-	var g [8]uint16
-	for i := 0; i < 4; i++ {
-		g[i] = uint16(a.hi >> (48 - 16*uint(i)))
-		g[i+4] = uint16(a.lo >> (48 - 16*uint(i)))
-	}
-	// Longest run of >= 2 zero groups, leftmost on ties (RFC 5952 §4.2).
-	best, bestLen := -1, 1
-	for i := 0; i < 8; {
-		if g[i] != 0 {
-			i++
-			continue
-		}
-		j := i
-		for j < 8 && g[j] == 0 {
-			j++
-		}
-		if j-i > bestLen {
-			best, bestLen = i, j-i
-		}
-		i = j
-	}
-	var sb strings.Builder
-	sb.Grow(39)
-	for i := 0; i < 8; i++ {
-		if i == best {
-			sb.WriteString("::")
-			i += bestLen - 1
-			continue
-		}
-		if i > 0 && i != best+bestLen {
-			sb.WriteByte(':')
-		}
-		sb.WriteString(strconv.FormatUint(uint64(g[i]), 16))
-	}
-	return sb.String()
-}
-
-// ParseAddr parses an address of either family: dotted-quad v4, or v6
-// per RFC 4291 text forms (hex groups, one "::", optional embedded v4
-// tail). Zoned addresses ("%zone") are rejected — flow records carry no
-// scope.
+// ParseAddr parses an address of either family with net/netip's
+// grammar: dotted-quad v4 without leading zeros (they read as octal
+// elsewhere), or any RFC 4291 v6 text form. Zoned addresses ("%zone")
+// are rejected — flow records carry no scope. A 4-in-6 input stays
+// FamilyV6; Unmap folds it.
 func ParseAddr(s string) (Addr, error) {
-	if strings.IndexByte(s, ':') >= 0 {
-		return parseV6(s)
+	ip, err := netip.ParseAddr(s)
+	if err != nil || ip.Zone() != "" {
+		return Addr{}, fmt.Errorf("%w: %q", ErrBadAddress, s)
 	}
-	ip, err := ParseIPv4(s)
-	if err != nil {
-		return Addr{}, err
+	if ip.Is4() {
+		b := ip.As4()
+		return AddrFrom4(b[0], b[1], b[2], b[3]), nil
 	}
-	return ip.Addr(), nil
+	return AddrFrom16(ip.As16()), nil
 }
 
 // MustParseAddr is ParseAddr that panics on error. For tests and constants.
@@ -285,110 +246,4 @@ func MustParseAddr(s string) Addr {
 		panic(err)
 	}
 	return a
-}
-
-func hexDigit(c byte) (int, bool) {
-	switch {
-	case '0' <= c && c <= '9':
-		return int(c - '0'), true
-	case 'a' <= c && c <= 'f':
-		return int(c-'a') + 10, true
-	case 'A' <= c && c <= 'F':
-		return int(c-'A') + 10, true
-	default:
-		return 0, false
-	}
-}
-
-func parseV6(s string) (Addr, error) {
-	orig := s
-	fail := func() (Addr, error) {
-		return Addr{}, fmt.Errorf("%w: %q", ErrBadAddress, orig)
-	}
-	var b [16]byte
-	ellipsis := -1 // byte index the "::" expands at
-	if len(s) >= 2 && s[0] == ':' && s[1] == ':' {
-		ellipsis = 0
-		s = s[2:]
-		if len(s) == 0 {
-			return AddrFrom16(b), nil
-		}
-	}
-	i := 0 // bytes of b filled
-	for i < 16 {
-		// Parse a hex group (1-4 digits).
-		off, val := 0, 0
-		for off < len(s) {
-			d, ok := hexDigit(s[off])
-			if !ok {
-				break
-			}
-			val = val<<4 | d
-			off++
-			if off > 4 {
-				return fail()
-			}
-		}
-		if off == 0 {
-			return fail()
-		}
-		if off < len(s) && s[off] == '.' {
-			// Embedded v4 tail: the remainder must be a dotted quad
-			// filling the final 32 bits.
-			if i+4 > 16 {
-				return fail()
-			}
-			ip, err := ParseIPv4(s)
-			if err != nil {
-				return fail()
-			}
-			oa, ob, oc, od := ip.Octets()
-			b[i], b[i+1], b[i+2], b[i+3] = oa, ob, oc, od
-			i += 4
-			s = ""
-			break
-		}
-		if i+2 > 16 {
-			return fail()
-		}
-		b[i], b[i+1] = byte(val>>8), byte(val)
-		i += 2
-		s = s[off:]
-		if len(s) == 0 {
-			break
-		}
-		if s[0] != ':' {
-			return fail()
-		}
-		s = s[1:]
-		if len(s) == 0 {
-			return fail() // trailing single colon
-		}
-		if s[0] == ':' {
-			if ellipsis >= 0 {
-				return fail() // second "::"
-			}
-			ellipsis = i
-			s = s[1:]
-			if len(s) == 0 {
-				break
-			}
-		}
-	}
-	if len(s) != 0 {
-		return fail()
-	}
-	if i < 16 {
-		if ellipsis < 0 {
-			return fail() // too few groups, no "::"
-		}
-		n := 16 - i
-		for j := i - 1; j >= ellipsis; j-- {
-			b[j+n] = b[j]
-			b[j] = 0
-		}
-	} else if ellipsis >= 0 {
-		return fail() // "::" must expand to at least one zero group
-	}
-	return AddrFrom16(b), nil
 }

@@ -18,7 +18,8 @@ func TestParseAddrV6(t *testing.T) {
 		{in: "fe80::", want: "fe80::"},
 		{in: "2001:DB8::A", want: "2001:db8::a"},
 		{in: "1:2:3:4:5:6:7:8", want: "1:2:3:4:5:6:7:8"},
-		{in: "::ffff:192.0.2.1", want: "::ffff:192.0.2.1"},
+		{in: "::ffff:192.0.2.1", want: "::ffff:192.0.2.1"}, // 4-in-6 stays v6
+		{in: "::ffff:1.2.3.4", want: "::ffff:1.2.3.4"},
 		{in: "64:ff9b::198.51.100.7", want: "64:ff9b::c633:6407"},
 		{in: "1:0:0:2:0:0:0:3", want: "1:0:0:2::3"},      // rightmost longer run wins
 		{in: "1:0:0:2:0:0:3:4", want: "1::2:0:0:3:4"},    // leftmost on tie
@@ -31,7 +32,8 @@ func TestParseAddrV6(t *testing.T) {
 		{in: "1:2:3:4:5:6:7", wantErr: true},
 		{in: "12345::", wantErr: true},
 		{in: "g::", wantErr: true},
-		{in: "fe80::1%eth0", wantErr: true}, // zones rejected
+		{in: "fe80::1%eth0", wantErr: true},    // zones rejected
+		{in: "::ffff:01.2.3.4", wantErr: true}, // leading zero in the v4 tail
 		{in: "1:2:3:4:5:6:7:8::", wantErr: true},
 		{in: "::1.2.3.4.5", wantErr: true},
 		{in: "1:2:3:4:5:6:7:1.2.3.4", wantErr: true},
@@ -71,6 +73,13 @@ func TestParseAddrV4(t *testing.T) {
 	v4, ok := a.V4()
 	if !ok || v4 != FromOctets(192, 0, 2, 33) {
 		t.Errorf("V4() = %v, %v", v4, ok)
+	}
+	// Leading zeros read as octal in some parsers, so netip's grammar
+	// (and ours) rejects them; zones are rejected in either family.
+	for _, in := range []string{"012.3.4.5", "1.2.3.04", "1.2.3.4%eth0"} {
+		if got, err := ParseAddr(in); err == nil {
+			t.Errorf("ParseAddr(%q): want error, got %v", in, got)
+		}
 	}
 }
 

@@ -5,6 +5,8 @@
 // IPv4 and IPv6 through one type. The IPv4 (host-order uint32) type
 // remains for v4-only wire formats and generators where 32-bit prefix
 // arithmetic is the natural shape; IPv4.Addr() widens it losslessly.
+// Address text is parsed and printed by net/netip, converted at the
+// edge, so the values themselves stay pointer-free.
 package netaddr
 
 import (
@@ -34,42 +36,19 @@ func (ip IPv4) Octets() (a, b, c, d byte) {
 }
 
 // String renders the address in dotted-quad form.
-func (ip IPv4) String() string {
-	a, b, c, d := ip.Octets()
-	var sb strings.Builder
-	sb.Grow(15)
-	sb.WriteString(strconv.Itoa(int(a)))
-	sb.WriteByte('.')
-	sb.WriteString(strconv.Itoa(int(b)))
-	sb.WriteByte('.')
-	sb.WriteString(strconv.Itoa(int(c)))
-	sb.WriteByte('.')
-	sb.WriteString(strconv.Itoa(int(d)))
-	return sb.String()
-}
+func (ip IPv4) String() string { return ip.Addr().String() }
 
-// ParseIPv4 parses a dotted-quad IPv4 address.
+// ParseIPv4 parses a dotted-quad IPv4 address with ParseAddr's
+// grammar. 4-in-6 text (::ffff:a.b.c.d) is v6 and is rejected.
 func ParseIPv4(s string) (IPv4, error) {
-	var octs [4]uint64
-	rest := s
-	for i := 0; i < 4; i++ {
-		var part string
-		if i < 3 {
-			dot := strings.IndexByte(rest, '.')
-			if dot < 0 {
-				return 0, fmt.Errorf("%w: %q", ErrBadAddress, s)
-			}
-			part, rest = rest[:dot], rest[dot+1:]
-		} else {
-			part = rest
-		}
-		v, err := strconv.ParseUint(part, 10, 8)
-		if err != nil {
-			return 0, fmt.Errorf("%w: %q", ErrBadAddress, s)
-		}
-		octs[i] = v
+	a, err := ParseAddr(s)
+	if err != nil {
+		return 0, err
 	}
-	return FromOctets(byte(octs[0]), byte(octs[1]), byte(octs[2]), byte(octs[3])), nil
+	if !a.Is4() {
+		return 0, fmt.Errorf("%w: %q is not IPv4", ErrBadAddress, s)
+	}
+	return IPv4(uint32(a.lo)), nil
 }
 
 // MustParseIPv4 is ParseIPv4 that panics on error. For tests and constants.

@@ -23,6 +23,9 @@ func TestParseIPv4(t *testing.T) {
 		{in: "a.b.c.d", wantErr: true},
 		{in: "1..2.3", wantErr: true},
 		{in: "-1.2.3.4", wantErr: true},
+		{in: "012.3.4.5", wantErr: true},      // leading zero: ambiguous as octal
+		{in: "::ffff:1.2.3.4", wantErr: true}, // 4-in-6 is v6 (ParseAddr accepts it)
+		{in: "fe80::1%eth0", wantErr: true},
 	}
 	for _, tt := range tests {
 		got, err := ParseIPv4(tt.in)

@@ -1,7 +1,7 @@
 package netaddr
 
 // PrefixTrie is a binary (path-uncompressed) trie mapping prefixes of
-// either family to values of type V, supporting exact insert/delete and
+// either family to values of type V, supporting exact insert and
 // longest-prefix match. It is the substrate for EIA sets and the BGP
 // RIB. Internally it keeps one root per family, so a v4 walk descends at
 // most 32 levels exactly as the pre-dual-stack trie did (the v4 fast
@@ -102,31 +102,6 @@ func (t *PrefixTrie[V]) Get(p Prefix) (V, bool) {
 		return zero, false
 	}
 	return n.val, true
-}
-
-// Delete removes the exact prefix p, reporting whether it was present.
-// Interior nodes are left in place; tries in this codebase are built once
-// and mutated rarely, so reclaiming chains is not worth the bookkeeping.
-func (t *PrefixTrie[V]) Delete(p Prefix) bool {
-	n := t.rootFor(p.addr.fam)
-	if n == nil {
-		return false
-	}
-	k0, k1 := keyWords(p.addr)
-	for i := 0; i < p.Bits(); i++ {
-		b := keyBit(k0, k1, i)
-		if n.child[b] == nil {
-			return false
-		}
-		n = n.child[b]
-	}
-	if !n.set {
-		return false
-	}
-	var zero V
-	n.val, n.set = zero, false
-	t.size--
-	return true
 }
 
 // InsertPersistent returns a new trie equal to the receiver plus v stored

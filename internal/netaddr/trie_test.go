@@ -74,24 +74,6 @@ func TestTrieDefaultRoute(t *testing.T) {
 	}
 }
 
-func TestTrieDelete(t *testing.T) {
-	tr := NewPrefixTrie[int]()
-	p := MustParsePrefix("192.0.2.0/24")
-	tr.Insert(p, 7)
-	if !tr.Delete(p) {
-		t.Error("Delete present prefix should report true")
-	}
-	if tr.Delete(p) {
-		t.Error("Delete absent prefix should report false")
-	}
-	if _, ok := tr.Lookup(MustParseAddr("192.0.2.1")); ok {
-		t.Error("Lookup after delete should miss")
-	}
-	if tr.Len() != 0 {
-		t.Errorf("Len() = %d after delete", tr.Len())
-	}
-}
-
 func TestTrieLookupPrefix(t *testing.T) {
 	tr := NewPrefixTrie[string]()
 	tr.Insert(MustParsePrefix("4.0.0.0/8"), "a")

@@ -2,6 +2,8 @@ package scan
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -130,6 +132,66 @@ func TestTTLCheckpointRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Error("checkpoint serialization is not deterministic")
+	}
+}
+
+// TestTTLCheckpointGolden pins the bytes WriteCheckpoint emits for a
+// fixed dual-stack profile: v4 /24 bases, v6 /48 bases (one with a
+// single zero group left uncompressed, two whose trailing zero run is
+// compressed) and a 4-in-6 source, which stays v6 and aggregates to
+// ::/48. Reading the golden back must restore every profile and
+// re-encode byte-identically, so a change to address printing or
+// parsing shows up here as a diff, not as a cold warm-restart.
+func TestTTLCheckpointGolden(t *testing.T) {
+	p := NewTTLProfile(TTLConfig{Tolerance: 3})
+	srcs := []struct {
+		src     string
+		ttl     uint8
+		samples int
+	}{
+		{"61.1.1.9", 57, 4},
+		{"203.0.113.77", 120, 3},
+		{"10.0.0.1", 64, 1},
+		{"2001:db8:77::1", 55, 5},
+		{"2001:db8::1", 61, 2},
+		{"2001:0:5:0:ffff::9", 250, 3},
+		{"::ffff:192.0.2.1", 47, 6},
+	}
+	for _, s := range srcs {
+		for i := 0; i < s.samples; i++ {
+			p.Observe(netaddr.MustParseAddr(s.src), s.ttl)
+		}
+	}
+	var got bytes.Buffer
+	if err := p.WriteCheckpoint(&got); err != nil {
+		t.Fatal(err)
+	}
+	goldenPath := filepath.Join("testdata", "ttl.ckpt")
+	golden, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("read golden: %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), golden) {
+		t.Fatalf("checkpoint differs from %s:\n--- got ---\n%s--- want ---\n%s", goldenPath, got.Bytes(), golden)
+	}
+
+	q := NewTTLProfile(TTLConfig{Tolerance: 3})
+	if err := ReadCheckpointInto(q, bytes.NewReader(golden)); err != nil {
+		t.Fatalf("ReadCheckpointInto(golden): %v", err)
+	}
+	for _, s := range srcs {
+		addr := netaddr.MustParseAddr(s.src)
+		gotTTL, gotN, ok := q.Expected(addr)
+		if !ok || gotTTL != s.ttl || gotN != uint32(s.samples) {
+			t.Errorf("%s: restored (%d,%d,%v), want (%d,%d,true)", s.src, gotTTL, gotN, ok, s.ttl, s.samples)
+		}
+	}
+	var again bytes.Buffer
+	if err := q.WriteCheckpoint(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), golden) {
+		t.Fatalf("decode→re-encode not byte-identical:\n--- got ---\n%s--- want ---\n%s", again.Bytes(), golden)
 	}
 }
 
