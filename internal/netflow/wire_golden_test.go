@@ -14,11 +14,38 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current code")
 
+// appendWire encodes batches through e, one Encode call per batch a
+// second apart, then flushes it, appending one hex line per datagram.
+func appendWire(out []byte, e WireEncoder, batches [][]flow.Record, now time.Time) []byte {
+	for i, b := range batches {
+		for _, d := range e.Encode(b, now.Add(time.Duration(i)*time.Second)) {
+			out = fmt.Appendf(out, "encode flows=%d %s\n", d.Flows, hex.EncodeToString(d.Raw))
+		}
+	}
+	for _, d := range e.Flush(now.Add(time.Minute)) {
+		out = fmt.Appendf(out, "flush %s\n", hex.EncodeToString(d.Raw))
+	}
+	return out
+}
+
+// TestV5EncoderWireGolden pins the exact bytes the v5 encoder emits for
+// the v4-only stream of TestTemplateEncoderWireGolden (v5 carries no v6
+// and announces no template). The benign-v5 benchmark corpus is built
+// through this encoder.
+func TestV5EncoderWireGolden(t *testing.T) {
+	boot := time.Date(2005, 4, 1, 0, 0, 0, 0, time.UTC)
+	v4 := exportSample(45)
+	out := []byte("# v4-only\n")
+	out = appendWire(out, NewV5Encoder(boot, 7), [][]flow.Record{v4, v4[:7]}, boot.Add(time.Hour))
+	testutil.Golden(t, filepath.Join("testdata", "wire_v5.golden"), out, *update)
+}
+
 // TestTemplateEncoderWireGolden pins the exact bytes the v9 and IPFIX
 // encoders emit: every datagram of a fixed set of streams, at template
 // delays 0, 2 and "withheld until Flush", one hex line per datagram.
-// The decode goldens are hand-built datagrams, so this is what holds the
-// encoders (and the benchmark corpus built through them) still.
+// The decode goldens are hand-built datagrams, so this and
+// TestV5EncoderWireGolden are what hold the encoders (and the benchmark
+// corpus built through them) still.
 func TestTemplateEncoderWireGolden(t *testing.T) {
 	boot := time.Date(2005, 4, 1, 0, 0, 0, 0, time.UTC)
 	now := boot.Add(time.Hour)
@@ -54,14 +81,7 @@ func TestTemplateEncoderWireGolden(t *testing.T) {
 				e := enc.new()
 				e.SetTemplateDelay(delay)
 				out = fmt.Appendf(out, "# %s delay=%d\n", s.name, delay)
-				for i, b := range s.batches {
-					for _, d := range e.Encode(b, now.Add(time.Duration(i)*time.Second)) {
-						out = fmt.Appendf(out, "encode flows=%d %s\n", d.Flows, hex.EncodeToString(d.Raw))
-					}
-				}
-				for _, d := range e.Flush(now.Add(time.Minute)) {
-					out = fmt.Appendf(out, "flush %s\n", hex.EncodeToString(d.Raw))
-				}
+				out = appendWire(out, e, s.batches, now)
 			}
 		}
 		testutil.Golden(t, filepath.Join("testdata", enc.file), out, *update)
