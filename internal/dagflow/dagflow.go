@@ -167,9 +167,9 @@ type Config struct {
 
 // Instance replays packet traces as flow-export datagrams.
 type Instance struct {
-	cfg      Config
-	cache    *netflow.Cache
-	exporter *netflow.Exporter
+	cfg   Config
+	cache *netflow.Cache
+	enc   netflow.WireEncoder
 }
 
 // New builds an instance. boot anchors the exporter's sysUptime clock.
@@ -189,15 +189,11 @@ func New(cfg Config, boot time.Time) *Instance {
 		tmpl.SetTemplateDelay(cfg.TemplateDelay)
 		enc = tmpl
 	}
-	return &Instance{
-		cfg:      cfg,
-		cache:    netflow.NewCache(cfg.Cache),
-		exporter: netflow.NewExporter(enc),
-	}
+	return &Instance{cfg: cfg, cache: netflow.NewCache(cfg.Cache), enc: enc}
 }
 
 // Version reports the export wire format the instance emits.
-func (in *Instance) Version() uint16 { return in.exporter.Version() }
+func (in *Instance) Version() uint16 { return in.enc.Version() }
 
 // Name returns the instance label.
 func (in *Instance) Name() string { return in.cfg.Name }
@@ -206,7 +202,9 @@ func (in *Instance) Name() string { return in.cfg.Name }
 // flow cache, returning the export datagrams a router would have emitted
 // in the instance's configured wire format. The trace's own timestamps
 // drive the clock, so replay is deterministic and much faster than real
-// time (the paper's motivation for Dagflow).
+// time (the paper's motivation for Dagflow). NetFlow v5 carries IPv4
+// only, so a v5 instance fails on the first packet that is IPv6 after
+// source rewriting.
 func (in *Instance) Replay(pkts []packet.Packet) ([]netflow.WireDatagram, error) {
 	if len(pkts) == 0 {
 		return nil, nil
@@ -220,11 +218,13 @@ func (in *Instance) Replay(pkts []packet.Packet) ([]netflow.WireDatagram, error)
 			return nil, fmt.Errorf("dagflow: %s: trace not time-ordered at packet %d", in.cfg.Name, i)
 		}
 		p.Src = in.cfg.Policy.Rewrite(p.Src)
+		if in.enc.Version() == netflow.VersionV5 && (p.Src.Is6() || p.Dst.Is6()) {
+			return nil, fmt.Errorf("dagflow: %s: IPv6 packet %d cannot be exported as NetFlow v5", in.cfg.Name, i)
+		}
 		in.cache.Observe(p, in.cfg.InputIf)
 		for !p.Time.Before(nextExport) {
 			in.cache.Advance(nextExport)
-			in.exporter.Add(in.cache.Drain()...)
-			out = append(out, in.exporter.Export(nextExport)...)
+			out = append(out, in.enc.Encode(in.cache.Drain(), nextExport)...)
 			nextExport = nextExport.Add(exportInterval)
 		}
 	}
@@ -232,9 +232,8 @@ func (in *Instance) Replay(pkts []packet.Packet) ([]netflow.WireDatagram, error)
 	// template-delayed replay must still end decodable).
 	last := pkts[len(pkts)-1].Time
 	in.cache.FlushAll()
-	in.exporter.Add(in.cache.Drain()...)
-	out = append(out, in.exporter.Export(last.Add(exportInterval))...)
-	out = append(out, in.exporter.Flush(last.Add(exportInterval))...)
+	out = append(out, in.enc.Encode(in.cache.Drain(), last.Add(exportInterval))...)
+	out = append(out, in.enc.Flush(last.Add(exportInterval))...)
 	return out, nil
 }
 

@@ -1,6 +1,7 @@
 package dagflow
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -90,10 +91,27 @@ func TestBlockPolicyV4HashStability(t *testing.T) {
 	}
 }
 
-// TestReplayV6EndToEnd replays a v6 trace through a v9-format instance
-// and decodes the export stream: the flow records must come back with
-// their v6 addresses intact (via the v6 template the encoder announces).
+// TestReplayV6EndToEnd replays a v6 trace through a v9 and an IPFIX
+// instance and decodes the export stream: the flow records must come
+// back with their v6 addresses intact (via the v6 template the encoder
+// announces). NetFlow v5 has no v6 address fields, so a v5 instance
+// must refuse the trace rather than export 0.0.0.0, and must refuse a v4
+// trace whose sources are rewritten into a v6 block too.
 func TestReplayV6EndToEnd(t *testing.T) {
+	spoof6, err := NewSpoofPolicy([]netaddr.Prefix{netaddr.MustParsePrefix("2001:db8::/32")}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		policy SourcePolicy
+		pkts   []packet.Packet
+	}{{nil, normalTrace6(t, 150, 17)}, {spoof6, normalTrace(t, 50, 17)}} {
+		in := New(Config{Name: "S6", Policy: tc.policy}, boot)
+		_, err := in.Replay(tc.pkts)
+		if err == nil || !strings.Contains(err.Error(), "S6") || !strings.Contains(err.Error(), "packet 0 ") {
+			t.Errorf("v5 replay of IPv6 packets: err = %v, want one naming S6 and packet 0", err)
+		}
+	}
 	for _, version := range []uint16{netflow.VersionV9, netflow.VersionIPFIX} {
 		in := New(Config{Name: "S6", InputIf: 3, Version: version}, boot)
 		pkts := normalTrace6(t, 150, 17)

@@ -262,16 +262,16 @@ func testCollectorReceives(t *testing.T, enc netflow.WireEncoder) {
 	mu.Unlock()
 
 	boot := time.Date(2005, 4, 1, 0, 0, 0, 0, time.UTC)
-	e := netflow.NewExporter(enc)
+	var recs []flow.Record
 	for i := 0; i < 45; i++ {
-		e.Add(rec("61.0.0.1", uint16(80+i), flow.ProtoTCP, 2, 120, time.Second))
+		recs = append(recs, rec("61.0.0.1", uint16(80+i), flow.ProtoTCP, 2, 120, time.Second))
 	}
 	conn, err := net.Dial("udp", net.JoinHostPort("127.0.0.1", itoa(p)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	for _, d := range e.Export(boot.Add(time.Minute)) {
+	for _, d := range enc.Encode(recs, boot.Add(time.Minute)) {
 		if _, err := conn.Write(d.Raw); err != nil {
 			t.Fatal(err)
 		}

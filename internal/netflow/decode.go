@@ -89,37 +89,3 @@ func Decode(raw []byte, buf *DecodeBuffer) (Message, error) {
 		return Message{}, fmt.Errorf("%w: %d", ErrBadVersion, v)
 	}
 }
-
-// decodeV5 fills buf with the records of a v5 datagram.
-func decodeV5(raw []byte, buf *DecodeBuffer) (Message, error) {
-	if len(raw) < v5HeaderSize {
-		return Message{}, fmt.Errorf("%w: %d bytes", ErrShortDatagram, len(raw))
-	}
-	count := int(binary.BigEndian.Uint16(raw[2:4]))
-	if count > MaxRecords || len(raw) < v5HeaderSize+count*v5RecordSize {
-		return Message{}, fmt.Errorf("%w: count=%d len=%d", ErrBadCount, count, len(raw))
-	}
-	hdr := decodeV5Header(raw)
-	buf.cache.metrics.DatagramsV5.Inc()
-
-	if cap(buf.recs) < count {
-		buf.recs = make([]flow.Record, count)
-	}
-	buf.recs = buf.recs[:count]
-	boot := hdr.bootTime() // once per datagram, not per record
-	for i := 0; i < count; i++ {
-		decodeV5FlowRecord(&buf.recs[i], raw[v5HeaderSize+i*v5RecordSize:v5HeaderSize+(i+1)*v5RecordSize], boot)
-	}
-
-	key := domainKey{exporter: buf.exporter, domain: uint32(hdr.EngineID)}
-	gap := buf.cache.seqCheck(key, hdr.FlowSequence, uint32(count))
-	return Message{
-		Version:    VersionV5,
-		Exporter:   buf.exporter,
-		Domain:     uint32(hdr.EngineID),
-		ExportTime: time.Unix(int64(hdr.UnixSecs), int64(hdr.UnixNsecs)).UTC(),
-		Sequence:   hdr.FlowSequence,
-		SeqGap:     gap,
-		Records:    buf.recs,
-	}, nil
-}

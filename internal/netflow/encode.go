@@ -260,54 +260,6 @@ func familyRun(recs []flow.Record) (n int, v6 bool) {
 	return n, fam == netaddr.FamilyV6
 }
 
-// V5Encoder emits NetFlow v5 datagrams.
-type V5Encoder struct {
-	boot     time.Time
-	engineID uint8
-	seq      uint32
-}
-
-// NewV5Encoder returns a v5 encoder whose sysUptime is measured from boot.
-func NewV5Encoder(boot time.Time, engineID uint8) *V5Encoder {
-	return &V5Encoder{boot: boot, engineID: engineID}
-}
-
-func (e *V5Encoder) Version() uint16 { return VersionV5 }
-
-func (e *V5Encoder) Encode(recs []flow.Record, now time.Time) []WireDatagram {
-	var out []WireDatagram
-	for len(recs) > 0 {
-		n := len(recs)
-		if n > MaxRecords {
-			n = MaxRecords
-		}
-		d := v5Datagram{
-			Header: v5Header{
-				Count:        uint16(n),
-				SysUptimeMS:  uint32(now.Sub(e.boot).Milliseconds()),
-				UnixSecs:     uint32(now.Unix()),
-				UnixNsecs:    uint32(now.Nanosecond()),
-				FlowSequence: e.seq,
-				EngineID:     e.engineID,
-			},
-			Records: make([]v5Record, n),
-		}
-		for i, fr := range recs[:n] {
-			d.Records[i] = v5FromFlowRecord(fr, e.boot)
-		}
-		raw, err := d.Marshal()
-		if err != nil { // unreachable: n is capped at MaxRecords
-			return out
-		}
-		e.seq += uint32(n)
-		out = append(out, WireDatagram{Raw: raw, Flows: n})
-		recs = recs[n:]
-	}
-	return out
-}
-
-func (e *V5Encoder) Flush(time.Time) []WireDatagram { return nil }
-
 // TemplateEncoder emits NetFlow v9 or IPFIX datagrams: standalone
 // template datagrams announcing the version's v4 and/or v6 export
 // fields, then data datagrams referencing them. Each family's template

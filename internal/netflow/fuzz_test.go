@@ -1,7 +1,8 @@
 package netflow
 
 import (
-	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 	"time"
 
@@ -9,70 +10,54 @@ import (
 	"infilter/internal/netaddr"
 )
 
-// FuzzDecodeDatagram throws arbitrary bytes at the v5 decoder. Inputs the
-// decoder accepts must survive the full consumer path and re-encode to
-// bytes that decode to the same datagram — the round-trip property the
-// daemon's ingest relies on.
+// FuzzDecodeDatagram throws arbitrary bytes at Decode, the entry point
+// the daemon's collector runs, seeded with v5 datagrams. An accepted v5
+// datagram must yield its header's record count, and re-encoding those
+// records through V5Encoder at the decoded boot and export time must
+// decode to equal records: the round trip the replay testbed and the
+// daemon's ingest rely on.
 func FuzzDecodeDatagram(f *testing.F) {
-	// Seed corpus: the codec test vectors — an empty datagram, a full
-	// 30-record datagram, boundary values, and known-bad wire forms.
-	empty := &v5Datagram{}
-	raw, err := empty.Marshal()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(raw)
-
-	full := &v5Datagram{Header: v5Header{
-		SysUptimeMS: 3_600_000, UnixSecs: 1_112_313_600, UnixNsecs: 999,
-		FlowSequence: 42, EngineType: 1, EngineID: 7, SamplingInterval: 10,
-	}}
-	for i := 0; i < MaxRecords; i++ {
-		full.Records = append(full.Records, v5Record{
-			SrcAddr: netaddr.IPv4(0x3d000000 + uint32(i)), DstAddr: 0xc0000201,
-			NextHop: 0x0a000001, InputIf: uint16(i), OutputIf: 1,
-			Packets: uint32(i) * 1000, Octets: ^uint32(0), FirstMS: 1, LastMS: 2,
-			SrcPort: 1024, DstPort: 1434, TCPFlags: 0x12, Proto: flow.ProtoUDP,
-			TOS: 0xe0, SrcAS: 65001, DstAS: 65002, SrcMask: 11, DstMask: 24,
-		})
-	}
-	raw, err = full.Marshal()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(raw)
-	f.Add(raw[:v5HeaderSize])                           // header only, count lies
-	f.Add(raw[:v5HeaderSize+v5RecordSize/2])            // truncated mid-record
-	f.Add([]byte{0, 9, 0, 0})                           // wrong version, short
-	f.Add(append(append([]byte{}, raw...), 0xff, 0xee)) // trailing garbage
+	// Seed corpus: an empty datagram, a full 30-record datagram with the
+	// header fields Decode skips set, boundary cuts and known-bad forms.
+	boot := time.Date(2005, 4, 1, 0, 0, 0, 0, time.UTC)
+	full := NewV5Encoder(boot, 7).Encode(exportSample(MaxRecords), boot.Add(time.Hour+999))[0].Raw
+	full[20], full[23] = 1, 10 // engine type 1, sampling interval 10
+	empty := append([]byte(nil), full[:v5HeaderSize]...)
+	empty[2], empty[3] = 0, 0
+	f.Add(empty)
+	f.Add(full)
+	f.Add(full[:v5HeaderSize])                            // header only, count lies
+	f.Add(full[:v5HeaderSize+v5RecordSize/2])             // truncated mid-record
+	f.Add([]byte{0, 9, 0, 0})                             // wrong version, short
+	f.Add(append(full[:len(full):len(full)], 0xff, 0xee)) // trailing garbage
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := unmarshalV5(data)
-		if err != nil {
+		msg, err := Decode(data, NewDecodeBuffer(nil))
+		if err != nil || msg.Version != VersionV5 {
 			return // rejected input: only panics are failures here
 		}
-		if len(d.Records) != int(d.Header.Count) {
-			t.Fatalf("decoded %d records, header count %d", len(d.Records), d.Header.Count)
+		if count := int(binary.BigEndian.Uint16(data[2:4])); len(msg.Records) != count {
+			t.Fatalf("decoded %d records, header count %d", len(msg.Records), count)
 		}
-		// The collector converts every accepted record; must not panic.
-		for _, r := range d.Records {
-			_ = r.ToFlowRecord(d.Header, r.InputIf)
+		if msg.ExportTime.Unix() > math.MaxUint32 {
+			// Nanoseconds past 1e9 carried the export time beyond the
+			// 32-bit seconds field; it cannot be written back.
+			return
 		}
-		// Re-encode and re-decode: the canonical bytes must be stable.
-		enc, err := d.Marshal()
-		if err != nil {
-			t.Fatalf("re-marshal of accepted datagram: %v", err)
+		uptime := time.Duration(binary.BigEndian.Uint32(data[4:8])) * time.Millisecond
+		want := append([]flow.Record(nil), msg.Records...)
+		enc := NewV5Encoder(msg.ExportTime.Add(-uptime), uint8(msg.Domain))
+		var got []flow.Record
+		for _, m := range decodeAll(t, enc.Encode(want, msg.ExportTime)) {
+			got = append(got, m.Records...)
 		}
-		d2, err := unmarshalV5(enc)
-		if err != nil {
-			t.Fatalf("re-unmarshal: %v", err)
+		if len(got) != len(want) {
+			t.Fatalf("re-decoded %d records, want %d", len(got), len(want))
 		}
-		enc2, err := d2.Marshal()
-		if err != nil {
-			t.Fatalf("second marshal: %v", err)
-		}
-		if !bytes.Equal(enc, enc2) {
-			t.Fatalf("round-trip not stable:\n%x\n%x", enc, enc2)
+		for i := range want {
+			if !equalRecord(got[i], want[i]) {
+				t.Fatalf("record %d after re-encode: got %+v want %+v", i, got[i], want[i])
+			}
 		}
 	})
 }

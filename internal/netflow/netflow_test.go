@@ -3,6 +3,7 @@ package netflow
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,146 +12,124 @@ import (
 	"infilter/internal/packet"
 )
 
-func sampleRecord(i int) v5Record {
-	return v5Record{
-		SrcAddr:  netaddr.IPv4(0x0a000000 + uint32(i)),
-		DstAddr:  netaddr.IPv4(0xc0000201),
-		NextHop:  netaddr.IPv4(0xc0000101),
-		InputIf:  uint16(i % 4),
-		OutputIf: 9,
-		Packets:  uint32(10 + i),
-		Octets:   uint32(4000 + i),
-		FirstMS:  uint32(1000 * i),
-		LastMS:   uint32(1000*i + 500),
-		SrcPort:  uint16(1024 + i),
-		DstPort:  80,
-		TCPFlags: packet.FlagSYN | packet.FlagACK,
-		Proto:    flow.ProtoTCP,
-		TOS:      0,
-		SrcAS:    uint16(100 + i),
-		DstAS:    65000,
-		SrcMask:  11,
-		DstMask:  24,
+// sampleRecord is a v4 flow whose v5 fields all vary with i; odd i also
+// varies the byte-sized fields (protocol, TOS, TCP flags, masks).
+func sampleRecord(boot time.Time, i int) flow.Record {
+	r := flow.Record{
+		Key: flow.Key{
+			Src: netaddr.IPv4(0x0a000000 + uint32(i)).Addr(), Dst: netaddr.IPv4(0xc0000201).Addr(),
+			Proto: flow.ProtoTCP, SrcPort: uint16(1024 + i), DstPort: 80, InputIf: uint16(i % 4),
+		},
+		Packets: uint32(10 + i), Bytes: uint32(4000 + i),
+		Start: boot.Add(time.Duration(1000*i) * time.Millisecond),
+		End:   boot.Add(time.Duration(1000*i+500) * time.Millisecond),
+		SrcAS: uint16(100 + i), DstAS: 65000, SrcMask: 11, DstMask: 24,
+		TCPFlag: packet.FlagSYN | packet.FlagACK,
 	}
+	if i%2 == 1 {
+		r.Key.Proto = flow.ProtoUDP
+		r.Key.TOS = uint8(i)
+		r.TCPFlag = 0
+		r.SrcMask = uint8(8 + i%24)
+		r.DstMask = uint8(i)
+	}
+	return r
 }
 
+// equalRecord reports whether two records agree in every field, times
+// compared as instants.
+func equalRecord(a, b flow.Record) bool {
+	if !a.Start.Equal(b.Start) || !a.End.Equal(b.End) {
+		return false
+	}
+	a.Start, a.End, b.Start, b.End = time.Time{}, time.Time{}, time.Time{}, time.Time{}
+	return a == b
+}
+
+// decodeAll decodes every datagram through one buffer and returns the
+// messages.
+func decodeAll(t *testing.T, dgs []WireDatagram) []Message {
+	t.Helper()
+	buf := NewDecodeBuffer(nil)
+	var msgs []Message
+	for _, d := range dgs {
+		msg, err := Decode(d.Raw, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg.Records = append([]flow.Record(nil), msg.Records...)
+		msgs = append(msgs, msg)
+	}
+	return msgs
+}
+
+// TestDatagramRoundTrip encodes one full v5 datagram whose records vary
+// every field and decodes it: the header comes back through Message
+// (sequence, engine id as Domain, export time to the nanosecond),
+// sysUptime through the records' Start and End, and every record equal.
 func TestDatagramRoundTrip(t *testing.T) {
-	d := &v5Datagram{
-		Header: v5Header{
-			SysUptimeMS:  123456,
-			UnixSecs:     1112345678,
-			UnixNsecs:    987654,
-			FlowSequence: 42,
-			EngineType:   1,
-			EngineID:     7,
-		},
-	}
-	for i := 0; i < 17; i++ {
-		d.Records = append(d.Records, sampleRecord(i))
-	}
-	raw, err := d.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw) != v5HeaderSize+17*v5RecordSize {
-		t.Fatalf("marshaled %d bytes", len(raw))
-	}
-	got, err := unmarshalV5(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Header.Count != 17 || got.Header.FlowSequence != 42 ||
-		got.Header.SysUptimeMS != 123456 || got.Header.EngineID != 7 {
-		t.Errorf("header mismatch: %+v", got.Header)
-	}
-	for i := range d.Records {
-		if got.Records[i] != d.Records[i] {
-			t.Errorf("record %d: got %+v want %+v", i, got.Records[i], d.Records[i])
-		}
-	}
-}
-
-// TestDecodeV5MatchesUnmarshal pins the fused hot-loop decoder
-// (decodeV5FlowRecord) to the field-by-field reference path
-// (unmarshalV5 + ToFlowRecord): both must produce identical flow
-// records for every wire field.
-func TestDecodeV5MatchesUnmarshal(t *testing.T) {
-	d := &v5Datagram{
-		Header: v5Header{
-			SysUptimeMS:  777777,
-			UnixSecs:     1112345678,
-			UnixNsecs:    987654,
-			FlowSequence: 42,
-			EngineID:     3,
-		},
-	}
+	boot := time.Date(2005, 4, 1, 0, 0, 0, 0, time.UTC)
+	now := boot.Add(123456 * time.Millisecond) // nonzero UnixNsecs
+	var want []flow.Record
 	for i := 0; i < MaxRecords; i++ {
-		r := sampleRecord(i)
-		if i%2 == 1 { // vary every byte-sized field too
-			r.Proto = flow.ProtoUDP
-			r.TOS = uint8(i)
-			r.TCPFlags = 0
-			r.SrcMask = uint8(8 + i%24)
-			r.DstMask = uint8(i)
-		}
-		d.Records = append(d.Records, r)
+		want = append(want, sampleRecord(boot, i))
 	}
-	raw, err := d.Marshal()
-	if err != nil {
-		t.Fatal(err)
+	enc := NewV5Encoder(boot, 7)
+	enc.Encode(want[:12], boot) // move the flow sequence to 12
+	dgs := enc.Encode(want, now)
+	if len(dgs) != 1 || dgs[0].Flows != MaxRecords || len(dgs[0].Raw) != v5HeaderSize+MaxRecords*v5RecordSize {
+		t.Fatalf("encoded %d datagrams, first %d flows in %d bytes", len(dgs), dgs[0].Flows, len(dgs[0].Raw))
 	}
-	msg, err := Decode(raw, NewDecodeBuffer(nil))
-	if err != nil {
-		t.Fatal(err)
+	msg := decodeAll(t, dgs)[0]
+	if msg.Version != VersionV5 || msg.Sequence != 12 || msg.Domain != 7 || !msg.ExportTime.Equal(now) {
+		t.Errorf("header: version=%d seq=%d domain=%d export=%v", msg.Version, msg.Sequence, msg.Domain, msg.ExportTime)
 	}
-	ref, err := unmarshalV5(raw)
-	if err != nil {
-		t.Fatal(err)
+	if len(msg.Records) != len(want) {
+		t.Fatalf("decoded %d records, want %d", len(msg.Records), len(want))
 	}
-	if len(msg.Records) != len(ref.Records) {
-		t.Fatalf("decoded %d records, reference %d", len(msg.Records), len(ref.Records))
-	}
-	for i, r := range ref.Records {
-		want := r.ToFlowRecord(ref.Header, r.InputIf)
-		if msg.Records[i] != want {
-			t.Errorf("record %d: fused decode %+v, reference %+v", i, msg.Records[i], want)
+	for i := range want {
+		if !equalRecord(msg.Records[i], want[i]) {
+			t.Errorf("record %d: got %+v want %+v", i, msg.Records[i], want[i])
 		}
 	}
 }
 
-func TestMarshalRejectsTooManyRecords(t *testing.T) {
-	d := &v5Datagram{Records: make([]v5Record, MaxRecords+1)}
-	if _, err := d.Marshal(); err == nil {
-		t.Error("Marshal with 31 records: want error")
-	}
-}
-
+// TestUnmarshalErrors feeds Decode corrupt v5 datagrams: each must fail
+// with its sentinel error.
 func TestUnmarshalErrors(t *testing.T) {
-	if _, err := unmarshalV5(make([]byte, 10)); !errors.Is(err, ErrShortDatagram) {
-		t.Errorf("short datagram: %v", err)
+	boot := time.Date(2005, 4, 1, 0, 0, 0, 0, time.UTC)
+	var recs []flow.Record
+	for i := 0; i < MaxRecords+1; i++ {
+		recs = append(recs, sampleRecord(boot, i))
 	}
-	d := &v5Datagram{Records: []v5Record{sampleRecord(0)}}
-	raw, err := d.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := append([]byte(nil), raw...)
-	bad[1] = 99 // unknown version
-	if _, err := unmarshalV5(bad); !errors.Is(err, ErrBadVersion) {
-		t.Errorf("bad version: %v", err)
-	}
-	if _, err := Decode(bad, NewDecodeBuffer(nil)); !errors.Is(err, ErrBadVersion) {
-		t.Errorf("Decode bad version: %v", err)
-	}
-	trunc := raw[:len(raw)-1]
-	if _, err := unmarshalV5(trunc); !errors.Is(err, ErrBadCount) {
-		t.Errorf("truncated records: %v", err)
-	}
-	if _, err := Decode(trunc, NewDecodeBuffer(nil)); !errors.Is(err, ErrBadCount) {
-		t.Errorf("Decode truncated records: %v", err)
+	dgs := NewV5Encoder(boot, 0).Encode(recs, boot.Add(time.Minute))
+	full, one := dgs[0].Raw, dgs[1].Raw
+	badVersion := append([]byte(nil), one...)
+	badVersion[1] = 99
+	// 31 records' worth of bytes under a count of 31: more than a v5
+	// datagram may carry, though the length agrees.
+	over := append(append([]byte(nil), full...), one[v5HeaderSize:]...)
+	over[3] = MaxRecords + 1
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+		want error
+	}{
+		{"one byte", one[:1], ErrShortDatagram},
+		{"header cut", one[:10], ErrShortDatagram},
+		{"unknown version", badVersion, ErrBadVersion},
+		{"truncated record", one[:len(one)-1], ErrBadCount},
+		{"count above MaxRecords", over, ErrBadCount},
+	} {
+		if _, err := Decode(tc.raw, NewDecodeBuffer(nil)); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 
+// TestFlowRecordConversionRoundTrip exports one flow 200 s after boot:
+// its uptime-relative stamps must resolve back to the flow's own Start
+// and End, and every other field survive.
 func TestFlowRecordConversionRoundTrip(t *testing.T) {
 	boot := time.Date(2005, 4, 1, 0, 0, 0, 0, time.UTC)
 	fr := flow.Record{
@@ -170,23 +149,12 @@ func TestFlowRecordConversionRoundTrip(t *testing.T) {
 		DstAS:   1,
 		SrcMask: 11,
 	}
-	wire := v5FromFlowRecord(fr, boot)
-	hdr := v5Header{
-		SysUptimeMS: uint32(200 * 1000),
-		UnixSecs:    uint32(boot.Add(200 * time.Second).Unix()),
+	msgs := decodeAll(t, NewV5Encoder(boot, 0).Encode([]flow.Record{fr}, boot.Add(200*time.Second)))
+	if len(msgs) != 1 || len(msgs[0].Records) != 1 {
+		t.Fatalf("decoded %d datagrams", len(msgs))
 	}
-	back := wire.ToFlowRecord(hdr, 2)
-	if back.Key != fr.Key {
-		t.Errorf("key: got %+v want %+v", back.Key, fr.Key)
-	}
-	if back.Packets != fr.Packets || back.Bytes != fr.Bytes {
-		t.Errorf("counters: got %d/%d", back.Packets, back.Bytes)
-	}
-	if !back.Start.Equal(fr.Start) || !back.End.Equal(fr.End) {
-		t.Errorf("times: got %v-%v want %v-%v", back.Start, back.End, fr.Start, fr.End)
-	}
-	if back.SrcAS != 1224 || back.DstAS != 1 {
-		t.Errorf("AS fields: %d %d", back.SrcAS, back.DstAS)
+	if back := msgs[0].Records[0]; !equalRecord(back, fr) {
+		t.Errorf("got %+v want %+v", back, fr)
 	}
 }
 
@@ -328,11 +296,14 @@ func TestCacheDistinctKeysDistinctFlows(t *testing.T) {
 	}
 }
 
-func TestExporterSequencesAndSplits(t *testing.T) {
+// TestV5EncoderSequencesAndSplits encodes 65 records: they must split
+// 30/30/5, the flow sequence must count records across datagrams and
+// Encode calls, and sysUptime must resolve every record's stamps back.
+func TestV5EncoderSequencesAndSplits(t *testing.T) {
 	boot := time.Date(2005, 4, 1, 0, 0, 0, 0, time.UTC)
-	e := NewExporter(NewV5Encoder(boot, 3))
-	if e.Version() != VersionV5 {
-		t.Errorf("Version = %d", e.Version())
+	enc := NewV5Encoder(boot, 3)
+	if enc.Version() != VersionV5 {
+		t.Errorf("Version = %d", enc.Version())
 	}
 	var recs []flow.Record
 	for i := 0; i < 65; i++ {
@@ -342,58 +313,44 @@ func TestExporterSequencesAndSplits(t *testing.T) {
 			Start: boot.Add(time.Second), End: boot.Add(2 * time.Second),
 		})
 	}
-	e.Add(recs...)
-	if e.Pending() != 65 {
-		t.Errorf("Pending = %d", e.Pending())
-	}
-	dgs := e.Export(boot.Add(time.Minute))
+	dgs := enc.Encode(recs, boot.Add(time.Minute))
 	if len(dgs) != 3 {
 		t.Fatalf("%d datagrams, want 3 (30+30+5)", len(dgs))
 	}
 	if dgs[0].Flows != 30 || dgs[1].Flows != 30 || dgs[2].Flows != 5 {
 		t.Errorf("split %d/%d/%d", dgs[0].Flows, dgs[1].Flows, dgs[2].Flows)
 	}
-	var seqs, uptime []uint32
-	for _, dg := range dgs {
-		d, err := unmarshalV5(dg.Raw)
-		if err != nil {
-			t.Fatal(err)
+	if enc.Encode(nil, boot) != nil || enc.Flush(boot) != nil {
+		t.Error("Encode of no records and Flush must emit nothing")
+	}
+	// The next call continues the sequence.
+	dgs = append(dgs, enc.Encode(recs[:1], boot.Add(2*time.Minute))...)
+	var seqs []uint32
+	for _, msg := range decodeAll(t, dgs) {
+		seqs = append(seqs, msg.Sequence)
+		if msg.Domain != 3 || msg.SeqGap != 0 {
+			t.Errorf("seq %d: domain %d, gap %d", msg.Sequence, msg.Domain, msg.SeqGap)
 		}
-		seqs = append(seqs, d.Header.FlowSequence)
-		uptime = append(uptime, d.Header.SysUptimeMS)
+		for _, r := range msg.Records {
+			if !r.Start.Equal(boot.Add(time.Second)) || !r.End.Equal(boot.Add(2*time.Second)) {
+				t.Fatalf("seq %d: stamps %v-%v, want boot+1s-boot+2s", msg.Sequence, r.Start, r.End)
+			}
+		}
 	}
-	if seqs[0] != 0 || seqs[1] != 30 || seqs[2] != 60 {
-		t.Errorf("sequences %v", seqs)
-	}
-	if uptime[0] != 60000 {
-		t.Errorf("sysUptime %d", uptime[0])
-	}
-	if e.Export(boot) != nil {
-		t.Error("second Export should return nil with empty queue")
-	}
-	// Next batch continues the sequence.
-	e.Add(recs[0])
-	dgs = e.Export(boot.Add(2 * time.Minute))
-	d, err := unmarshalV5(dgs[0].Raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Header.FlowSequence != 65 {
-		t.Errorf("continued sequence %d, want 65", d.Header.FlowSequence)
+	if want := []uint32{0, 30, 60, 65}; !slices.Equal(seqs, want) {
+		t.Errorf("sequences %v, want %v", seqs, want)
 	}
 }
 
 func TestEndToEndPacketsToDatagramToFlow(t *testing.T) {
 	boot := time.Date(2005, 4, 1, 0, 0, 0, 0, time.UTC)
 	c := NewCache(CacheConfig{ExpireOnFINRST: true})
-	e := NewExporter(NewV5Encoder(boot, 1))
 
 	t0 := boot.Add(10 * time.Second)
 	c.Observe(pkt(t0, "61.5.6.7", 80, flow.ProtoTCP, 400, packet.FlagSYN), 4)
 	c.Observe(pkt(t0.Add(time.Second), "61.5.6.7", 80, flow.ProtoTCP, 1000, packet.FlagACK), 4)
 	c.Observe(pkt(t0.Add(2*time.Second), "61.5.6.7", 80, flow.ProtoTCP, 40, packet.FlagFIN), 4)
-	e.Add(c.Drain()...)
-	dgs := e.Export(t0.Add(20 * time.Second))
+	dgs := NewV5Encoder(boot, 1).Encode(c.Drain(), t0.Add(20*time.Second))
 	if len(dgs) != 1 {
 		t.Fatalf("%d datagrams", len(dgs))
 	}
@@ -416,44 +373,39 @@ func TestEndToEndPacketsToDatagramToFlow(t *testing.T) {
 	}
 }
 
+// TestDatagramRandomRoundTrip round-trips random v4 records at random
+// boot and export times (millisecond-aligned, as v5 stamps are) through
+// V5Encoder and Decode.
 func TestDatagramRandomRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	ms := func() time.Duration { return time.Duration(rng.Uint32()) * time.Millisecond }
 	for trial := 0; trial < 25; trial++ {
-		n := rng.Intn(MaxRecords) + 1
-		d := &v5Datagram{
-			Header: v5Header{
-				SysUptimeMS:  rng.Uint32(),
-				UnixSecs:     rng.Uint32(),
-				UnixNsecs:    rng.Uint32(),
-				FlowSequence: rng.Uint32(),
-				EngineType:   uint8(rng.Intn(256)),
-				EngineID:     uint8(rng.Intn(256)),
-			},
-		}
-		for i := 0; i < n; i++ {
-			d.Records = append(d.Records, v5Record{
-				SrcAddr: netaddr.IPv4(rng.Uint32()), DstAddr: netaddr.IPv4(rng.Uint32()),
-				NextHop: netaddr.IPv4(rng.Uint32()),
-				InputIf: uint16(rng.Intn(65536)), OutputIf: uint16(rng.Intn(65536)),
-				Packets: rng.Uint32(), Octets: rng.Uint32(),
-				FirstMS: rng.Uint32(), LastMS: rng.Uint32(),
-				SrcPort: uint16(rng.Intn(65536)), DstPort: uint16(rng.Intn(65536)),
-				TCPFlags: uint8(rng.Intn(256)), Proto: uint8(rng.Intn(256)), TOS: uint8(rng.Intn(256)),
+		boot := time.UnixMilli(rng.Int63n(1 << 41))
+		now := boot.Add(ms())
+		engineID := uint8(rng.Intn(256))
+		want := make([]flow.Record, rng.Intn(MaxRecords)+1)
+		for i := range want {
+			want[i] = flow.Record{
+				Key: flow.Key{
+					Src: netaddr.IPv4(rng.Uint32()).Addr(), Dst: netaddr.IPv4(rng.Uint32()).Addr(),
+					Proto: uint8(rng.Intn(256)), TOS: uint8(rng.Intn(256)),
+					SrcPort: uint16(rng.Intn(65536)), DstPort: uint16(rng.Intn(65536)),
+					InputIf: uint16(rng.Intn(65536)),
+				},
+				Packets: rng.Uint32(), Bytes: rng.Uint32(),
+				Start: boot.Add(ms()), End: boot.Add(ms()),
 				SrcAS: uint16(rng.Intn(65536)), DstAS: uint16(rng.Intn(65536)),
 				SrcMask: uint8(rng.Intn(33)), DstMask: uint8(rng.Intn(33)),
-			})
+				TCPFlag: uint8(rng.Intn(256)),
+			}
 		}
-		raw, err := d.Marshal()
-		if err != nil {
-			t.Fatal(err)
+		msg := decodeAll(t, NewV5Encoder(boot, engineID).Encode(want, now))[0]
+		if msg.Domain != uint32(engineID) || !msg.ExportTime.Equal(now) {
+			t.Fatalf("trial %d: domain %d export %v, want %d %v", trial, msg.Domain, msg.ExportTime, engineID, now)
 		}
-		got, err := unmarshalV5(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range d.Records {
-			if got.Records[i] != d.Records[i] {
-				t.Fatalf("trial %d record %d mismatch", trial, i)
+		for i := range want {
+			if !equalRecord(msg.Records[i], want[i]) {
+				t.Fatalf("trial %d record %d: got %+v want %+v", trial, i, msg.Records[i], want[i])
 			}
 		}
 	}
