@@ -882,9 +882,9 @@ func BenchmarkEIACheckBloomTier(b *testing.B) {
 // BenchmarkScanSuspect measures the per-suspect cost of scan analysis as
 // the distinct probe cardinality grows 100x: a one-source network scan
 // fanning out over `scale` distinct target hosts on one port. The
-// analyzer's state is bounded (KMV registers capped at sketch.DefaultK,
-// register tables by MaxRegisters), so a scan 100x wider must cost about
-// the same per suspect (sketch-1000x within ~1.2x of sketch-10x).
+// analyzer's state is bounded (a register's window sets by 2 × BufferSize
+// keys, register tables by MaxRegisters), so a scan 100x wider must cost
+// about the same per suspect (sketch-1000x within ~1.2x of sketch-10x).
 func BenchmarkScanSuspect(b *testing.B) {
 	const base = 100
 	for _, scale := range []int{10, 1000} {

@@ -742,8 +742,8 @@ func TestEngineMatchesOracle(t *testing.T) {
 	oracles := make(map[int]outcome)
 	for _, shards := range []int{1, 3, workloadPeers} {
 		o, probes := runOracle(w.cfg, w, detector, stream, shards)
-		// Past one window the sketch rotates and forgets, and exact sets
-		// stop being its reference.
+		// Past one window the analyzer's registers rotate and forget,
+		// and the oracle's unwindowed sets stop being its reference.
 		if n := slices.Max(probes); n >= scan.DefaultBufferSize {
 			t.Fatalf("shards=%d: a shard sees %d probe-like suspects, want fewer than %d", shards, n, scan.DefaultBufferSize)
 		}
@@ -832,11 +832,12 @@ func TestScanEvidenceIsPerShard(t *testing.T) {
 }
 
 // TestSketchDivergesOnlyBeyondRingCapacity pins, at the engine level, the
-// reason the shipped analyzer counts with sketches rather than the
-// paper's 200-entry ring: a 400-host scan with a threshold of 300 is more
-// than that ring could ever hold, yet the scan stage still trips on it.
-// The oracle keeps exact sets and cannot show this, and its guards keep
-// every shard under scan.DefaultBufferSize suspects.
+// reason the shipped analyzer counts with windowed registers rather than
+// the paper's 200-entry ring: a 400-host scan with a threshold of 300 is
+// more than that ring could ever hold, yet with a large BufferSize the
+// scan stage trips on it at exactly the 300th distinct host. The oracle's
+// guards keep every shard under scan.DefaultBufferSize suspects, so it
+// cannot show this.
 func TestSketchDivergesOnlyBeyondRingCapacity(t *testing.T) {
 	cfg := Config{
 		Mode: ModeEnhanced,
@@ -873,11 +874,8 @@ func TestSketchDivergesOnlyBeyondRingCapacity(t *testing.T) {
 		out := make([]Decision, len(probes))
 		eng.ProcessBatch(1, probes, out)
 		first := slices.IndexFunc(out, func(d Decision) bool { return d.Stage == idmef.StageScan })
-		if first < 0 {
-			t.Fatal("scan stage missed a 400-host scan above ring capacity")
-		}
-		if first < scan.DefaultBufferSize {
-			t.Errorf("scan stage tripped at probe %d, before %d distinct hosts could overflow the ring", first, scan.DefaultBufferSize)
+		if first != 299 {
+			t.Errorf("scan stage first tripped at probe %d, want 299 (the 300th distinct host)", first)
 		}
 	})
 }

@@ -8,9 +8,9 @@ import "math/bits"
 // halves are folded against the seed-perturbed secret and finished with
 // the rrmxmx avalanche. Specializing to the fixed width keeps the whole
 // hash branch-free and inlineable — the filter keys (masked address,
-// prefix length) and sketch keys (source address) are always packed into
-// one uint64 — while retaining xxh3's avalanche quality, which the
-// double-hashing probe derivation below leans on.
+// prefix length) are always packed into one uint64 — while retaining
+// xxh3's avalanche quality, which the double-hashing probe derivation
+// below leans on.
 //
 // The two secret words are readLE64(kSecret+8) and readLE64(kSecret+16)
 // of the reference implementation's default secret.
@@ -19,14 +19,6 @@ const (
 	xxhSecret16 = 0xdb979083e96dd4de
 	rrmxmxMul   = 0x9fb21c651e98df25
 )
-
-// Hash64 exposes the seeded mix to sibling packages that key other
-// probabilistic structures from the same hash family — the KMV distinct
-// counters in internal/sketch draw their order statistics from it, so
-// sketch quality rides on the same avalanche the filters already trust.
-func Hash64(key, seed uint64) uint64 {
-	return hash64(key, seed)
-}
 
 func hash64(key, seed uint64) uint64 {
 	seed ^= uint64(bits.ReverseBytes32(uint32(seed))) << 32

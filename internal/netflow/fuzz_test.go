@@ -2,7 +2,6 @@ package netflow
 
 import (
 	"encoding/binary"
-	"math"
 	"testing"
 	"time"
 
@@ -14,8 +13,8 @@ import (
 // the daemon's collector runs, seeded with v5 datagrams. An accepted v5
 // datagram must yield its header's record count, and re-encoding those
 // records through V5Encoder at the decoded boot and export time must
-// decode to equal records: the round trip the replay testbed and the
-// daemon's ingest rely on.
+// decode to equal records at the same export time: the round trip the
+// replay testbed and the daemon's ingest rely on.
 func FuzzDecodeDatagram(f *testing.F) {
 	// Seed corpus: an empty datagram, a full 30-record datagram with the
 	// header fields Decode skips set, boundary cuts and known-bad forms.
@@ -39,16 +38,14 @@ func FuzzDecodeDatagram(f *testing.F) {
 		if count := int(binary.BigEndian.Uint16(data[2:4])); len(msg.Records) != count {
 			t.Fatalf("decoded %d records, header count %d", len(msg.Records), count)
 		}
-		if msg.ExportTime.Unix() > math.MaxUint32 {
-			// Nanoseconds past 1e9 carried the export time beyond the
-			// 32-bit seconds field; it cannot be written back.
-			return
-		}
 		uptime := time.Duration(binary.BigEndian.Uint32(data[4:8])) * time.Millisecond
 		want := append([]flow.Record(nil), msg.Records...)
 		enc := NewV5Encoder(msg.ExportTime.Add(-uptime), uint8(msg.Domain))
 		var got []flow.Record
 		for _, m := range decodeAll(t, enc.Encode(want, msg.ExportTime)) {
+			if !m.ExportTime.Equal(msg.ExportTime) {
+				t.Fatalf("export time after re-encode: got %v want %v", m.ExportTime, msg.ExportTime)
+			}
 			got = append(got, m.Records...)
 		}
 		if len(got) != len(want) {

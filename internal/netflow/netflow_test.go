@@ -94,8 +94,11 @@ func TestDatagramRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUnmarshalErrors feeds Decode corrupt v5 datagrams: each must fail
-// with its sentinel error.
+// errAny marks a TestUnmarshalErrors row whose error has no sentinel.
+var errAny = errors.New("any error")
+
+// TestUnmarshalErrors feeds Decode corrupt v5 datagrams: each must fail,
+// with its sentinel error where it has one.
 func TestUnmarshalErrors(t *testing.T) {
 	boot := time.Date(2005, 4, 1, 0, 0, 0, 0, time.UTC)
 	var recs []flow.Record
@@ -110,6 +113,10 @@ func TestUnmarshalErrors(t *testing.T) {
 	// datagram may carry, though the length agrees.
 	over := append(append([]byte(nil), full...), one[v5HeaderSize:]...)
 	over[3] = MaxRecords + 1
+	// Export seconds and nanoseconds both 0xffffffff: a nanoseconds word
+	// of 1e9 or more is no instant.
+	badNsecs := append([]byte(nil), one...)
+	copy(badNsecs[8:16], []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	for _, tc := range []struct {
 		name string
 		raw  []byte
@@ -120,8 +127,9 @@ func TestUnmarshalErrors(t *testing.T) {
 		{"unknown version", badVersion, ErrBadVersion},
 		{"truncated record", one[:len(one)-1], ErrBadCount},
 		{"count above MaxRecords", over, ErrBadCount},
+		{"nanoseconds out of range", badNsecs, errAny},
 	} {
-		if _, err := Decode(tc.raw, NewDecodeBuffer(nil)); !errors.Is(err, tc.want) {
+		if _, err := Decode(tc.raw, NewDecodeBuffer(nil)); err == nil || tc.want != errAny && !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}

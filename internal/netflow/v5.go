@@ -121,13 +121,17 @@ func decodeV5(raw []byte, buf *DecodeBuffer) (Message, error) {
 	if count > MaxRecords || len(raw) < v5HeaderSize+count*v5RecordSize {
 		return Message{}, fmt.Errorf("%w: count=%d len=%d", ErrBadCount, count, len(raw))
 	}
+	nsecs := binary.BigEndian.Uint32(raw[12:16])
+	if nsecs >= 1e9 {
+		return Message{}, fmt.Errorf("netflow: v5 header unix_nsecs %d out of range", nsecs)
+	}
 	buf.cache.metrics.DatagramsV5.Inc()
 
 	if cap(buf.recs) < count {
 		buf.recs = make([]flow.Record, count)
 	}
 	buf.recs = buf.recs[:count]
-	export := time.Unix(int64(binary.BigEndian.Uint32(raw[8:12])), int64(binary.BigEndian.Uint32(raw[12:16]))).UTC()
+	export := time.Unix(int64(binary.BigEndian.Uint32(raw[8:12])), int64(nsecs)).UTC()
 	// Records stamp sysUptime; resolve the exporter's boot time once per
 	// datagram, not per record.
 	boot := export.Add(-time.Duration(binary.BigEndian.Uint32(raw[4:8])) * time.Millisecond)

@@ -4,15 +4,15 @@
 // scans (many destination ports on one host, e.g. nmap Idlescan). It
 // sits between EIA analysis and NNS search.
 //
-// Counting is streaming: per-port and per-host KMV registers
-// (internal/sketch) estimate distinct targets over an unbounded suspect
-// stream in fixed memory. Every Config.BufferSize suspects the registers
-// rotate one generation, which forgets old observations the way the
-// paper's 200-entry buffer does. Below the register size k the estimates
-// are exact, so until the first rotation the trip decisions are those of
-// exact distinct-target sets. The reference engine in the
-// internal/analysis tests counts with exact sets and holds the analyzer
-// to that.
+// Counting is exact and windowed: per-port and per-host registers keep
+// the distinct targets seen in the current and the previous generation.
+// Every Config.BufferSize suspects the registers rotate one generation,
+// which forgets old observations the way the paper's 200-entry buffer
+// does, while a scan burst that straddles a rotation is still counted
+// whole. A generation holds at most BufferSize suspects, so the live
+// sets of a table hold at most 2 × BufferSize keys. The reference
+// engine in the internal/analysis tests counts with exact unwindowed
+// sets and holds the analyzer to them while no shard passes one window.
 //
 // The package also hosts TTLProfile (ttl.go), the per-source
 // expected-TTL second-opinion detector.
@@ -46,8 +46,8 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 	return &Metrics{
 		NetworkScans:    r.Counter("infilter_scan_network_trips_total", "Suspect flows that tripped the network-scan threshold."),
 		HostScans:       r.Counter("infilter_scan_host_trips_total", "Suspect flows that tripped the host-scan threshold."),
-		SketchDecays:    r.Counter("infilter_sketch_decays_total", "Scan-sketch register generation rotations."),
-		SketchOverflows: r.Counter("infilter_sketch_register_overflows_total", "Suspect flows dropped from sketch counting because a register table was full."),
+		SketchDecays:    r.Counter("infilter_sketch_decays_total", "Scan-register generation rotations."),
+		SketchOverflows: r.Counter("infilter_sketch_register_overflows_total", "Suspect flows dropped from scan counting because a register table was full."),
 	}
 }
 
@@ -172,19 +172,19 @@ func (a *Analyzer) SetMetrics(m *Metrics) {
 	a.metrics = m
 }
 
-// HostsOnPort exposes the distinct-host count for a destination port
-// (estimated, exact while below sketch.DefaultK).
+// HostsOnPort exposes the windowed distinct-host count for a
+// destination port.
 func (a *Analyzer) HostsOnPort(port uint16) int {
-	return int(a.regEstimate(a.portRegs[port]) + 0.5)
+	return a.portRegs[port].count(a.gen)
 }
 
-// PortsOnHost exposes the distinct-port count for a destination host
-// (estimated, exact while below sketch.DefaultK).
+// PortsOnHost exposes the windowed distinct-port count for a
+// destination host.
 func (a *Analyzer) PortsOnHost(host netaddr.Addr) int {
-	return int(a.regEstimate(a.hostRegs[host]) + 0.5)
+	return a.hostRegs[host].count(a.gen)
 }
 
-// sketchKey folds an address into the 64-bit key space of the KMV
+// sketchKey folds an address into the 64-bit key space of the port
 // registers. A v4 address keys exactly as the pre-dual-stack stage did;
 // v6 mixes both words (a collision can only merge two hosts into one
 // count).

@@ -5,7 +5,6 @@ import (
 
 	"infilter/internal/flow"
 	"infilter/internal/netaddr"
-	"infilter/internal/sketch"
 	"infilter/internal/trace"
 )
 
@@ -87,8 +86,8 @@ func TestDefaultsApplied(t *testing.T) {
 		t.Errorf("defaults %+v, want %+v", s.cfg, want)
 	}
 	s.Add(suspect("192.0.2.1", 1434))
-	if k := s.portRegs[1434].cur.K(); k != sketch.DefaultK {
-		t.Errorf("live register k = %d, want sketch.DefaultK %d", k, sketch.DefaultK)
+	if n := s.portRegs[1434].count(s.gen); n != 1 {
+		t.Errorf("fresh port register counts %d, want 1", n)
 	}
 }
 

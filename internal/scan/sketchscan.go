@@ -1,65 +1,68 @@
 package scan
 
-import (
-	"infilter/internal/flow"
-	"infilter/internal/sketch"
-)
+import "infilter/internal/flow"
 
-// scanSketchSeed keys every KMV register; fixed for reproducibility
-// (the registers defend memory, and below k they count exactly).
-const scanSketchSeed = 0x5ca9_90a1
+// keySet is one generation's distinct keys.
+type keySet map[uint64]struct{}
 
-// newKMV returns an empty register sketch. k is fixed at
-// sketch.DefaultK, far above every scan threshold, so a count that can
-// still decide a trip is exact: holding the analyzer to exact
-// distinct-target sets rests on it.
-func newKMV() *sketch.KMV { return sketch.New(sketch.DefaultK, scanSketchSeed) }
-
-// register is one distinct-count slot of the sketch backend: a KMV for
-// the current decay generation plus the previous generation's sketch,
-// so estimates cover a sliding window of one-to-two generations and a
-// scan burst straddling a rotation is still seen whole. gen records the
-// generation the register was last synced to; a register two
-// generations stale holds only forgotten history and is dropped.
+// register is one distinct-count slot: the exact key sets of the
+// current and previous decay generations, so counts cover a sliding
+// window of one-to-two generations and a scan burst straddling a
+// rotation is still seen whole. n is |cur ∪ prev|, kept incrementally.
+// gen records the generation the register was last synced to; a
+// register two generations stale holds only forgotten history and is
+// dropped.
 type register struct {
-	cur  *sketch.KMV
-	prev *sketch.KMV
-	gen  uint64
+	cur, prev keySet
+	n         int
+	gen       uint64
 }
 
 // sync rolls the register forward to generation g, retiring cur to prev
 // on a single-step advance and discarding everything on a larger jump.
+// Both reuse the register's sets.
 func (r *register) sync(g uint64) {
 	switch {
 	case r.gen == g:
+		return
 	case r.gen+1 == g:
-		r.prev = r.cur
-		r.cur = newKMV()
-		r.gen = g
+		r.cur, r.prev = r.prev, r.cur
+		r.n = len(r.prev)
 	default:
-		r.cur.Reset()
-		r.prev = nil
-		r.gen = g
+		clear(r.prev)
+		r.n = 0
+	}
+	clear(r.cur)
+	r.gen = g
+}
+
+// insert adds key to the current generation.
+func (r *register) insert(key uint64) {
+	if _, ok := r.cur[key]; ok {
+		return
+	}
+	r.cur[key] = struct{}{}
+	if _, ok := r.prev[key]; !ok {
+		r.n++
 	}
 }
 
-// estimate returns the distinct count over the register's window.
-func (r *register) estimate(g uint64) float64 {
+// count returns the distinct count over the register's window at
+// generation g.
+func (r *register) count(g uint64) int {
 	switch {
 	case r == nil:
 		return 0
 	case r.gen == g:
-		return sketch.UnionEstimate(r.cur, r.prev)
+		return r.n
 	case r.gen+1 == g:
 		// Not yet synced this generation: cur is one window old and
 		// still inside the horizon; prev has aged out.
-		return r.cur.Estimate()
+		return len(r.cur)
 	default:
 		return 0
 	}
 }
-
-func (a *Analyzer) regEstimate(r *register) float64 { return r.estimate(a.gen) }
 
 // regTable is one register table: per destination port (keyed by
 // uint16) or per destination host (keyed by netaddr.Addr).
@@ -76,7 +79,7 @@ func (t regTable[K]) lookup(key K, g uint64, limit int) *register {
 	if len(t) >= limit && !t.reclaim(g) {
 		return nil
 	}
-	r := &register{cur: newKMV(), gen: g}
+	r := &register{cur: make(keySet), prev: make(keySet), gen: g}
 	t[key] = r
 	return r
 }
@@ -94,25 +97,24 @@ func (t regTable[K]) reclaim(g uint64) bool {
 	return freed
 }
 
-// addSketch is the admission path: insert the
-// destination host into the port's register and the destination port
-// into the host's register, then compare windowed distinct estimates
-// against the thresholds. Cost is bounded by the register size k no
-// matter how many distinct targets the stream has touched — the
-// property the bench gate holds flat from 10x to 1000x cardinality.
+// addSketch is the admission path: insert the destination host into the
+// port's register and the destination port into the host's register,
+// then compare the windowed distinct counts against the thresholds.
+// A generation holds at most BufferSize suspects, so each table's live
+// sets hold at most 2 × BufferSize keys however wide the scan.
 func (a *Analyzer) addSketch(rec flow.Record) Result {
 	port, host := rec.Key.DstPort, rec.Key.Dst
 	res := Result{Buffered: true}
 
 	if pr := a.portRegs.lookup(port, a.gen, a.cfg.MaxRegisters); pr != nil {
-		pr.cur.Insert(sketchKey(host))
-		res.NetworkScan = pr.estimate(a.gen) >= float64(a.cfg.NetworkScanThreshold)
+		pr.insert(sketchKey(host))
+		res.NetworkScan = pr.n >= a.cfg.NetworkScanThreshold
 	} else {
 		a.metrics.SketchOverflows.Inc()
 	}
 	if hr := a.hostRegs.lookup(host, a.gen, a.cfg.MaxRegisters); hr != nil {
-		hr.cur.Insert(uint64(rec.Key.DstPort))
-		res.HostScan = hr.estimate(a.gen) >= float64(a.cfg.HostScanThreshold)
+		hr.insert(uint64(port))
+		res.HostScan = hr.n >= a.cfg.HostScanThreshold
 	} else {
 		a.metrics.SketchOverflows.Inc()
 	}
