@@ -328,10 +328,10 @@ func BenchmarkFigure1RouteStability(b *testing.B) {
 
 // --- Ablations over the design choices DESIGN.md calls out ---
 
-func buildNNSCluster(b *testing.B, n int) []nns.BitVec {
+func buildNNSCluster(b *testing.B, n int) []nns.Levels {
 	b.Helper()
 	enc := nns.MustDefaultEncoder()
-	out := make([]nns.BitVec, 0, n)
+	out := make([]nns.Levels, 0, n)
 	for i := 0; i < n; i++ {
 		out = append(out, enc.Encode(flow.Stats{
 			Bytes:      float64(2000 + i*37%20000),
@@ -472,7 +472,7 @@ func BenchmarkAblationPartitioning(b *testing.B) {
 // crossover between the two searches shows up by cluster size.
 func BenchmarkAblationApproxVsExact(b *testing.B) {
 	synthetic := buildNNSCluster(b, 400)
-	bench := func(b *testing.B, st *nns.Structure, queries []nns.BitVec) {
+	bench := func(b *testing.B, st *nns.Structure, queries []nns.Levels) {
 		excess := 0
 		for _, q := range queries {
 			a, ok := st.Search(q)
@@ -520,13 +520,13 @@ func BenchmarkAblationApproxVsExact(b *testing.B) {
 	}
 	cache.FlushAll()
 	enc := nns.MustDefaultEncoder()
-	parts := make(map[flow.Subcluster][]nns.BitVec)
+	parts := make(map[flow.Subcluster][]nns.Levels)
 	for _, r := range cache.Drain() {
 		c := flow.Classify(r.Key)
 		parts[c] = append(parts[c], enc.EncodeRecord(r))
 	}
 	for _, c := range flow.Subclusters() {
-		var build, calib []nns.BitVec
+		var build, calib []nns.Levels
 		for i, v := range parts[c] {
 			if i%5 == 4 {
 				calib = append(calib, v)
@@ -940,7 +940,8 @@ func BenchmarkNetFlowCodec(b *testing.B) {
 	}
 }
 
-// BenchmarkUnaryEncode measures flow-statistics encoding into {0,1}^720.
+// BenchmarkUnaryEncode measures flow-statistics encoding into the five
+// levels of a unary code in {0,1}^720.
 func BenchmarkUnaryEncode(b *testing.B) {
 	enc := nns.MustDefaultEncoder()
 	s := flow.Stats{Bytes: 20000, Packets: 30, DurationMS: 1500, BitRate: 100000, PacketRate: 20}

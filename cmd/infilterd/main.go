@@ -163,7 +163,7 @@ func parseConfig(args []string) (config, error) {
 		return nil
 	})
 	fs.StringVar(&cfg.alert, "alert", "", "IDMEF consumer TCP address (empty: log alerts)")
-	fs.StringVar(&cfg.adminAddr, "admin-addr", "", "admin HTTP address serving /metrics, /healthz and /debug/pprof (empty: disabled)")
+	fs.StringVar(&cfg.adminAddr, "admin-addr", "", "admin HTTP address serving /metrics, /healthz, /cluster and /debug/pprof (empty: disabled)")
 	fs.StringVar(&cfg.eiaFile, "eia-file", "", "file of '<peerAS> <cidr>' lines preloading EIA sets")
 	fs.StringVar(&cfg.modelFile, "model", "", "detector model file: loaded if present, else trained and saved there (EI mode)")
 	fs.IntVar(&cfg.trainFlows, "train-flows", 1500, "synthetic flows for NNS training (EI mode)")
@@ -335,7 +335,7 @@ func runWith(ctx context.Context, cfg config, onReady func(ports []int, adminAdd
 		if err != nil {
 			return fmt.Errorf("admin listen %s: %w", cfg.adminAddr, err)
 		}
-		log.Printf("admin endpoint on http://%s (/metrics /healthz /debug/pprof)", d.admin.Addr())
+		log.Printf("admin endpoint on http://%s (/metrics /healthz /cluster /debug/pprof)", d.admin.Addr())
 	}
 
 	d.engine, err = analysis.NewParallelEngine(analysis.ParallelConfig{

@@ -142,7 +142,7 @@ func Train(cfg DetectorConfig, normal []flow.Record) (*Detector, error) {
 	if len(normal) == 0 {
 		return nil, fmt.Errorf("nns: empty normal training cluster")
 	}
-	parts := make(map[flow.Subcluster][]BitVec)
+	parts := make(map[flow.Subcluster][]Levels)
 	for _, r := range normal {
 		c := flow.Classify(r.Key)
 		if cfg.DisablePartition {
@@ -160,7 +160,7 @@ func Train(cfg DetectorConfig, normal []flow.Record) (*Detector, error) {
 		// Hold out every fifth flow for threshold calibration: thresholds
 		// must reflect the distances the approximate search produces for
 		// unseen benign flows, so the calibration set cannot be indexed.
-		var build, calib []BitVec
+		var build, calib []Levels
 		for i, v := range vecs {
 			if i%5 == 4 && len(vecs) >= 2*cfg.MinClusterSize {
 				calib = append(calib, v)
@@ -190,7 +190,7 @@ func Train(cfg DetectorConfig, normal []flow.Record) (*Detector, error) {
 // structure's actual approximation error; when no calibration split exists
 // (tiny clusters) it falls back to exact nearest-neighbor distances within
 // the build set.
-func calibrate(st *Structure, build, calib []BitVec, cfg DetectorConfig) int {
+func calibrate(st *Structure, build, calib []Levels, cfg DetectorConfig) int {
 	var dists []int
 	if len(calib) > 0 {
 		n := len(calib)
@@ -209,7 +209,7 @@ func calibrate(st *Structure, build, calib []BitVec, cfg DetectorConfig) int {
 			n = cfg.CalibrationSample
 		}
 		if n < 2 {
-			return build[0].Len() / 10
+			return cfg.Params.D / 10
 		}
 		for i := 0; i < n; i++ {
 			best := -1
@@ -217,7 +217,7 @@ func calibrate(st *Structure, build, calib []BitVec, cfg DetectorConfig) int {
 				if i == j {
 					continue
 				}
-				if h := build[i].Hamming(build[j]); best < 0 || h < best {
+				if h := Distance(build[i], build[j]); best < 0 || h < best {
 					best = h
 				}
 			}
@@ -250,10 +250,6 @@ func (d *Detector) Assess(r flow.Record) Assessment {
 	return a
 }
 
-// assessWords sizes the stack buffer a query is encoded into; dimensions
-// beyond DefaultD encode into a heap vector instead.
-const assessWords = (DefaultD + 63) / 64
-
 func (d *Detector) assess(r flow.Record) Assessment {
 	c := flow.Classify(r.Key)
 	if d.cfg.DisablePartition {
@@ -263,10 +259,7 @@ func (d *Detector) assess(r flow.Record) Assessment {
 	if !ok {
 		return Assessment{Anomalous: true, Cluster: c, Distance: -1, Threshold: -1}
 	}
-	// The query lives on this goroutine's stack: the detector is shared
-	// read-only by every shard, and a search allocates nothing.
-	var buf [assessWords]uint64
-	res, found := st.structure.Search(d.enc.encodeInto(buf[:], flow.StatsOf(r)))
+	res, found := st.structure.Search(d.enc.EncodeRecord(r))
 	if !found {
 		return Assessment{Anomalous: true, Cluster: c, Distance: -1, Threshold: st.threshold}
 	}

@@ -1,3 +1,18 @@
+// Package nns implements the approximate nearest-neighbor search of
+// Kushilevitz, Ostrovsky and Rabani ("Efficient Search for Approximate
+// Nearest Neighbor in High Dimensional Spaces", SIAM J. Comput. 30(2))
+// as used by Enhanced InFilter (paper §4.2, Figures 6-8). The paper unary
+// encodes five flow statistics into {0,1}^d, dC = d/5 bits each, and
+// searches that cube under Hamming distance with probabilistic traces,
+// per-distance tables and a binary search over the distance scale.
+//
+// A unary code is fixed by its five run lengths, so a flow is held as
+// those five levels in [0, dC] (Levels); only the model file spells out
+// its d bits. The Hamming distance between two codes is the L1 distance
+// between their levels, and a test vector's parity over a code is the XOR
+// of one precomputed prefix parity per statistic. Every test vector,
+// table entry and search result is the one the bit-level construction
+// gives.
 package nns
 
 import (
@@ -6,6 +21,21 @@ import (
 
 	"infilter/internal/flow"
 )
+
+// Levels is one unary-encoded flow: per statistic, the length of its run
+// of ones, which is the level its value falls in.
+type Levels [flow.NumStats]uint8
+
+// Distance is the Hamming distance between the unary codes of a and b
+// (procedure HD in the paper): the L1 distance between their levels.
+func Distance(a, b Levels) int {
+	d := 0
+	for s := range a {
+		x := int(a[s]) - int(b[s])
+		d += max(x, -x)
+	}
+	return d
+}
 
 // StatRange bounds one flow characteristic for unary encoding: values in
 // [Min,Max] are divided into the per-characteristic bit budget's intervals
@@ -44,11 +74,20 @@ func DefaultRanges() [flow.NumStats]StatRange {
 	}
 }
 
+// checkDim refuses a dimension d whose dC = d/5 levels do not fit Levels.
+func checkDim(d int) error {
+	if d <= 0 || d%flow.NumStats != 0 || d/flow.NumStats > math.MaxUint8 {
+		return fmt.Errorf("nns: dimension %d not a positive multiple of %d with at most %d bits per statistic",
+			d, flow.NumStats, math.MaxUint8)
+	}
+	return nil
+}
+
 // NewEncoder builds an encoder of dimension d (a multiple of
-// flow.NumStats) over the given ranges.
+// flow.NumStats, at most 255 bits per statistic) over the given ranges.
 func NewEncoder(d int, ranges [flow.NumStats]StatRange) (*Encoder, error) {
-	if d <= 0 || d%flow.NumStats != 0 {
-		return nil, fmt.Errorf("nns: dimension %d not a positive multiple of %d", d, flow.NumStats)
+	if err := checkDim(d); err != nil {
+		return nil, err
 	}
 	for i, r := range ranges {
 		if r.Max <= r.Min {
@@ -86,41 +125,18 @@ func (e *Encoder) Level(stat int, v float64) int {
 	return int(float64(e.dc) * (v - r.Min) / (r.Max - r.Min))
 }
 
-// Encode produces the unary d-bit representation of a statistics vector:
-// per characteristic, I ones followed by dC-I zeros, concatenated.
-func (e *Encoder) Encode(s flow.Stats) BitVec {
-	return e.encodeInto(nil, s)
-}
-
-// encodeInto is Encode writing into buf when it has room for d bits (a new
-// vector is allocated otherwise). Each statistic's run of ones is filled a
-// word at a time.
-func (e *Encoder) encodeInto(buf []uint64, s flow.Stats) BitVec {
-	n := wordsFor(e.d)
-	if cap(buf) < n {
-		buf = make([]uint64, n)
-	}
-	out := BitVec{bits: buf[:n], n: e.d}
-	clear(out.bits)
+// Encode produces the unary representation of a statistics vector: per
+// characteristic, I ones followed by dC-I zeros, held as the five I.
+func (e *Encoder) Encode(s flow.Stats) Levels {
+	var out Levels
 	vec := s.Vector()
-	for stat := 0; stat < flow.NumStats; stat++ {
-		base := stat * e.dc
-		setRun(out.bits, base, base+e.Level(stat, vec[stat]))
+	for stat := range out {
+		out[stat] = uint8(e.Level(stat, vec[stat]))
 	}
 	return out
 }
 
-// setRun sets bits [lo, hi) of words.
-func setRun(words []uint64, lo, hi int) {
-	for lo < hi {
-		off := uint(lo) & 63
-		n := min(hi-lo, 64-int(off))
-		words[lo>>6] |= (^uint64(0) >> (64 - uint(n))) << off
-		lo += n
-	}
-}
-
 // EncodeRecord encodes a flow record's statistics.
-func (e *Encoder) EncodeRecord(r flow.Record) BitVec {
+func (e *Encoder) EncodeRecord(r flow.Record) Levels {
 	return e.Encode(flow.StatsOf(r))
 }

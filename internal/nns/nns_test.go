@@ -8,70 +8,6 @@ import (
 	"infilter/internal/flow"
 )
 
-func TestBitVecBasics(t *testing.T) {
-	v := NewBitVec(130)
-	if v.Len() != 130 || v.OnesCount() != 0 {
-		t.Fatalf("fresh vector: len=%d ones=%d", v.Len(), v.OnesCount())
-	}
-	v.Set(0)
-	v.Set(64)
-	v.Set(129)
-	if !v.Get(0) || !v.Get(64) || !v.Get(129) || v.Get(1) {
-		t.Error("Set/Get wrong")
-	}
-	if v.OnesCount() != 3 {
-		t.Errorf("OnesCount = %d", v.OnesCount())
-	}
-	u := v.Clone()
-	if !u.Equal(v) {
-		t.Error("clone not equal")
-	}
-	u.Set(1)
-	if v.Get(1) {
-		t.Error("clone aliases original")
-	}
-}
-
-func TestBitVecHamming(t *testing.T) {
-	a, b := NewBitVec(100), NewBitVec(100)
-	if a.Hamming(b) != 0 {
-		t.Error("identical vectors have nonzero distance")
-	}
-	a.Set(3)
-	a.Set(70)
-	b.Set(70)
-	b.Set(99)
-	if got := a.Hamming(b); got != 2 {
-		t.Errorf("Hamming = %d, want 2", got)
-	}
-}
-
-func TestBitVecDotParity(t *testing.T) {
-	a, b := NewBitVec(128), NewBitVec(128)
-	if a.Dot(b) != 0 {
-		t.Error("zero vectors dot != 0")
-	}
-	a.Set(5)
-	b.Set(5)
-	if a.Dot(b) != 1 {
-		t.Error("single overlap dot != 1")
-	}
-	a.Set(77)
-	b.Set(77)
-	if a.Dot(b) != 0 {
-		t.Error("double overlap dot != 0")
-	}
-}
-
-func TestBitVecMismatchedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched Hamming did not panic")
-		}
-	}()
-	NewBitVec(10).Hamming(NewBitVec(11))
-}
-
 func TestEncoderUnaryWorkedExample(t *testing.T) {
 	// Paper §4.2 example spirit: a value at 3/4 of its range gets 3 of 4
 	// ones. Our encoder fixes dC = d/5, so emulate with a d=20 encoder
@@ -89,18 +25,12 @@ func TestEncoderUnaryWorkedExample(t *testing.T) {
 		t.Errorf("Level(1,6) = %d, want 3 (6/8 of 4 bits)", got)
 	}
 	v := e.Encode(flow.Stats{Bytes: 3, Packets: 6})
+	if want := (Levels{3, 3, 0, 0, 0}); v != want {
+		t.Errorf("Encode = %v, want %v", v, want)
+	}
 	// First stat: 3 ones in bits 0..3; second: 3 ones in bits 4..7.
-	wantOnes := 6
-	if v.OnesCount() != wantOnes {
-		t.Errorf("OnesCount = %d, want %d", v.OnesCount(), wantOnes)
-	}
-	for i := 0; i < 3; i++ {
-		if !v.Get(i) {
-			t.Errorf("bit %d unset", i)
-		}
-	}
-	if v.Get(3) {
-		t.Error("bit 3 set")
+	if got := unaryWords(v, 20); got[0] != 0b0111_0111 {
+		t.Errorf("unary code %b, want 1110111", got[0])
 	}
 }
 
@@ -114,28 +44,26 @@ func TestEncoderClamping(t *testing.T) {
 	}
 }
 
-// TestEncoderHammingIsL1 verifies the key property of unary encoding: the
-// Hamming distance between two encodings equals the L1 distance between
-// their level vectors.
+// TestEncoderHammingIsL1 verifies the identity the level representation
+// rests on: the Hamming distance between two unary codes equals Distance,
+// the L1 distance between their levels.
 func TestEncoderHammingIsL1(t *testing.T) {
-	e := MustDefaultEncoder()
-	f := func(b1, p1, b2, p2 uint16) bool {
-		s1 := flow.Stats{Bytes: float64(b1), Packets: float64(p1 % 300)}
-		s2 := flow.Stats{Bytes: float64(b2), Packets: float64(p2 % 300)}
-		want := abs(e.Level(0, s1.Bytes)-e.Level(0, s2.Bytes)) +
-			abs(e.Level(1, s1.Packets)-e.Level(1, s2.Packets))
-		return e.Encode(s1).Hamming(e.Encode(s2)) == want
+	dc := DefaultD / flow.NumStats
+	f := func(a, b [flow.NumStats]uint8) bool {
+		var u, v Levels
+		for s := range u {
+			u[s], v[s] = a[s]%uint8(dc+1), b[s]%uint8(dc+1)
+		}
+		return unary(u, DefaultD).hamming(unary(v, DefaultD)) == Distance(u, v)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
+	e := MustDefaultEncoder()
+	huge := flow.Stats{Bytes: 1e12, Packets: 1e12, DurationMS: 1e12, BitRate: 1e12, PacketRate: 1e12}
+	if got := Distance(e.Encode(flow.Stats{}), e.Encode(huge)); got != DefaultD {
+		t.Errorf("all-minimum to all-clamped distance %d, want %d", got, DefaultD)
 	}
-	return x
 }
 
 func TestNewEncoderValidation(t *testing.T) {
@@ -144,6 +72,9 @@ func TestNewEncoderValidation(t *testing.T) {
 	}
 	if _, err := NewEncoder(7, DefaultRanges()); err == nil {
 		t.Error("d not multiple of stats: want error")
+	}
+	if _, err := NewEncoder(1280, DefaultRanges()); err == nil {
+		t.Error("d=1280 (256 bits per statistic): want error")
 	}
 	bad := DefaultRanges()
 	bad[2] = StatRange{Min: 5, Max: 5}
@@ -155,6 +86,8 @@ func TestNewEncoderValidation(t *testing.T) {
 func TestParamsValidate(t *testing.T) {
 	for _, p := range []Params{
 		{D: 0, M1: 1, M2: 12, M3: 3},
+		{D: 721, M1: 1, M2: 12, M3: 3},
+		{D: 720, M1: 1, M2: 17, M3: 3},
 		{D: 720, M1: 0, M2: 12, M3: 3},
 		{D: 720, M1: 1, M2: 0, M3: 3},
 		{D: 720, M1: 1, M2: 25, M3: 3},
@@ -201,22 +134,31 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(DefaultParams(), nil); err == nil {
 		t.Error("empty cluster: want error")
 	}
-	if _, err := Build(DefaultParams(), []BitVec{NewBitVec(10)}); err == nil {
-		t.Error("wrong dimension: want error")
+	for _, v := range overRange() {
+		if _, err := Build(DefaultParams(), []Levels{{}, v}); err == nil {
+			t.Errorf("level above dC in %v: want error", v)
+		}
 	}
 	bad := DefaultParams()
 	bad.M2 = 0
-	if _, err := Build(bad, []BitVec{NewBitVec(DefaultD)}); err == nil {
+	if _, err := Build(bad, []Levels{{}}); err == nil {
 		t.Error("bad params: want error")
 	}
 }
 
+// overRange returns level vectors with dC+1 at the first and at the last
+// statistic, the levels that would read the next statistic's trace row.
+func overRange() []Levels {
+	const over = DefaultD/flow.NumStats + 1
+	return []Levels{{over, 0, 0, 0, 0}, {0, 0, 0, 0, over}}
+}
+
 // clusterAround builds synthetic unary-encoded flows near a center level
 // pattern, plus the encoder used.
-func clusterAround(t *testing.T, rng *rand.Rand, n int, center flow.Stats, spread float64) (*Encoder, []BitVec, []flow.Stats) {
+func clusterAround(t *testing.T, rng *rand.Rand, n int, center flow.Stats, spread float64) (*Encoder, []Levels, []flow.Stats) {
 	t.Helper()
 	e := MustDefaultEncoder()
-	vecs := make([]BitVec, 0, n)
+	vecs := make([]Levels, 0, n)
 	stats := make([]flow.Stats, 0, n)
 	for i := 0; i < n; i++ {
 		s := flow.Stats{
@@ -276,7 +218,7 @@ func TestSearchApproximatesBruteForce(t *testing.T) {
 		}
 		best := 1 << 30
 		for _, v := range vecs {
-			if h := q.Hamming(v); h < best {
+			if h := Distance(q, v); h < best {
 				best = h
 			}
 		}
@@ -337,7 +279,7 @@ func TestExactSearchIsGroundTruth(t *testing.T) {
 		// Cross-check against a manual scan.
 		want := 1 << 30
 		for _, v := range vecs {
-			if h := q.Hamming(v); h < want {
+			if h := Distance(q, v); h < want {
 				want = h
 			}
 		}
@@ -365,8 +307,10 @@ func TestExactSearchWrongDimension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st.ExactSearch(NewBitVec(10)); ok {
-		t.Error("wrong-dimension exact query should fail")
+	for _, q := range overRange() {
+		if _, ok := st.ExactSearch(q); ok {
+			t.Errorf("exact query %v with a level above dC should fail", q)
+		}
 	}
 }
 
@@ -395,7 +339,9 @@ func TestSearchWrongDimension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st.Search(NewBitVec(10)); ok {
-		t.Error("wrong-dimension query should fail")
+	for _, q := range overRange() {
+		if _, ok := st.Search(q); ok {
+			t.Errorf("query %v with a level above dC should fail", q)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package nns
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"math/rand"
 	"sync"
@@ -13,29 +12,54 @@ import (
 	"infilter/internal/trace"
 )
 
+// bitVec is a vector in {0,1}^d, bit i in word i/64: the paper's form of
+// an encoded flow, kept for the bit-level reference below.
+type bitVec []uint64
+
+func newBitVec(d int) bitVec { return make(bitVec, (d+63)/64) }
+
+func (v bitVec) set(i int) { v[i/64] |= 1 << (i % 64) }
+
 // Dot returns the inner product of v and u over GF(2) — the paper's Test
-// procedure: parity of the AND of the two vectors. The reference below
-// uses it the way the paper states Test; Search fuses it across a table's
-// test vectors instead.
-func (v BitVec) Dot(u BitVec) int {
-	if v.n != u.n {
-		panic(fmt.Sprintf("nns: Dot of %d-bit and %d-bit vectors", v.n, u.n))
-	}
+// procedure: parity of the AND of the two vectors.
+func (v bitVec) Dot(u bitVec) int {
 	parity := 0
-	for i := range v.bits {
-		parity ^= bits.OnesCount64(v.bits[i]&u.bits[i]) & 1
+	for i := range v {
+		parity ^= bits.OnesCount64(v[i]&u[i]) & 1
 	}
 	return parity
 }
 
-// refTable is one T_ij rebuilt the slow way: one BitVec per test vector
-// drawn bit by bit, traces by M2 separate Dot calls.
-type refTable struct {
-	tests   []BitVec
-	entries []int32
+func (v bitVec) hamming(u bitVec) int {
+	n := 0
+	for i := range v {
+		n += bits.OnesCount64(v[i] ^ u[i])
+	}
+	return n
 }
 
-func (t refTable) trace(v BitVec) int {
+// unary is the paper's unary code of q in {0,1}^d, set one bit at a time:
+// per statistic, q[s] ones from its first bit, then zeros.
+func unary(q Levels, d int) bitVec {
+	dc := d / flow.NumStats
+	v := newBitVec(d)
+	for s, l := range q {
+		for i := 0; i < int(l); i++ {
+			v.set(s*dc + i)
+		}
+	}
+	return v
+}
+
+// refTable is one T_ij built the slow way: one bitVec per test vector
+// drawn bit by bit, traces by M2 separate Dot calls over unary codes.
+// traces holds each training flow's trace; the entries are not stored.
+type refTable struct {
+	tests  []bitVec
+	traces []int
+}
+
+func (t refTable) trace(v bitVec) int {
 	z := 0
 	for k, u := range t.tests {
 		z |= u.Dot(v) << uint(k)
@@ -43,40 +67,60 @@ func (t refTable) trace(v BitVec) int {
 	return z
 }
 
-// refStructure is the KOR structure of paper Figures 6-8 as first written
-// here: the same seeds and draws as Build, kept unoptimised as the oracle
-// Build and Search are compared against.
+// fill writes the table into dst as Figure 6 does: each flow in turn is
+// entered at every z within Hamming distance < M3 of its trace.
+func (t refTable) fill(dst []int32, neighbors []int) {
+	for z := range dst {
+		dst[z] = -1
+	}
+	for fi, z := range t.traces {
+		for _, m := range neighbors {
+			dst[z^m] = int32(fi)
+		}
+	}
+}
+
+// entry reads entry z of the table fill writes without storing it: the
+// last flow whose trace lies within Hamming distance < M3 of z.
+func (t refTable) entry(z, m3 int) int32 {
+	for fi := len(t.traces) - 1; fi >= 0; fi-- {
+		if bits.OnesCount(uint(t.traces[fi]^z)) < m3 {
+			return int32(fi)
+		}
+	}
+	return -1
+}
+
+// refStructure is the KOR structure of paper Figures 6-8 over {0,1}^d:
+// the same seeds and draws as Build, kept unoptimised as the oracle Build
+// and Search are compared against.
 type refStructure struct {
 	params  Params
-	cluster []BitVec
+	cluster []bitVec
 	subs    [][]refTable
 }
 
-func refBuild(params Params, cluster []BitVec) *refStructure {
-	s := &refStructure{params: params, cluster: cluster, subs: make([][]refTable, params.D)}
-	neighbors := traceNeighborMasks(params.M2, params.M3)
+func refBuild(params Params, cluster []Levels) *refStructure {
+	s := &refStructure{params: params, subs: make([][]refTable, params.D)}
+	for _, v := range cluster {
+		s.cluster = append(s.cluster, unary(v, params.D))
+	}
 	for i := 1; i <= params.D; i++ {
 		rng := rand.New(rand.NewSource(subSeed(params.Seed, i)))
 		p := 1 / (2 * float64(i)) / 2
 		tabs := make([]refTable, params.M1)
 		for j := range tabs {
-			t := refTable{tests: make([]BitVec, params.M2), entries: make([]int32, 1<<uint(params.M2))}
-			for k := range t.entries {
-				t.entries[k] = -1
-			}
+			t := refTable{tests: make([]bitVec, params.M2)}
 			for k := range t.tests {
-				t.tests[k] = NewBitVec(params.D)
+				t.tests[k] = newBitVec(params.D)
 				for bit := 0; bit < params.D; bit++ {
 					if rng.Float64() < p {
-						t.tests[k].Set(bit)
+						t.tests[k].set(bit)
 					}
 				}
 			}
-			for fi, fv := range cluster {
-				z := t.trace(fv)
-				for _, m := range neighbors {
-					t.entries[z^m] = int32(fi)
-				}
+			for _, fv := range s.cluster {
+				t.traces = append(t.traces, t.trace(fv))
 			}
 			tabs[j] = t
 		}
@@ -87,16 +131,20 @@ func refBuild(params Params, cluster []BitVec) *refStructure {
 
 // search draws the M1 table choice from a freshly seeded rng on every
 // query, as the paper's pseudo-code reads.
-func (s *refStructure) search(query BitVec) (Result, bool) {
-	if query.Len() != s.params.D {
-		return Result{}, false
+func (s *refStructure) search(q Levels) (Result, bool) {
+	dc := s.params.D / flow.NumStats
+	for _, l := range q {
+		if int(l) > dc {
+			return Result{}, false
+		}
 	}
+	query := unary(q, s.params.D)
 	bestIdx, bestDist := -1, 0
 	consider := func(idx int32) {
 		if idx < 0 {
 			return
 		}
-		if d := query.Hamming(s.cluster[idx]); bestIdx < 0 || d < bestDist {
+		if d := query.hamming(s.cluster[idx]); bestIdx < 0 || d < bestDist {
 			bestIdx, bestDist = int(idx), d
 		}
 	}
@@ -106,7 +154,7 @@ func (s *refStructure) search(query BitVec) (Result, bool) {
 		mid := (lo + hi) / 2
 		tabs := s.subs[mid-1]
 		t := tabs[rng.Intn(len(tabs))]
-		if idx := t.entries[t.trace(query)]; idx >= 0 {
+		if idx := t.entry(t.trace(query), s.params.M3); idx >= 0 {
 			consider(idx)
 			hi = mid
 		} else {
@@ -115,55 +163,57 @@ func (s *refStructure) search(query BitVec) (Result, bool) {
 	}
 	tabs := s.subs[lo-1]
 	t := tabs[rng.Intn(len(tabs))]
-	consider(t.entries[t.trace(query)])
+	consider(t.entry(t.trace(query), s.params.M3))
 	if bestIdx < 0 {
 		return Result{}, false
 	}
 	return Result{Index: bestIdx, Distance: bestDist}, true
 }
 
-// randomVec returns a d-bit vector with each bit set with probability p.
-func randomVec(rng *rand.Rand, d int, p float64) BitVec {
-	v := NewBitVec(d)
-	for i := 0; i < d; i++ {
-		if rng.Float64() < p {
-			v.Set(i)
+// randomLevels returns levels drawn uniformly from [0, dc].
+func randomLevels(rng *rand.Rand, dc int) Levels {
+	var v Levels
+	for s := range v {
+		v[s] = uint8(rng.Intn(dc + 1))
+	}
+	return v
+}
+
+// perturb moves n random levels of v one step up or down within [0, dc].
+func perturb(rng *rand.Rand, v Levels, n, dc int) Levels {
+	for i := 0; i < n; i++ {
+		s := rng.Intn(flow.NumStats)
+		if (rng.Intn(2) == 0 || v[s] == uint8(dc)) && v[s] > 0 {
+			v[s]--
+		} else if int(v[s]) < dc {
+			v[s]++
 		}
 	}
 	return v
 }
 
-// perturb flips n random bits of a copy of v.
-func perturb(rng *rand.Rand, v BitVec, n int) BitVec {
-	out := v.Clone()
-	for i := 0; i < n; i++ {
-		j := rng.Intn(v.Len())
-		out.bits[j>>6] ^= 1 << (uint(j) & 63)
-	}
-	return out
-}
-
-// TestSearchMatchesReference requires Build to lay down the reference's
-// test vectors and tables, and Search to return the reference's Result —
-// same Index, same Distance, same ok — for every query, over randomized
-// clusters at M1 ∈ {1,2,3} and M2 ∈ {8,12}. Both dimensions end in a
-// partial word. Build's cost is quadratic in D, so the paper's 720 is left
-// to the golden model test.
+// TestSearchMatchesReference requires Build to lay down the trace rows
+// and tables the bit-level reference gives, and Search to return the
+// reference's Result — same Index, same Distance, same ok — for every
+// query, over randomized clusters at M1 ∈ {1,2,3} and M2 ∈ {8,12,16}.
+// Both dimensions end in a partial word. Build's cost is quadratic in D,
+// so the paper's 720 is left to the golden model test.
 func TestSearchMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, d := range []int{130, 350} {
 		for _, m1 := range []int{1, 2, 3} {
-			for _, m2 := range []int{8, 12} {
+			for _, m2 := range []int{8, 12, 16} {
 				params := Params{D: d, M1: m1, M2: m2, M3: 3, Seed: rng.Int63()}
 				t.Run(fmt.Sprintf("D=%d/M1=%d/M2=%d", d, m1, m2), func(t *testing.T) {
+					dc := d / flow.NumStats
 					// Half the cluster sits near one center, half is spread out.
-					center := randomVec(rng, d, 0.3)
-					var cluster []BitVec
+					center := randomLevels(rng, dc)
+					var cluster []Levels
 					for i := 0; i < 40; i++ {
 						if i%2 == 0 {
-							cluster = append(cluster, perturb(rng, center, 1+rng.Intn(30)))
+							cluster = append(cluster, perturb(rng, center, 1+rng.Intn(30), dc))
 						} else {
-							cluster = append(cluster, randomVec(rng, d, 0.3))
+							cluster = append(cluster, randomLevels(rng, dc))
 						}
 					}
 					st, err := Build(params, cluster)
@@ -171,17 +221,24 @@ func TestSearchMatchesReference(t *testing.T) {
 						t.Fatal(err)
 					}
 					ref := refBuild(params, cluster)
-					w := wordsFor(d)
+					neighbors := traceNeighborMasks(params.M2, params.M3)
+					entries := make([]int32, 1<<params.M2)
 					for i := range ref.subs {
 						for j, rt := range ref.subs[i] {
 							got := st.subs[i][j]
-							for k, u := range rt.tests {
-								view := BitVec{bits: got.tests[k*w : (k+1)*w], n: d}
-								if !view.Equal(u) {
-									t.Fatalf("S_%d table %d test vector %d differs from the reference draw", i+1, j, k)
+							for s := 0; s < flow.NumStats; s++ {
+								prefix := newBitVec(d)
+								for l := 0; l <= dc; l++ {
+									if row, want := got.rows[s*(dc+1)+l], rt.trace(prefix); int(row) != want {
+										t.Fatalf("S_%d table %d: stat %d row[%d] = %#x, reference %#x", i+1, j, s, l, row, want)
+									}
+									if l < dc {
+										prefix.set(s*dc + l)
+									}
 								}
 							}
-							for e, idx := range rt.entries {
+							rt.fill(entries, neighbors)
+							for e, idx := range entries {
 								if got.entries[e] != idx {
 									t.Fatalf("S_%d table %d entry %d = %d, reference %d", i+1, j, e, got.entries[e], idx)
 								}
@@ -189,14 +246,14 @@ func TestSearchMatchesReference(t *testing.T) {
 						}
 					}
 					for q := 0; q < 300; q++ {
-						var query BitVec
+						var query Levels
 						switch q % 3 {
 						case 0:
 							query = cluster[rng.Intn(len(cluster))]
 						case 1:
-							query = perturb(rng, cluster[rng.Intn(len(cluster))], 1+rng.Intn(40))
+							query = perturb(rng, cluster[rng.Intn(len(cluster))], 1+rng.Intn(40), dc)
 						default:
-							query = randomVec(rng, d, rng.Float64())
+							query = randomLevels(rng, dc)
 						}
 						want, wantOK := ref.search(query)
 						got, gotOK := st.Search(query)
@@ -207,90 +264,6 @@ func TestSearchMatchesReference(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// encodeBits is Encode as first written: one Set per bit of each run.
-func encodeBits(e *Encoder, s flow.Stats) BitVec {
-	out := NewBitVec(e.d)
-	vec := s.Vector()
-	for stat := 0; stat < flow.NumStats; stat++ {
-		level := e.Level(stat, vec[stat])
-		for i := 0; i < level; i++ {
-			out.Set(stat*e.dc + i)
-		}
-	}
-	return out
-}
-
-// TestSetRunMatchesBitByBit covers every run [lo, hi) over three words,
-// so runs starting mid-word, ending on a boundary and spanning a whole
-// word are all exercised.
-func TestSetRunMatchesBitByBit(t *testing.T) {
-	const n = 192
-	for lo := 0; lo <= n; lo++ {
-		for hi := lo; hi <= n; hi++ {
-			got, want := NewBitVec(n), NewBitVec(n)
-			setRun(got.bits, lo, hi)
-			for i := lo; i < hi; i++ {
-				want.Set(i)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("setRun(%d, %d) = %x, want %x", lo, hi, got.bits, want.bits)
-			}
-		}
-	}
-}
-
-// TestEncodeIntoMatchesBitByBit compares the word-mask encoder with the
-// bit-by-bit one. With dC = 144 the five runs start at bits 0, 144, 288,
-// 432 and 576, mid-word; values below Min and above Max clamp to levels 0
-// and dC. The buffer is dirtied first, since the assess path reuses one.
-func TestEncodeIntoMatchesBitByBit(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	value := func(r StatRange) float64 {
-		switch rng.Intn(6) {
-		case 0:
-			return r.Min - 1 // level 0
-		case 1:
-			return r.Max * 10 // level dC
-		case 2:
-			return r.Min
-		default:
-			return math.Expm1(rng.Float64() * math.Log1p(r.Max-r.Min))
-		}
-	}
-	for _, d := range []int{20, 355, 640, DefaultD} {
-		e, err := NewEncoder(d, DefaultRanges())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for trial := 0; trial < 2000; trial++ {
-			var vec [flow.NumStats]float64
-			for i := range vec {
-				vec[i] = value(e.ranges[i])
-			}
-			s := flow.Stats{Bytes: vec[0], Packets: vec[1], DurationMS: vec[2], BitRate: vec[3], PacketRate: vec[4]}
-			want := encodeBits(e, s)
-			var buf [assessWords]uint64
-			for i := range buf {
-				buf[i] = ^uint64(0)
-			}
-			if got := e.encodeInto(buf[:], s); !got.Equal(want) {
-				t.Fatalf("d=%d %+v: encodeInto %x, bit by bit %x", d, s, got.bits, want.bits)
-			}
-			if got := e.Encode(s); !got.Equal(want) {
-				t.Fatalf("d=%d %+v: Encode %x, bit by bit %x", d, s, got.bits, want.bits)
-			}
-		}
-	}
-	e := MustDefaultEncoder()
-	if got := e.Encode(flow.Stats{}); got.OnesCount() != 0 {
-		t.Errorf("all-minimum stats set %d bits", got.OnesCount())
-	}
-	huge := flow.Stats{Bytes: 1e12, Packets: 1e12, DurationMS: 1e12, BitRate: 1e12, PacketRate: 1e12}
-	if got := e.Encode(huge); got.OnesCount() != DefaultD {
-		t.Errorf("all-clamped stats set %d of %d bits", got.OnesCount(), DefaultD)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 
 	"infilter/internal/flow"
 )
@@ -13,7 +14,9 @@ import (
 // training vectors and its calibrated threshold. The table structures are
 // NOT stored — Build is deterministic in Params.Seed, so load-time
 // reconstruction yields bit-identical structures at a fraction of the file
-// size (the tables alone would be ~12 MB per subcluster).
+// size (the tables alone would be ~12 MB per subcluster). Format version
+// 1 stores each vector as its d-bit unary code in 64-bit words,
+// least-significant bit first.
 
 // detectorDTO is the on-disk form.
 type detectorDTO struct {
@@ -39,16 +42,9 @@ func (d *Detector) Save(w io.Writer) error {
 		Clusters: make(map[flow.Subcluster]clusterDTO, len(d.clusters)),
 	}
 	for c, st := range d.clusters {
-		cd := clusterDTO{
-			Threshold: st.threshold,
-			NBits:     d.cfg.Params.D,
-			Vecs:      make([][]uint64, st.structure.ClusterSize()),
-		}
-		for i := 0; i < st.structure.ClusterSize(); i++ {
-			words := st.structure.ClusterVec(i).Words()
-			cp := make([]uint64, len(words))
-			copy(cp, words)
-			cd.Vecs[i] = cp
+		cd := clusterDTO{Threshold: st.threshold, NBits: d.cfg.Params.D}
+		for _, v := range st.structure.cluster {
+			cd.Vecs = append(cd.Vecs, unaryWords(v, cd.NBits))
 		}
 		dto.Clusters[c] = cd
 	}
@@ -83,11 +79,14 @@ func LoadDetector(r io.Reader) (*Detector, error) {
 		metrics:  &Metrics{},
 	}
 	for c, cd := range dto.Clusters {
-		vecs := make([]BitVec, len(cd.Vecs))
+		if cd.NBits != enc.D() {
+			return nil, fmt.Errorf("nns: load %v cluster: %d-bit vectors, want %d", c, cd.NBits, enc.D())
+		}
+		vecs := make([]Levels, len(cd.Vecs))
 		for i, words := range cd.Vecs {
-			v, err := FromWords(words, cd.NBits)
-			if err != nil {
-				return nil, fmt.Errorf("nns: load %v cluster vec %d: %w", c, i, err)
+			v, ok := levelsOf(words, cd.NBits)
+			if !ok {
+				return nil, fmt.Errorf("nns: load %v cluster vec %d: not a unary code", c, i)
 			}
 			vecs[i] = v
 		}
@@ -100,4 +99,33 @@ func LoadDetector(r io.Reader) (*Detector, error) {
 		d.clusters[c] = &clusterState{structure: st, threshold: cd.Threshold}
 	}
 	return d, nil
+}
+
+// unaryWords is the d-bit unary code of v in 64-bit words.
+func unaryWords(v Levels, d int) []uint64 {
+	dc := d / flow.NumStats
+	words := make([]uint64, (d+63)/64)
+	for s, l := range v {
+		for b := s * dc; b < s*dc+int(l); b++ {
+			words[b/64] |= 1 << (b % 64)
+		}
+	}
+	return words
+}
+
+// levelsOf inverts unaryWords. It reports false for words that are not a
+// d-bit unary code: per statistic, a run of ones from its first bit and
+// zeros after it, and no bit set past d.
+func levelsOf(words []uint64, d int) (Levels, bool) {
+	var v Levels
+	if len(words) != (d+63)/64 {
+		return v, false
+	}
+	dc := d / flow.NumStats
+	for s := range v {
+		for b := s * dc; b < (s+1)*dc && words[b/64]>>(b%64)&1 == 1; b++ {
+			v[s]++
+		}
+	}
+	return v, slices.Equal(unaryWords(v, d), words)
 }

@@ -2,8 +2,14 @@ package nns
 
 import (
 	"bytes"
+	"encoding/gob"
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+
+	"infilter/internal/flow"
 )
 
 func TestDetectorSaveLoadRoundTrip(t *testing.T) {
@@ -51,21 +57,49 @@ func TestLoadDetectorErrors(t *testing.T) {
 	if _, err := LoadDetector(bytes.NewReader(nil)); err == nil {
 		t.Error("empty: want error")
 	}
-}
 
-func TestBitVecWordsRoundTrip(t *testing.T) {
-	v := NewBitVec(130)
-	v.Set(0)
-	v.Set(65)
-	v.Set(129)
-	back, err := FromWords(v.Words(), 130)
-	if err != nil {
+	// A vector whose run of ones has a gap is not a unary code.
+	d, _ := assessProbe(t)
+	var buf bytes.Buffer
+	if err := d.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !back.Equal(v) {
-		t.Error("Words/FromWords round trip broke the vector")
+	var dto detectorDTO
+	if err := gob.NewDecoder(&buf).Decode(&dto); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := FromWords(v.Words(), 500); err == nil {
-		t.Error("mismatched bit count: want error")
+	c := d.Clusters()[0]
+	words := dto.Clusters[c].Vecs[3]
+	v, _ := levelsOf(words, DefaultD)
+	dc := DefaultD / flow.NumStats
+	s := slices.IndexFunc(v[:], func(l uint8) bool { return int(l)+1 < dc })
+	bit := s*dc + int(v[s]) + 1
+	words[bit/64] |= 1 << (bit % 64)
+	buf.Reset()
+	if err := gob.NewEncoder(&buf).Encode(dto); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadDetector(&buf)
+	if want := fmt.Sprintf("%v cluster vec 3: not a unary code", c); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("gap after stat %d's run: error %v, want one containing %q", s, err, want)
+	}
+}
+
+// TestUnaryWordsRoundTrip checks the model file's vector form: random
+// levels written as words match the bit-by-bit unary code and read back
+// to the same levels.
+func TestUnaryWordsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for _, d := range []int{130, DefaultD} {
+		for trial := 0; trial < 500; trial++ {
+			v := randomLevels(rng, d/flow.NumStats)
+			words := unaryWords(v, d)
+			if !slices.Equal(words, unary(v, d)) {
+				t.Fatalf("d=%d %v: words %x, unary code %x", d, v, words, unary(v, d))
+			}
+			if back, ok := levelsOf(words, d); !ok || back != v {
+				t.Fatalf("d=%d %v: read back %v, %v", d, v, back, ok)
+			}
+		}
 	}
 }

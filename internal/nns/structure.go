@@ -6,14 +6,16 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+
+	"infilter/internal/flow"
 )
 
 // Params are the KOR structure parameters. The paper's experiments use
 // d=720, M1=1, M2=12, M3=3 (§4.2).
 type Params struct {
-	D  int // encoding dimension
+	D  int // encoding dimension: a multiple of 5, at most 255 bits per statistic
 	M1 int // tables per substructure
-	M2 int // test vectors (trace bits) per table
+	M2 int // test vectors (trace bits) per table, at most 16
 	M3 int // Hamming radius for table fill: entries z with HD(trace,z) < M3
 	// Seed fixes the test-vector PRNG.
 	Seed int64
@@ -25,13 +27,14 @@ func DefaultParams() Params {
 }
 
 func (p Params) validate() error {
+	if err := checkDim(p.D); err != nil {
+		return err
+	}
 	switch {
-	case p.D <= 0:
-		return fmt.Errorf("nns: D must be positive, got %d", p.D)
 	case p.M1 <= 0:
 		return fmt.Errorf("nns: M1 must be positive, got %d", p.M1)
-	case p.M2 <= 0 || p.M2 > 20:
-		return fmt.Errorf("nns: M2 must be in [1,20], got %d", p.M2)
+	case p.M2 <= 0 || p.M2 > 16:
+		return fmt.Errorf("nns: M2 must be in [1,16], got %d", p.M2)
 	case p.M3 <= 0 || p.M3 > p.M2:
 		return fmt.Errorf("nns: M3 must be in [1,M2], got %d", p.M3)
 	default:
@@ -39,21 +42,34 @@ func (p Params) validate() error {
 	}
 }
 
-// table is one T_ij: M2 test vectors and the 2^M2-entry table holding, per
-// entry, the index of the last training flow entered (-1 when empty). The
-// paper's search only needs emptiness plus one representative flow. The
-// test vectors are stored back to back in one word array, vector k in
-// tests[k*W:(k+1)*W] for W words per vector.
+// table is one T_ij: its M2 test vectors as trace rows, and the
+// 2^M2-entry table holding, per entry, the index of the last training
+// flow entered (-1 when empty). The paper's search only needs emptiness
+// plus one representative flow. Statistic s owns rows[s*(dC+1):][:dC+1],
+// whose element l holds, in bit k, the parity of test vector k over the
+// first l of s's dC bits — its parity over a run of l ones — so a flow's
+// trace is the XOR of one element per statistic.
 type table struct {
-	tests   []uint64
+	rows    []uint16
 	entries []int32
+}
+
+// trace computes trace(φ) = (Test(u_1,φ),…,Test(u_M2,φ)) packed into an
+// integer, Test being the parity of popcount(u & φ).
+func (t *table) trace(q Levels) int {
+	stride := len(t.rows) / flow.NumStats
+	var z uint16
+	for s, l := range q {
+		z ^= t.rows[s*stride+int(l)]
+	}
+	return int(z)
 }
 
 // Structure is the per-cluster KOR search structure over a training set.
 // It is read-only once built, so any number of goroutines may search it.
 type Structure struct {
 	params  Params
-	cluster []BitVec  // encoded training flows, by index
+	cluster []Levels  // encoded training flows, by index
 	subs    [][]table // subs[i-1] are the M1 tables of S_i, i = distance 1..D
 	// picks[k] is the table of S_t that the k-th probe of every search
 	// reads, drawn once from the structure seed.
@@ -64,7 +80,7 @@ type Structure struct {
 // following the creation algorithm of paper Figure 6: substructure S_i
 // gets test vectors from CreateTestVector(b=1/(2i)), and each flow is
 // entered at every table entry within Hamming radius M3 of its trace.
-func Build(params Params, cluster []BitVec) (*Structure, error) {
+func Build(params Params, cluster []Levels) (*Structure, error) {
 	if err := params.validate(); err != nil {
 		return nil, err
 	}
@@ -72,8 +88,8 @@ func Build(params Params, cluster []BitVec) (*Structure, error) {
 		return nil, fmt.Errorf("nns: empty training cluster")
 	}
 	for i, v := range cluster {
-		if v.Len() != params.D {
-			return nil, fmt.Errorf("nns: training flow %d has %d bits, want %d", i, v.Len(), params.D)
+		if !inRange(params, v) {
+			return nil, fmt.Errorf("nns: training flow %d has levels %v, want each at most %d", i, v, params.D/flow.NumStats)
 		}
 	}
 	s := &Structure{
@@ -97,8 +113,10 @@ func Build(params Params, cluster []BitVec) (*Structure, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// Reseeded per substructure: a fresh source is 5 KB of garbage.
+			rng := rand.New(rand.NewSource(0))
 			for i := range next {
-				s.subs[i-1] = buildSubstructure(params, cluster, neighbors, i)
+				s.subs[i-1] = buildSubstructure(rng, params, cluster, neighbors, i)
 			}
 		}()
 	}
@@ -110,25 +128,35 @@ func Build(params Params, cluster []BitVec) (*Structure, error) {
 	return s, nil
 }
 
-// buildSubstructure constructs S_i's M1 tables.
-func buildSubstructure(params Params, cluster []BitVec, neighbors []int, i int) []table {
-	rng := rand.New(rand.NewSource(subSeed(params.Seed, i)))
+// inRange reports whether every level of v is at most dC, so that it
+// indexes its own statistic's trace row.
+func inRange(params Params, v Levels) bool {
+	for _, l := range v {
+		if int(l) > params.D/flow.NumStats {
+			return false
+		}
+	}
+	return true
+}
+
+// buildSubstructure constructs S_i's M1 tables from rng reseeded for S_i.
+func buildSubstructure(rng *rand.Rand, params Params, cluster []Levels, neighbors []int, i int) []table {
+	rng.Seed(subSeed(params.Seed, i))
 	b := 1 / (2 * float64(i))
-	w := wordsFor(params.D)
 	tabs := make([]table, params.M1)
 	for j := range tabs {
 		t := table{
-			tests:   make([]uint64, params.M2*w),
+			rows:    make([]uint16, params.D+flow.NumStats),
 			entries: make([]int32, 1<<uint(params.M2)),
 		}
 		for k := range t.entries {
 			t.entries[k] = -1
 		}
 		for k := 0; k < params.M2; k++ {
-			createTestVector(rng, t.tests[k*w:(k+1)*w], params.D, b)
+			createTestVector(rng, t.rows, k, b)
 		}
 		for fi, fv := range cluster {
-			z := traceOf(t.tests, fv.bits)
+			z := t.trace(fv)
 			for _, m := range neighbors {
 				t.entries[z^m] = int32(fi)
 			}
@@ -159,34 +187,22 @@ func drawPicks(params Params) []int {
 	return picks
 }
 
-// createTestVector is the paper's CreateTestVector: each of the d bits of
-// dst is 1 with probability b/2, independently.
-func createTestVector(rng *rand.Rand, dst []uint64, d int, b float64) {
+// createTestVector is the paper's CreateTestVector for test vector k:
+// each of the d bits is 1 with probability b/2, independently, drawn in
+// bit order. It keeps only what a trace reads: the running parity of each
+// statistic's bits, written to bit k of the rows.
+func createTestVector(rng *rand.Rand, rows []uint16, k int, b float64) {
 	p := b / 2
-	for i := 0; i < d; i++ {
-		if rng.Float64() < p {
-			dst[i>>6] |= 1 << (uint(i) & 63)
+	stride := len(rows) / flow.NumStats
+	var parity uint16
+	for i := range rows {
+		if i%stride == 0 {
+			parity = 0 // a run of no ones
+		} else if rng.Float64() < p {
+			parity ^= 1
 		}
+		rows[i] |= parity << uint(k)
 	}
-}
-
-// traceOf computes trace(φ) = (Test(u_1,φ),…,Test(u_M2,φ)) packed into an
-// integer, for test vectors stored back to back in tests and φ's words in
-// q. Test is the parity of popcount(u & φ); summed over words that is the
-// parity of the XOR of the ANDed words, so each test vector costs one
-// popcount instead of one per word.
-func traceOf(tests, q []uint64) int {
-	w := len(q)
-	z := 0
-	for k := 0; k*w < len(tests); k++ {
-		u := tests[k*w : (k+1)*w]
-		var x uint64
-		for i, qw := range q {
-			x ^= qw & u[i]
-		}
-		z |= (bits.OnesCount64(x) & 1) << uint(k)
-	}
-	return z
 }
 
 // traceNeighborMasks enumerates the XOR masks of all M2-bit strings within
@@ -242,9 +258,10 @@ type Result struct {
 // minimum exact Hamming distance from the query — a refinement of the
 // paper's "last non-empty entry" rule that costs nothing extra (each probe
 // already touches its representative) and sharply reduces approximation
-// noise. Search does not allocate.
-func (s *Structure) Search(query BitVec) (Result, bool) {
-	if query.Len() != s.params.D {
+// noise. A query with a level above dC finds nothing. Search does not
+// allocate.
+func (s *Structure) Search(query Levels) (Result, bool) {
+	if !inRange(s.params, query) {
 		return Result{}, false
 	}
 	var (
@@ -255,9 +272,9 @@ func (s *Structure) Search(query BitVec) (Result, bool) {
 	for k := 0; ; k++ {
 		mid := (lo + hi) / 2
 		t := &s.subs[mid-1][s.picks[k]]
-		idx := t.entries[traceOf(t.tests, query.bits)]
+		idx := t.entries[t.trace(query)]
 		if idx >= 0 {
-			if d := query.Hamming(s.cluster[idx]); bestIdx < 0 || d < bestDist {
+			if d := Distance(query, s.cluster[idx]); bestIdx < 0 || d < bestDist {
 				bestIdx, bestDist = int(idx), d
 			}
 		}
@@ -279,22 +296,16 @@ func (s *Structure) Search(query BitVec) (Result, bool) {
 // ExactSearch is the brute-force comparator: the true nearest neighbor by
 // linear scan. It exists to quantify the KOR structure's approximation
 // quality (see the ablation benchmarks) and as a reference in tests; it is
-// O(n·d) per query where Search is O(log d · M2 · d).
-func (s *Structure) ExactSearch(query BitVec) (Result, bool) {
-	if query.Len() != s.params.D || len(s.cluster) == 0 {
+// O(n) per query where Search is O(log d).
+func (s *Structure) ExactSearch(query Levels) (Result, bool) {
+	if !inRange(s.params, query) || len(s.cluster) == 0 {
 		return Result{}, false
 	}
 	best, bestIdx := -1, -1
 	for i, v := range s.cluster {
-		if h := query.Hamming(v); best < 0 || h < best {
+		if h := Distance(query, v); best < 0 || h < best {
 			best, bestIdx = h, i
 		}
 	}
 	return Result{Index: bestIdx, Distance: best}, true
 }
-
-// ClusterSize returns the number of training flows indexed.
-func (s *Structure) ClusterSize() int { return len(s.cluster) }
-
-// ClusterVec returns the encoded training flow at index i.
-func (s *Structure) ClusterVec(i int) BitVec { return s.cluster[i] }

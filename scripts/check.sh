@@ -9,8 +9,10 @@
 # serial engine, including across mid-batch promotions, plus one
 # submitting goroutine per peer), the goldens that pin the
 # paper's figures and the examples' output to the batch loop
-# (internal/experiment/testdata, examples/*/testdata) and the v5, v9
-# and IPFIX encoders' wire bytes (internal/netflow/testdata), the
+# (internal/experiment/testdata, examples/*/testdata), the v5, v9
+# and IPFIX encoders' wire bytes (internal/netflow/testdata), the NNS
+# v1 model golden and the KOR search's bit-level reference
+# (internal/nns: TestGoldenModelFile, TestSearchMatchesReference), the
 # cluster-mode e2e suite (cmd/infilterd/cluster_daemon_test.go — two-node snapshot
 # convergence against a single-node union daemon, peer-down isolation,
 # and the 3-node in-process kill-one test inside a goroutine-leak gate)
