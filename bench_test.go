@@ -664,7 +664,7 @@ func BenchmarkParallelPipeline(b *testing.B) {
 // BenchmarkEIACheck measures the Basic InFilter hot path.
 func BenchmarkEIACheck(b *testing.B) {
 	store := eia.NewStore(benchEIASet(b))
-	src := netaddr.MustParseIPv4("61.40.1.7")
+	src, _ := netaddr.MustParseAddr("61.40.1.7").V4()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		store.Check(eia.PeerAS(i%10+1), (src + netaddr.IPv4(i%1024)).Addr())
@@ -691,7 +691,7 @@ func benchEIASet(b *testing.B) *eia.Set {
 // store's read-only hot path at 1, 4 and 16 concurrent readers: the
 // atomic pointer load keeps per-check cost flat as readers are added.
 func BenchmarkEIACheckParallel(b *testing.B) {
-	src := netaddr.MustParseIPv4("61.40.1.7")
+	src, _ := netaddr.MustParseAddr("61.40.1.7").V4()
 	for _, readers := range []int{1, 4, 16} {
 		b.Run("cow-"+itoa(readers), func(b *testing.B) {
 			store := eia.NewStore(benchEIASet(b))
@@ -725,7 +725,7 @@ func BenchmarkEIACheckBatch(b *testing.B) {
 	const peer = eia.PeerAS(7)
 	srcs := make([]netaddr.Addr, n)
 	verdicts := make([]eia.Verdict, n)
-	src := netaddr.MustParseIPv4("61.40.1.7")
+	src, _ := netaddr.MustParseAddr("61.40.1.7").V4()
 	for i := range srcs {
 		srcs[i] = (src + netaddr.IPv4(i%1024)).Addr()
 	}

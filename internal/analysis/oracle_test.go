@@ -220,8 +220,9 @@ func (o *oracle) promotePrefix(src netaddr.Addr) netaddr.Prefix {
 	return netaddr.MustPrefix(src, orDefault(o.cfg.EIA.PromoteMaskBits, eia.DefaultPromoteMaskBits))
 }
 
-// eiaRows renders the sets the way Set.WriteTo does: "<peer> <cidr>"
-// rows sorted by peer, then address, then length.
+// eiaRows renders the sets the way Set.WriteCheckpoint does: the v2
+// header, then "<peer> <family> <cidr>" rows sorted by peer, then
+// address, then length.
 func (o *oracle) eiaRows() []byte {
 	pfxs := make([]netaddr.Prefix, 0, len(o.sets))
 	for p := range o.sets {
@@ -230,9 +231,9 @@ func (o *oracle) eiaRows() []byte {
 	slices.SortFunc(pfxs, func(a, b netaddr.Prefix) int {
 		return cmp.Or(cmp.Compare(o.sets[a], o.sets[b]), a.Addr().Compare(b.Addr()), cmp.Compare(a.Bits(), b.Bits()))
 	})
-	var rows []byte
+	rows := []byte("# infilter-eia-checkpoint v2\n")
 	for _, p := range pfxs {
-		rows = fmt.Appendf(rows, "%d %s\n", o.sets[p], p)
+		rows = fmt.Appendf(rows, "%d %s %s\n", o.sets[p], p.Family(), p)
 	}
 	return rows
 }
@@ -558,7 +559,7 @@ func outcomeOf(t *testing.T, e interface {
 }, log *alertLog) outcome {
 	t.Helper()
 	var eiaState bytes.Buffer
-	if _, err := e.EIASet().Snapshot().WriteTo(&eiaState); err != nil {
+	if err := e.EIASet().Snapshot().WriteCheckpoint(&eiaState); err != nil {
 		t.Fatal(err)
 	}
 	return outcome{stats: e.Stats(), alerts: log.byPeer, eia: eiaState.Bytes()}

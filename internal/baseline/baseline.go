@@ -37,9 +37,6 @@ func (u *URPF) Check(src netaddr.Addr, ifIndex uint16) bool {
 	return ok && egress == ifIndex
 }
 
-// RouteCount returns the number of installed routes.
-func (u *URPF) RouteCount() int { return u.routes.Len() }
-
 // HIF is Peng et al.'s history-based IP filtering: an edge router keeps a
 // history of source addresses that previously appeared; under overload it
 // admits only sources in the history. Unlike InFilter it keeps no per-peer
@@ -65,9 +62,6 @@ func (h *HIF) Learn(src netaddr.Addr) {
 // overloaded.
 func (h *HIF) SetOverloaded(v bool) { h.overloaded = v }
 
-// Overloaded reports the current overload state.
-func (h *HIF) Overloaded() bool { return h.overloaded }
-
 // Admit reports whether a packet from src is admitted: always when not
 // overloaded; only if historically seen when overloaded.
 func (h *HIF) Admit(src netaddr.Addr) bool {
@@ -77,6 +71,3 @@ func (h *HIF) Admit(src netaddr.Addr) bool {
 	_, ok := h.history[src]
 	return ok
 }
-
-// HistorySize returns the number of learned sources.
-func (h *HIF) HistorySize() int { return len(h.history) }

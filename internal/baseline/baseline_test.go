@@ -10,8 +10,8 @@ func TestURPFSymmetricRoutingPasses(t *testing.T) {
 	u := NewURPF()
 	u.AddRoute(netaddr.MustParsePrefix("61.0.0.0/11"), 1)
 	u.AddRoute(netaddr.MustParsePrefix("70.0.0.0/11"), 2)
-	if u.RouteCount() != 2 {
-		t.Fatalf("RouteCount = %d", u.RouteCount())
+	if n := u.routes.Len(); n != 2 {
+		t.Fatalf("routes = %d", n)
 	}
 	if !u.Check(netaddr.MustParseAddr("61.1.2.3"), 1) {
 		t.Error("symmetric source failed uRPF")
@@ -54,7 +54,7 @@ func TestHIFAdmitsEverythingWhenNotOverloaded(t *testing.T) {
 	if !h.Admit(netaddr.MustParseAddr("1.2.3.4")) {
 		t.Error("not-overloaded HIF rejected a flow")
 	}
-	if h.Overloaded() {
+	if h.overloaded {
 		t.Error("fresh HIF overloaded")
 	}
 }
@@ -64,8 +64,8 @@ func TestHIFFiltersUnderOverload(t *testing.T) {
 	known := netaddr.MustParseAddr("61.1.1.1")
 	h.Learn(known)
 	h.Learn(known) // idempotent
-	if h.HistorySize() != 1 {
-		t.Errorf("HistorySize = %d", h.HistorySize())
+	if n := len(h.history); n != 1 {
+		t.Errorf("history holds %d sources", n)
 	}
 	h.SetOverloaded(true)
 	if !h.Admit(known) {

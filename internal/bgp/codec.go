@@ -1,5 +1,5 @@
 // Package bgp implements the BGP-based validation of the InFilter
-// hypothesis (paper §3.2): a "show ip bgp" text codec for
+// hypothesis (paper §3.2): a "show ip bgp" text parser for
 // Routeviews-style RIB dumps, the derivation of the peer-AS → source-AS
 // mapping for a target network (honoring longest-prefix specificity), and
 // a 30-day simulation reproducing Figure 5's source-AS-set change rates.
@@ -23,14 +23,6 @@ type Entry struct {
 	NextHop netaddr.Addr
 	Path    []uint16
 	Best    bool
-}
-
-// OriginAS returns the last AS on the path (the target network's AS).
-func (e Entry) OriginAS() (uint16, bool) {
-	if len(e.Path) == 0 {
-		return 0, false
-	}
-	return e.Path[len(e.Path)-1], true
 }
 
 // PeerAS returns the AS adjacent to the origin — the last AS-level hop
@@ -154,25 +146,6 @@ func parsePrefixClassful(s string) (netaddr.Prefix, error) {
 		bits = 16
 	}
 	return netaddr.NewPrefix(ip.Addr(), bits)
-}
-
-// Format renders entries back into "show ip bgp" style lines.
-func Format(w io.Writer, entries []Entry) error {
-	for _, e := range entries {
-		marker := "* "
-		if e.Best {
-			marker = "*>"
-		}
-		parts := make([]string, 0, len(e.Path))
-		for _, as := range e.Path {
-			parts = append(parts, strconv.Itoa(int(as)))
-		}
-		if _, err := fmt.Fprintf(w, "%s %-18s %-15s %s i\n",
-			marker, e.Network, e.NextHop, strings.Join(parts, " ")); err != nil {
-			return fmt.Errorf("bgp: format: %w", err)
-		}
-	}
-	return nil
 }
 
 // Mapping is the peer-AS → source-AS-set mapping for one target.

@@ -14,45 +14,6 @@ func entry6(network string, nextHop string, path ...uint16) Entry {
 	}
 }
 
-// TestRIBLookupV6LongestPrefix announces nested v6 routes: Lookup must
-// honor v6 longest-prefix specificity exactly as it does for v4, and
-// keep the families from shadowing each other.
-func TestRIBLookupV6LongestPrefix(t *testing.T) {
-	r := NewRIB()
-	for _, e := range []Entry{
-		entry6("2001:db8::/32", "2001:db8:ffff::1", 701, 7018, 80),
-		entry6("2001:db8:4000::/34", "2001:db8:ffff::2", 1239, 80),
-		entry6("2001:db8:4000::/48", "2001:db8:ffff::3", 3356, 209, 80),
-		{Network: netaddr.MustParsePrefix("32.0.0.0/8"), NextHop: netaddr.MustParseAddr("10.0.0.1"), Path: []uint16{64512, 80}},
-	} {
-		if err := r.Announce(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tests := []struct {
-		ip      string
-		wantHop string
-	}{
-		{"2001:db8:0001::1", "2001:db8:ffff::1"},  // only the /32 covers
-		{"2001:db8:6000::1", "2001:db8:ffff::2"},  // /34, not the /32
-		{"2001:db8:4000::99", "2001:db8:ffff::3"}, // the /48 wins
-		{"32.1.2.3", "10.0.0.1"},                  // v4 unaffected
-	}
-	for _, tt := range tests {
-		e, ok := r.Lookup(netaddr.MustParseAddr(tt.ip))
-		if !ok {
-			t.Errorf("Lookup(%s): no route", tt.ip)
-			continue
-		}
-		if e.NextHop != netaddr.MustParseAddr(tt.wantHop) {
-			t.Errorf("Lookup(%s) next hop %v, want %s", tt.ip, e.NextHop, tt.wantHop)
-		}
-	}
-	if _, ok := r.Lookup(netaddr.MustParseAddr("2001:db9::1")); ok {
-		t.Error("Lookup outside every announced v6 prefix found a route")
-	}
-}
-
 // TestDeriveMappingV6 derives the peer→sources mapping for a v6 target
 // network: a source AS on paths for several covering v6 prefixes must
 // follow the most specific one (the paper's 4.2.101.0/24 vs 4.0.0.0/8
@@ -75,30 +36,5 @@ func TestDeriveMappingV6(t *testing.T) {
 	srcs := m[209]
 	if len(srcs) != 1 || srcs[0] != 3356 {
 		t.Fatalf("sources via 209 = %v, want [3356]", srcs)
-	}
-}
-
-// TestRIBMappingFollowsV6RouteChange withdraws the more-specific v6
-// path: the mapping must fall back to the covering route's peer, the
-// same re-homing semantics the v4 validation relies on.
-func TestRIBMappingFollowsV6RouteChange(t *testing.T) {
-	r := NewRIB()
-	target := netaddr.MustParseAddr("2001:db8:4000::1")
-	cover := entry6("2001:db8::/32", "2001:db8:ffff::1", 3356, 7018, 80)
-	specific := entry6("2001:db8:4000::/48", "2001:db8:ffff::3", 3356, 209, 80)
-	if err := r.Announce(cover); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Announce(specific); err != nil {
-		t.Fatal(err)
-	}
-	if peers := r.Mapping(target).Peers(); len(peers) != 1 || peers[0] != 209 {
-		t.Fatalf("before withdraw: peers = %v, want [209]", peers)
-	}
-	if !r.Withdraw(specific.Network, specific.NextHop) {
-		t.Fatal("withdraw of announced v6 route failed")
-	}
-	if peers := r.Mapping(target).Peers(); len(peers) != 1 || peers[0] != 7018 {
-		t.Fatalf("after withdraw: peers = %v, want [7018]", peers)
 	}
 }

@@ -110,13 +110,13 @@ func TestSubBlocksCoverTheirBlockDisjointly(t *testing.T) {
 		for l := 0; l < SubBlocksPerBlock; l++ {
 			sb := MustSubBlockAt(b*SubBlocksPerBlock + l)
 			p := sb.Prefix()
-			if !block.Contains(p.First()) || !block.Contains(p.Last()) {
+			if !block.Contains(p.Addr()) || !block.Contains(p.Last()) {
 				t.Fatalf("sub-block %v not inside block %v", sb, block)
 			}
 			total += p.Size()
 			if l > 0 {
 				prev := MustSubBlockAt(b*SubBlocksPerBlock + l - 1).Prefix()
-				if prev.Overlaps(p) {
+				if prev.Contains(p.Addr()) {
 					t.Fatalf("sub-blocks overlap in block %v", block)
 				}
 			}

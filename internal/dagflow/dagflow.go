@@ -10,7 +10,6 @@ package dagflow
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"time"
 
@@ -252,51 +251,4 @@ func SendUDP(dst string, dgs []netflow.WireDatagram) error {
 		}
 	}
 	return nil
-}
-
-// MixTraces merges several time-ordered traces into one, preserving order.
-// It is how an experiment interleaves normal and attack traffic arriving at
-// the same border router.
-func MixTraces(traces ...[]packet.Packet) []packet.Packet {
-	total := 0
-	for _, tr := range traces {
-		total += len(tr)
-	}
-	out := make([]packet.Packet, 0, total)
-	idx := make([]int, len(traces))
-	for len(out) < total {
-		best := -1
-		var bestTime time.Time
-		for i, tr := range traces {
-			if idx[i] >= len(tr) {
-				continue
-			}
-			if best == -1 || tr[idx[i]].Time.Before(bestTime) {
-				best = i
-				bestTime = tr[idx[i]].Time
-			}
-		}
-		out = append(out, traces[best][idx[best]])
-		idx[best]++
-	}
-	return out
-}
-
-// JitterTrace shifts every packet timestamp by a bounded pseudo-random
-// offset, used to decorrelate repeated attack replays across experiment
-// runs. Offsets are deterministic in seed. The result is re-sorted.
-func JitterTrace(pkts []packet.Packet, maxJitter time.Duration, seed int64) []packet.Packet {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]packet.Packet, len(pkts))
-	copy(out, pkts)
-	for i := range out {
-		out[i].Time = out[i].Time.Add(time.Duration(rng.Int63n(int64(maxJitter) + 1)))
-	}
-	// Insertion sort: traces are nearly sorted after small jitter.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Time.Before(out[j-1].Time); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

@@ -313,58 +313,6 @@ func TestReplayDeterministic(t *testing.T) {
 	}
 }
 
-func TestMixTracesPreservesOrder(t *testing.T) {
-	a := normalTrace(t, 50, 31)
-	b, err := trace.Generate(trace.AttackSlammer, trace.AttackConfig{
-		Seed:      1,
-		Start:     boot.Add(90 * time.Second),
-		Src:       netaddr.MustParseAddr("70.1.2.3"),
-		DstPrefix: dstBlock,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixed := MixTraces(a, b)
-	if len(mixed) != len(a)+len(b) {
-		t.Fatalf("mixed %d packets, want %d", len(mixed), len(a)+len(b))
-	}
-	for i := 1; i < len(mixed); i++ {
-		if mixed[i].Time.Before(mixed[i-1].Time) {
-			t.Fatalf("mixed trace unordered at %d", i)
-		}
-	}
-}
-
-func TestMixTracesEmptyInputs(t *testing.T) {
-	if got := MixTraces(nil, nil); len(got) != 0 {
-		t.Errorf("MixTraces(nil,nil) = %d packets", len(got))
-	}
-	a := normalTrace(t, 10, 32)
-	if got := MixTraces(a, nil); len(got) != len(a) {
-		t.Errorf("MixTraces(a,nil) = %d packets", len(got))
-	}
-}
-
-func TestJitterTraceOrderedAndBounded(t *testing.T) {
-	a := normalTrace(t, 50, 33)
-	j := JitterTrace(a, 100*time.Millisecond, 7)
-	if len(j) != len(a) {
-		t.Fatalf("jittered length %d", len(j))
-	}
-	for i := 1; i < len(j); i++ {
-		if j[i].Time.Before(j[i-1].Time) {
-			t.Fatalf("jittered trace unordered at %d", i)
-		}
-	}
-	// Original must be untouched.
-	for i := range a {
-		if a[i] != normalTrace(t, 50, 33)[i] {
-			t.Fatal("JitterTrace mutated its input")
-			break
-		}
-	}
-}
-
 func TestReplayEndToEndOverUDPShape(t *testing.T) {
 	// Datagrams must round-trip the wire codec after a replay.
 	in := New(Config{Name: "S6", InputIf: 3}, boot)

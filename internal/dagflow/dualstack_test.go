@@ -1,6 +1,7 @@
 package dagflow
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -152,7 +153,8 @@ func TestReplayV6EndToEnd(t *testing.T) {
 // instance: both families must survive the cache, the per-family
 // export templates and the decode side by side.
 func TestReplayMixedFamilies(t *testing.T) {
-	mixed := MixTraces(normalTrace(t, 100, 23), normalTrace6(t, 100, 23))
+	mixed := append(normalTrace(t, 100, 23), normalTrace6(t, 100, 23)...)
+	slices.SortStableFunc(mixed, func(a, b packet.Packet) int { return a.Time.Compare(b.Time) })
 	in := New(Config{Name: "SM", InputIf: 2, Version: netflow.VersionIPFIX}, boot)
 	dgs, err := in.Replay(mixed)
 	if err != nil {

@@ -128,7 +128,7 @@ func (peer PeerAS) classify(expected PeerAS, ok bool) Verdict {
 // published one, and Merge takes and returns shared sets. A shared Set
 // is immutable, since lock-free checkers walk its trie, so AddPrefix on
 // one panics instead of corrupting live state; reading it (Len, Peers,
-// WriteTo, WriteCheckpoint, Merge) is safe from any goroutine.
+// WriteCheckpoint, Merge) is safe from any goroutine.
 type Set struct {
 	cfg     Config
 	index   *netaddr.PrefixTrie[PeerAS]

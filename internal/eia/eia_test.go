@@ -184,7 +184,7 @@ func TestTable3Preload(t *testing.T) {
 		t.Errorf("3.1.2.3 at AS1 = %v", got)
 	}
 	sb := blocks.MustParseNotation("113e")
-	if got := st.Check(10, sb.Prefix().First()); got != Match {
+	if got := st.Check(10, sb.Prefix().Addr()); got != Match {
 		t.Errorf("113e at AS10 = %v", got)
 	}
 	if got := st.Check(4, netaddr.MustParseAddr("3.1.2.3")); got != WrongPeer {

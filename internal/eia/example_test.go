@@ -25,11 +25,12 @@ func Example() {
 	fmt.Println("61.5.5.5 at peer 1:", store.Check(1, legit))
 	fmt.Println("70.9.9.9 at peer 1:", store.Check(1, spoofed))
 	fmt.Println("9.9.9.9  at peer 1:", store.Check(1, netaddr.MustParseAddr("9.9.9.9")))
-	store.Snapshot().WriteTo(os.Stdout)
+	store.Snapshot().WriteCheckpoint(os.Stdout)
 	// Output:
 	// 61.5.5.5 at peer 1: match
 	// 70.9.9.9 at peer 1: wrong-peer
 	// 9.9.9.9  at peer 1: unknown
-	// 1 61.0.0.0/11
-	// 2 70.0.0.0/11
+	// # infilter-eia-checkpoint v2
+	// 1 4 61.0.0.0/11
+	// 2 4 70.0.0.0/11
 }

@@ -11,61 +11,10 @@ import (
 	"infilter/internal/netaddr"
 )
 
-// WriteTo serializes the EIA sets as "<peerAS> <cidr>" lines, sorted for
-// stable output. A Store's pending vouch counters are transient and not
-// saved.
-func (s *Set) WriteTo(w io.Writer) (int64, error) {
-	return writeRows(w, s.index, false)
-}
-
-// writeRows emits the sorted body shared by WriteTo and WriteCheckpoint:
-// "<peerAS> <cidr>" rows when tagFamily is false (the plain WriteTo
-// format), "<peerAS> <family> <cidr>" rows when true (the v2 checkpoint
-// format). Rows sort peer-major, then v4 before v6, then by
-// address, so output is stable and diffs cleanly.
-func writeRows(w io.Writer, index *netaddr.PrefixTrie[PeerAS], tagFamily bool) (int64, error) {
-	type row struct {
-		peer PeerAS
-		pfx  netaddr.Prefix
-	}
-	var rows []row
-	index.Walk(func(p netaddr.Prefix, peer PeerAS) bool {
-		rows = append(rows, row{peer: peer, pfx: p})
-		return true
-	})
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].peer != rows[j].peer {
-			return rows[i].peer < rows[j].peer
-		}
-		if rows[i].pfx.Addr() != rows[j].pfx.Addr() {
-			return rows[i].pfx.Addr().Less(rows[j].pfx.Addr())
-		}
-		return rows[i].pfx.Bits() < rows[j].pfx.Bits()
-	})
-	bw := bufio.NewWriter(w)
-	var total int64
-	for _, r := range rows {
-		var n int
-		var err error
-		if tagFamily {
-			n, err = fmt.Fprintf(bw, "%d %s %s\n", r.peer, r.pfx.Family(), r.pfx)
-		} else {
-			n, err = fmt.Fprintf(bw, "%d %s\n", r.peer, r.pfx)
-		}
-		total += int64(n)
-		if err != nil {
-			return total, fmt.Errorf("eia: write: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return total, fmt.Errorf("eia: flush: %w", err)
-	}
-	return total, nil
-}
-
 // ReadInto loads "<peerAS> <cidr>" lines into the set (either family;
 // ParsePrefix tells them apart). Blank lines and '#' comments are
-// skipped.
+// skipped, and family-tagged "<peerAS> <family> <cidr>" rows are read
+// too, so a checkpoint written by WriteCheckpoint is a valid EIA file.
 func ReadInto(s *Set, r io.Reader) error {
 	return readLines(bufio.NewScanner(r), 0, s, 0)
 }
@@ -73,7 +22,7 @@ func ReadInto(s *Set, r io.Reader) error {
 // readLines parses prefix rows from sc into s, with line numbers in
 // errors offset by startLine (the count of lines a caller already
 // consumed, e.g. a checkpoint header). version selects the row grammar:
-// 0 (plain WriteTo) and 1 (legacy checkpoint) are "<peerAS> <cidr>" —
+// 0 (plain EIA file) and 1 (legacy checkpoint) are "<peerAS> <cidr>" —
 // with v1 additionally rejecting v6 rows, since the v1 format predates
 // dual-stack and a v6 row in one means the file is corrupt — and 2 is
 // the family-tagged "<peerAS> <family> <cidr>", where the tag must agree
@@ -140,16 +89,45 @@ const (
 	checkpointVersionOld = 1
 )
 
-// WriteCheckpoint writes a versioned EIA checkpoint: header plus the
-// sorted rows of WriteTo, family-tagged. It is the format's one writer:
-// the warm-restart artifact and every cluster replication frame are
-// these bytes, taken from a Store's Snapshot.
+// WriteCheckpoint writes a versioned EIA checkpoint: the header, then
+// one "<peerAS> <family> <cidr>" row per prefix, sorted peer-major, then
+// v4 before v6, then by address, so output is stable and diffs cleanly.
+// It is the EIA state's one writer: the warm-restart artifact and every
+// cluster replication frame are these bytes, taken from a Store's
+// Snapshot. A Store's pending vouch counters are transient and not
+// saved.
 func (s *Set) WriteCheckpoint(w io.Writer) error {
+	type row struct {
+		peer PeerAS
+		pfx  netaddr.Prefix
+	}
+	var rows []row
+	s.index.Walk(func(p netaddr.Prefix, peer PeerAS) bool {
+		rows = append(rows, row{peer: peer, pfx: p})
+		return true
+	})
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].peer != rows[j].peer {
+			return rows[i].peer < rows[j].peer
+		}
+		if rows[i].pfx.Addr() != rows[j].pfx.Addr() {
+			return rows[i].pfx.Addr().Less(rows[j].pfx.Addr())
+		}
+		return rows[i].pfx.Bits() < rows[j].pfx.Bits()
+	})
 	if _, err := fmt.Fprintf(w, "%s%d\n", checkpointMagic, checkpointVersion); err != nil {
 		return fmt.Errorf("eia: write checkpoint header: %w", err)
 	}
-	_, err := writeRows(w, s.index, true)
-	return err
+	bw := bufio.NewWriter(w)
+	for _, r := range rows {
+		if _, err := fmt.Fprintf(bw, "%d %s %s\n", r.peer, r.pfx.Family(), r.pfx); err != nil {
+			return fmt.Errorf("eia: write: %w", err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("eia: flush: %w", err)
+	}
+	return nil
 }
 
 // ReadCheckpointInto loads a checkpoint written by WriteCheckpoint into

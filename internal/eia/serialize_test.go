@@ -18,12 +18,8 @@ func TestSetWriteReadRoundTrip(t *testing.T) {
 	s.AddPrefix(3, netaddr.MustParsePrefix("4.2.101.0/24"))
 
 	var buf bytes.Buffer
-	n, err := s.WriteTo(&buf)
-	if err != nil {
+	if err := s.WriteCheckpoint(&buf); err != nil {
 		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) {
-		t.Errorf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 	}
 
 	loaded := NewSet(Config{})
@@ -49,28 +45,6 @@ func TestSetWriteReadRoundTrip(t *testing.T) {
 		if got := st.Check(c.peer, netaddr.MustParseAddr(c.src)); got != c.want {
 			t.Errorf("loaded Check(%d,%s) = %v, want %v", c.peer, c.src, got, c.want)
 		}
-	}
-}
-
-func TestWriteToStableOrder(t *testing.T) {
-	s := NewSet(Config{})
-	s.AddPrefix(2, netaddr.MustParsePrefix("70.0.0.0/11"))
-	s.AddPrefix(1, netaddr.MustParsePrefix("88.0.0.0/11"))
-	s.AddPrefix(1, netaddr.MustParsePrefix("61.0.0.0/11"))
-
-	var a, b bytes.Buffer
-	if _, err := s.WriteTo(&a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Error("WriteTo output not deterministic")
-	}
-	want := "1 61.0.0.0/11\n1 88.0.0.0/11\n2 70.0.0.0/11\n"
-	if a.String() != want {
-		t.Errorf("WriteTo = %q, want %q", a.String(), want)
 	}
 }
 

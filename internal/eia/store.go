@@ -128,7 +128,7 @@ func NewStore(set *Set) *Store {
 
 // Snapshot returns the published Set: one atomic load, no lock. It is
 // shared and immutable; later publications swap in a successor and leave
-// it as it was. Serialization (WriteTo, WriteCheckpoint), introspection
+// it as it was. Serialization (WriteCheckpoint), introspection
 // (Len, Peers) and cluster replication all read it.
 func (c *Store) Snapshot() *Set { return c.snap.Load() }
 

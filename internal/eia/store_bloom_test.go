@@ -135,10 +135,10 @@ func TestBloomVerdictEquivalence(t *testing.T) {
 
 		// The two stores must have converged to identical serialized state.
 		var a, b bytes.Buffer
-		if _, err := probed.Snapshot().WriteTo(&a); err != nil {
+		if err := probed.Snapshot().WriteCheckpoint(&a); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := exact.Snapshot().WriteTo(&b); err != nil {
+		if err := exact.Snapshot().WriteCheckpoint(&b); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {

@@ -223,9 +223,6 @@ func (c *Collector) SetTemplateCache(tc *netflow.TemplateCache) {
 	c.templates = tc
 }
 
-// TemplateCache returns the cache the readers decode through.
-func (c *Collector) TemplateCache() *netflow.TemplateCache { return c.templates }
-
 // Listen binds cfg.Readers sockets to the given UDP port (0 picks an
 // ephemeral port; the remaining readers then bind the chosen one) and
 // starts their reader goroutines. It returns the bound port.

@@ -24,7 +24,6 @@ type Capture struct {
 	curName string
 	curFile *os.File
 	curW    *StoreWriter
-	written int
 	closed  bool
 }
 
@@ -72,7 +71,6 @@ func (c *Capture) Write(r flow.Record) error {
 	if err := c.curW.Write(r); err != nil {
 		return err
 	}
-	c.written++
 	return nil
 }
 
@@ -119,13 +117,6 @@ func (c *Capture) closeCurrentLocked() error {
 		return fmt.Errorf("flowtools: close archive: %w", err)
 	}
 	return nil
-}
-
-// Written returns the number of records written so far.
-func (c *Capture) Written() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.written
 }
 
 // Close flushes and closes the current archive file. Further Writes fail.

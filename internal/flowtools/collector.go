@@ -1,8 +1,8 @@
 // Package flowtools reimplements the slice of the flow-tools suite the
 // InFilter prototype depends on (paper §5.1.2): flow-capture (a UDP
 // receiver for NetFlow v5/v9/IPFIX export datagrams), a binary flow
-// store, and flow-report (per-flow and grouped statistics with ASCII
-// import/export).
+// store, and flow-report (per-flow and grouped statistics, with ASCII
+// import).
 //
 // Flow capture is one Collector type, built with New. Batch shape is
 // configuration, not API: Config.MaxRecords chooses between batched

@@ -51,14 +51,6 @@ func (f GroupField) String() string {
 	return fmt.Sprintf("group-field(%d)", int(f))
 }
 
-// AllKeyFields is the full key grouping, producing per-flow statistics.
-func AllKeyFields() []GroupField {
-	return []GroupField{
-		GroupSrcAddr, GroupDstAddr, GroupProto, GroupSrcPort,
-		GroupDstPort, GroupTOS, GroupInputIf,
-	}
-}
-
 func fieldValue(r flow.Record, f GroupField) string {
 	switch f {
 	case GroupSrcAddr:
@@ -138,31 +130,17 @@ func Filter(recs []flow.Record, pred func(flow.Record) bool) []flow.Record {
 	return out
 }
 
-// asciiFields is the column count of the ASCII interchange format.
-const asciiFields = 13
-
-// WriteASCII emits records in a flow-export-style ASCII format: one flow
-// per line, comma-separated:
+// asciiFields is the column count of the ASCII interchange format: one
+// flow per line, comma-separated:
 //
 //	src,dst,proto,srcPort,dstPort,tos,inputIf,packets,bytes,startUnixNano,endUnixNano,srcAS,dstAS
-func WriteASCII(w io.Writer, recs []flow.Record) error {
-	bw := bufio.NewWriter(w)
-	for _, r := range recs {
-		_, err := fmt.Fprintf(bw, "%s,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
-			r.Key.Src, r.Key.Dst, r.Key.Proto, r.Key.SrcPort, r.Key.DstPort,
-			r.Key.TOS, r.Key.InputIf, r.Packets, r.Bytes,
-			r.Start.UnixNano(), r.End.UnixNano(), r.SrcAS, r.DstAS)
-		if err != nil {
-			return fmt.Errorf("flowtools: write ascii: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("flowtools: flush ascii: %w", err)
-	}
-	return nil
-}
+const asciiFields = 13
 
-// ReadASCII parses records from the ASCII interchange format.
+// ReadASCII parses records from the ASCII interchange format. Each
+// numeric column is parsed at the width of its record field (8 bits for
+// proto and tos, 16 for ports, interface and ASes, 32 for the counters,
+// signed 64 for the timestamps), so an out-of-range value is an error
+// naming its line and column, never a wrapped number.
 func ReadASCII(r io.Reader) ([]flow.Record, error) {
 	var out []flow.Record
 	sc := bufio.NewScanner(r)
@@ -186,30 +164,48 @@ func ReadASCII(r io.Reader) ([]flow.Record, error) {
 		if err != nil {
 			return nil, fmt.Errorf("flowtools: ascii line %d: %w", line, err)
 		}
-		nums := make([]int64, asciiFields-2)
-		for i, p := range parts[2:] {
-			v, err := strconv.ParseInt(p, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("flowtools: ascii line %d field %d: %w", line, i+3, err)
+		// The composite literal below calls num and stamp left to right,
+		// so perr holds the first bad column.
+		var perr error
+		fail := func(col int, err error) {
+			if perr == nil {
+				perr = fmt.Errorf("flowtools: ascii line %d column %d: %w", line, col+1, err)
 			}
-			nums[i] = v
 		}
-		out = append(out, flow.Record{
+		num := func(col, bits int) uint64 {
+			v, err := strconv.ParseUint(parts[col], 10, bits)
+			if err != nil {
+				fail(col, err)
+			}
+			return v
+		}
+		stamp := func(col int) time.Time {
+			v, err := strconv.ParseInt(parts[col], 10, 64)
+			if err != nil {
+				fail(col, err)
+			}
+			return time.Unix(0, v).UTC()
+		}
+		rec := flow.Record{
 			Key: flow.Key{
 				Src: src, Dst: dst,
-				Proto:   uint8(nums[0]),
-				SrcPort: uint16(nums[1]),
-				DstPort: uint16(nums[2]),
-				TOS:     uint8(nums[3]),
-				InputIf: uint16(nums[4]),
+				Proto:   uint8(num(2, 8)),
+				SrcPort: uint16(num(3, 16)),
+				DstPort: uint16(num(4, 16)),
+				TOS:     uint8(num(5, 8)),
+				InputIf: uint16(num(6, 16)),
 			},
-			Packets: uint32(nums[5]),
-			Bytes:   uint32(nums[6]),
-			Start:   time.Unix(0, nums[7]).UTC(),
-			End:     time.Unix(0, nums[8]).UTC(),
-			SrcAS:   uint16(nums[9]),
-			DstAS:   uint16(nums[10]),
-		})
+			Packets: uint32(num(7, 32)),
+			Bytes:   uint32(num(8, 32)),
+			Start:   stamp(9),
+			End:     stamp(10),
+			SrcAS:   uint16(num(11, 16)),
+			DstAS:   uint16(num(12, 16)),
+		}
+		if perr != nil {
+			return nil, perr
+		}
+		out = append(out, rec)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("flowtools: read ascii: %w", err)

@@ -45,8 +45,7 @@ var (
 
 // StoreWriter writes flow records in the binary store format.
 type StoreWriter struct {
-	w     *bufio.Writer
-	count int
+	w *bufio.Writer
 }
 
 // NewStoreWriter writes the store header and returns a writer.
@@ -93,12 +92,8 @@ func (sw *StoreWriter) Write(r flow.Record) error {
 	if _, err := sw.w.Write(rec[:]); err != nil {
 		return fmt.Errorf("flowtools: write store record: %w", err)
 	}
-	sw.count++
 	return nil
 }
-
-// Count returns the records written so far.
-func (sw *StoreWriter) Count() int { return sw.count }
 
 // Flush flushes buffered data.
 func (sw *StoreWriter) Flush() error {

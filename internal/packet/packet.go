@@ -50,9 +50,3 @@ func (p Packet) FlowKey(ifIndex uint16) flow.Key {
 		InputIf: ifIndex,
 	}
 }
-
-// IsFragment reports whether p is a fragment (offset != 0 or more-fragments
-// set), the shape Teardrop/Jolt-style attacks exploit.
-func (p Packet) IsFragment() bool {
-	return p.FragOff != 0 || p.MoreFrag
-}

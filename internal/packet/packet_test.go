@@ -35,22 +35,6 @@ func TestFlowKey(t *testing.T) {
 	}
 }
 
-func TestIsFragment(t *testing.T) {
-	p := samplePacket(0)
-	if p.IsFragment() {
-		t.Error("plain packet reported as fragment")
-	}
-	p.FragOff = 185
-	if !p.IsFragment() {
-		t.Error("offset fragment not detected")
-	}
-	p.FragOff = 0
-	p.MoreFrag = true
-	if !p.IsFragment() {
-		t.Error("more-fragments packet not detected")
-	}
-}
-
 func TestTraceRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	tw, err := NewTraceWriter(&buf)
@@ -73,9 +57,6 @@ func TestTraceRoundTrip(t *testing.T) {
 		if err := tw.Write(p); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if tw.Count() != 100 {
-		t.Errorf("Count = %d", tw.Count())
 	}
 	if err := tw.Flush(); err != nil {
 		t.Fatal(err)

@@ -46,8 +46,7 @@ var (
 
 // TraceWriter streams packets into a trace file.
 type TraceWriter struct {
-	w     *bufio.Writer
-	count int
+	w *bufio.Writer
 }
 
 // NewTraceWriter writes the trace header and returns a writer.
@@ -85,12 +84,8 @@ func (tw *TraceWriter) Write(p Packet) error {
 	if _, err := tw.w.Write(rec[:]); err != nil {
 		return fmt.Errorf("packet: write trace record: %w", err)
 	}
-	tw.count++
 	return nil
 }
-
-// Count returns the number of records written so far.
-func (tw *TraceWriter) Count() int { return tw.count }
 
 // Flush flushes buffered records to the underlying writer.
 func (tw *TraceWriter) Flush() error {

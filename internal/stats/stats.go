@@ -5,8 +5,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 )
 
@@ -34,90 +32,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return best
-}
-
-// Stddev returns the population standard deviation of xs.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs)))
-}
-
-// Percentile returns the p-th percentile (0..100) of xs by
-// nearest-rank, 0 for empty input.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return sorted[rank]
-}
-
-// Confusion accumulates detection outcomes over labeled flows.
-type Confusion struct {
-	TruePositives  int // attack flows flagged
-	FalseNegatives int // attack flows missed
-	FalsePositives int // benign flows flagged
-	TrueNegatives  int // benign flows passed
-}
-
-// Observe records one flow outcome.
-func (c *Confusion) Observe(isAttack, flagged bool) {
-	switch {
-	case isAttack && flagged:
-		c.TruePositives++
-	case isAttack && !flagged:
-		c.FalseNegatives++
-	case !isAttack && flagged:
-		c.FalsePositives++
-	default:
-		c.TrueNegatives++
-	}
-}
-
-// DetectionRate returns TP/(TP+FN) as a percentage (0 when no attacks).
-func (c Confusion) DetectionRate() float64 {
-	total := c.TruePositives + c.FalseNegatives
-	if total == 0 {
-		return 0
-	}
-	return 100 * float64(c.TruePositives) / float64(total)
-}
-
-// FalsePositiveRate returns FP/(FP+TN) as a percentage (0 when no benign
-// traffic).
-func (c Confusion) FalsePositiveRate() float64 {
-	total := c.FalsePositives + c.TrueNegatives
-	if total == 0 {
-		return 0
-	}
-	return 100 * float64(c.FalsePositives) / float64(total)
-}
-
-// Add merges another confusion matrix into c.
-func (c *Confusion) Add(o Confusion) {
-	c.TruePositives += o.TruePositives
-	c.FalseNegatives += o.FalseNegatives
-	c.FalsePositives += o.FalsePositives
-	c.TrueNegatives += o.TrueNegatives
 }
 
 // Table renders a simple aligned text table: one row per Rows entry, with

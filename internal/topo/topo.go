@@ -197,14 +197,6 @@ func (n *Network) Targets() int { return n.cfg.Targets }
 // LGSites returns the number of Looking Glass sites.
 func (n *Network) LGSites() int { return n.cfg.LGSites }
 
-// PeerCount returns how many peer ASes target t has.
-func (n *Network) PeerCount(t int) int { return len(n.targets[t].peers) }
-
-// CurrentPeer returns the peer slot currently routing site→target traffic.
-func (n *Network) CurrentPeer(site, tgt int) int {
-	return n.stateFor(site, tgt).peerSlot
-}
-
 func (n *Network) stateFor(site, tgt int) *pairState {
 	key := [2]int{site, tgt}
 	st, ok := n.state[key]

@@ -10,7 +10,7 @@ func TestNewDefaults(t *testing.T) {
 		t.Errorf("sizes %d/%d", n.Targets(), n.LGSites())
 	}
 	for tgt := 0; tgt < n.Targets(); tgt++ {
-		if pc := n.PeerCount(tgt); pc < DefaultMinPeers || pc > DefaultMaxPeers {
+		if pc := len(n.targets[tgt].peers); pc < DefaultMinPeers || pc > DefaultMaxPeers {
 			t.Errorf("target %d has %d peers", tgt, pc)
 		}
 	}
@@ -73,11 +73,11 @@ func TestLastHopStability(t *testing.T) {
 // verifies the current peer changes only through them.
 func TestPolicyChangesMovePeers(t *testing.T) {
 	n := New(Config{Seed: 5, PolicyChangeProb: 0.2})
-	first := n.CurrentPeer(0, 0)
+	first := n.stateFor(0, 0).peerSlot
 	changed := false
 	for i := 0; i < 100; i++ {
 		n.Traceroute(0, 0)
-		if n.CurrentPeer(0, 0) != first {
+		if n.stateFor(0, 0).peerSlot != first {
 			changed = true
 			break
 		}

@@ -58,12 +58,6 @@ var attackCatalog = map[AttackType]AttackInfo{
 	AttackDNSExploit:  {AttackDNSExploit, "dns-exploit", true, false},
 }
 
-// Info returns the catalog entry for t.
-func Info(t AttackType) (AttackInfo, bool) {
-	info, ok := attackCatalog[t]
-	return info, ok
-}
-
 // AllAttacks returns the catalog in enum order.
 func AllAttacks() []AttackInfo {
 	out := make([]AttackInfo, 0, NumAttackTypes)
