@@ -2,14 +2,12 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"sync/atomic"
 	"time"
 
-	"infilter/internal/cluster"
 	"infilter/internal/telemetry"
 )
 
@@ -17,7 +15,6 @@ import (
 //
 //	/metrics      Prometheus text exposition of the telemetry registry
 //	/healthz      200 "ok" while serving, 503 "draining" during shutdown
-//	/cluster      JSON cluster status (404 unless cluster mode is on)
 //	/debug/pprof  the standard Go profiling handlers
 //
 // It participates in the SIGTERM sequence from both ends: setDraining is
@@ -29,9 +26,6 @@ type adminServer struct {
 	addr     string
 	draining atomic.Bool
 	done     chan struct{}
-	// clusterStatus is installed by setClusterStatus once the cluster
-	// node exists (the admin server starts earlier in the boot sequence).
-	clusterStatus atomic.Pointer[func() cluster.Status]
 }
 
 // adminShutdownTimeout bounds how long Close waits for in-flight scrapes.
@@ -62,19 +56,6 @@ func newAdminServer(addr string, reg *telemetry.Registry) (*adminServer, error) 
 		}
 		w.Write([]byte("ok\n"))
 	})
-	mux.HandleFunc("/cluster", func(w http.ResponseWriter, r *http.Request) {
-		fn := a.clusterStatus.Load()
-		if fn == nil {
-			http.Error(w, "cluster mode disabled", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode((*fn)()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -95,11 +76,6 @@ func (a *adminServer) Addr() string { return a.addr }
 // setDraining flips /healthz to 503 "draining". It does not stop the
 // server: metrics stay scrapable until Close.
 func (a *adminServer) setDraining() { a.draining.Store(true) }
-
-// setClusterStatus enables /cluster, serving fn's snapshot per request.
-func (a *adminServer) setClusterStatus(fn func() cluster.Status) {
-	a.clusterStatus.Store(&fn)
-}
 
 // Close gracefully shuts the server down: the listener closes, in-flight
 // requests get adminShutdownTimeout to finish, idle keep-alive

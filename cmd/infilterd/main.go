@@ -42,23 +42,12 @@
 // per-exporter sequence gaps are all reported on /metrics
 // (infilter_netflow_* families).
 //
-// With -cluster-listen/-cluster-peers several infilterd instances run as
-// one logical deployment: a rendezvous hash ring over the node addresses
-// decides which node owns each peer AS's EIA training, and every
-// -replicate-interval each node ships its EIA state — as the same
-// versioned checkpoint format the warm-restart path writes — to its
-// peers over TCP, where it is folded in under eia merge semantics.
-// Replication is off the verdict path: local checking never blocks on a
-// peer, and an unreachable peer costs backoff retries only.
-//
 // With -admin-addr the daemon also serves an operator HTTP endpoint:
 // /metrics (Prometheus text format covering the collector, the flow
-// decoder, the analysis shards, EIA, scan, NNS, the alert sink and, in
-// cluster mode, the infilter_cluster_* replication series), /healthz
-// (flips to 503 "draining" the moment shutdown starts), /cluster (JSON
-// per-peer replication status and cluster-wide aggregates; 404 when
-// cluster mode is off) and /debug/pprof. The admin server closes last
-// during shutdown so the drain is observable.
+// decoder, the analysis shards, EIA, scan, NNS and the alert sink),
+// /healthz (flips to 503 "draining" the moment shutdown starts) and
+// /debug/pprof. The admin server closes last during shutdown so the
+// drain is observable.
 package main
 
 import (
@@ -76,11 +65,9 @@ import (
 	"sync"
 	"syscall"
 	"time"
-	"unicode"
 
 	"infilter/internal/analysis"
 	"infilter/internal/checkpoint"
-	"infilter/internal/cluster"
 	"infilter/internal/eia"
 	"infilter/internal/flowtools"
 	"infilter/internal/idmef"
@@ -120,28 +107,24 @@ func run(ctx context.Context, args []string) error {
 // config is the daemon's command line, parsed and checked by parseConfig;
 // runWith uses it as is.
 type config struct {
-	ports         []int
-	mode          analysis.Mode
-	alert         string
-	adminAddr     string
-	eiaFile       string
-	modelFile     string
-	trainFlows    int
-	trainSeed     int64
-	captureDir    string
-	stats         time.Duration
-	workers       int // analysis shards, never 0: parseConfig resolves 0 to one per port
-	queueDepth    int
-	readers       int
-	batchSize     int
-	batchTimeout  time.Duration
-	stateDir      string
-	ckptInterval  time.Duration
-	ttlTolerance  int
-	clusterListen string
-	clusterPeers  []string
-	clusterNode   string // ring identity; non-empty exactly in cluster mode
-	replInterval  time.Duration
+	ports        []int
+	mode         analysis.Mode
+	alert        string
+	adminAddr    string
+	eiaFile      string
+	modelFile    string
+	trainFlows   int
+	trainSeed    int64
+	captureDir   string
+	stats        time.Duration
+	workers      int // analysis shards, never 0: parseConfig resolves 0 to one per port
+	queueDepth   int
+	readers      int
+	batchSize    int
+	batchTimeout time.Duration
+	stateDir     string
+	ckptInterval time.Duration
+	ttlTolerance int
 }
 
 // parseConfig parses args and rejects every bad setting, so a daemon that
@@ -163,7 +146,7 @@ func parseConfig(args []string) (config, error) {
 		return nil
 	})
 	fs.StringVar(&cfg.alert, "alert", "", "IDMEF consumer TCP address (empty: log alerts)")
-	fs.StringVar(&cfg.adminAddr, "admin-addr", "", "admin HTTP address serving /metrics, /healthz, /cluster and /debug/pprof (empty: disabled)")
+	fs.StringVar(&cfg.adminAddr, "admin-addr", "", "admin HTTP address serving /metrics, /healthz and /debug/pprof (empty: disabled)")
 	fs.StringVar(&cfg.eiaFile, "eia-file", "", "file of '<peerAS> <cidr>' lines preloading EIA sets")
 	fs.StringVar(&cfg.modelFile, "model", "", "detector model file: loaded if present, else trained and saved there (EI mode)")
 	fs.IntVar(&cfg.trainFlows, "train-flows", 1500, "synthetic flows for NNS training (EI mode)")
@@ -178,20 +161,6 @@ func parseConfig(args []string) (config, error) {
 	fs.StringVar(&cfg.stateDir, "state-dir", "", "warm-restart directory: EIA and NNS state checkpointed here and loaded on startup (empty: disabled)")
 	fs.DurationVar(&cfg.ckptInterval, "checkpoint-interval", checkpoint.DefaultInterval, "period between background checkpoints (with -state-dir)")
 	fs.IntVar(&cfg.ttlTolerance, "ttl-tolerance", 0, "TTL-profile hop tolerance for the second-opinion detector (0 disables the stage; EI mode only)")
-	fs.StringVar(&cfg.clusterListen, "cluster-listen", "", "TCP address for inbound EIA snapshot replication (enables cluster mode)")
-	// Each peer gets its own metric series and replication worker, so a
-	// repeated address is refused rather than replicated to twice.
-	fs.Func("cluster-peers", "comma-separated replication addresses of the other cluster nodes", func(s string) error {
-		cfg.clusterPeers = strings.FieldsFunc(s, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
-		for i, p := range cfg.clusterPeers {
-			if slices.Contains(cfg.clusterPeers[:i], p) {
-				return fmt.Errorf("peer %s given twice", p)
-			}
-		}
-		return nil
-	})
-	fs.StringVar(&cfg.clusterNode, "cluster-node", "", "this node's ring identity, the address peers dial it at (default: -cluster-listen)")
-	fs.DurationVar(&cfg.replInterval, "replicate-interval", cluster.DefaultInterval, "period between EIA snapshot replication rounds")
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
 	}
@@ -223,20 +192,6 @@ func parseConfig(args []string) (config, error) {
 	if cfg.workers == 0 {
 		cfg.workers = len(cfg.ports)
 	}
-
-	switch {
-	case cfg.clusterListen == "" && len(cfg.clusterPeers) == 0:
-		if cfg.clusterNode != "" {
-			return config{}, fmt.Errorf("-cluster-node needs -cluster-listen or -cluster-peers")
-		}
-	case cfg.clusterNode == "" && cfg.clusterListen == "":
-		return config{}, fmt.Errorf("-cluster-peers without -cluster-listen needs -cluster-node")
-	case cfg.clusterNode == "":
-		cfg.clusterNode = cfg.clusterListen
-	}
-	if slices.Contains(cfg.clusterPeers, cfg.clusterNode) {
-		return config{}, fmt.Errorf("-cluster-peers lists this node's own ID %s", cfg.clusterNode)
-	}
 	return cfg, nil
 }
 
@@ -248,24 +203,6 @@ func parseConfig(args []string) (config, error) {
 func runWith(ctx context.Context, cfg config, onReady func(ports []int, adminAddr string)) (err error) {
 	var d daemon
 	defer func() { err = errors.Join(err, d.close()) }()
-
-	// Cluster mode: N daemons form one logical deployment. The rendezvous
-	// ring over the node IDs decides which node owns each peer AS's EIA
-	// training (the PromotionFilter below); every node still checks all of
-	// its own traffic, and learned state reaches the rest of the cluster
-	// through snapshot replication. The ring is built before the engine,
-	// because the promotion filter is engine configuration; the replication
-	// node itself comes after the engine, whose store it feeds.
-	var ring *cluster.Ring
-	var promotionFilter func(eia.PeerAS) bool
-	if cfg.clusterNode != "" {
-		ring, err = cluster.NewRing(append([]string{cfg.clusterNode}, cfg.clusterPeers...))
-		if err != nil {
-			return err
-		}
-		id := cfg.clusterNode
-		promotionFilter = func(peer eia.PeerAS) bool { return ring.OwnsPeerAS(id, uint16(peer)) }
-	}
 
 	// The Bloom config rides on the Set: the engine's snapshot store adopts
 	// the Set's Config, and rebuilds the filters from whatever the trie
@@ -335,14 +272,13 @@ func runWith(ctx context.Context, cfg config, onReady func(ports []int, adminAdd
 		if err != nil {
 			return fmt.Errorf("admin listen %s: %w", cfg.adminAddr, err)
 		}
-		log.Printf("admin endpoint on http://%s (/metrics /healthz /cluster /debug/pprof)", d.admin.Addr())
+		log.Printf("admin endpoint on http://%s (/metrics /healthz /debug/pprof)", d.admin.Addr())
 	}
 
 	d.engine, err = analysis.NewParallelEngine(analysis.ParallelConfig{
 		Config: analysis.Config{
-			Mode:            cfg.mode,
-			TTL:             scan.TTLConfig{Tolerance: cfg.ttlTolerance},
-			PromotionFilter: promotionFilter,
+			Mode: cfg.mode,
+			TTL:  scan.TTLConfig{Tolerance: cfg.ttlTolerance},
 		},
 		Shards:     cfg.workers,
 		QueueDepth: cfg.queueDepth,
@@ -367,38 +303,13 @@ func runWith(ctx context.Context, cfg config, onReady func(ports []int, adminAdd
 		}
 	}
 
-	// Cluster replication node: ships the engine's EIA snapshots to every
-	// peer each -replicate-interval and folds inbound snapshots into the
-	// same store. Strictly off the verdict path — a peer being down costs
-	// backoff retries, never a blocked check.
-	if ring != nil {
-		cm := cluster.NewMetrics(reg, cfg.clusterPeers)
-		d.cluster, err = cluster.NewNode(cluster.Config{
-			NodeID:   cfg.clusterNode,
-			Listen:   cfg.clusterListen,
-			Peers:    cfg.clusterPeers,
-			Interval: cfg.replInterval,
-		}, d.engine.EIASet(), cm)
-		if err != nil {
-			return err
-		}
-		owned := ring.OwnedPeerASCount(cfg.clusterNode, len(cfg.ports))
-		cm.RingOwned.Set(int64(owned))
-		d.cluster.Start()
-		if d.admin != nil {
-			d.admin.setClusterStatus(d.cluster.Status)
-		}
-		log.Printf("cluster mode: node %s, %d peer(s), replicating every %s, owns %d/%d peer ASes",
-			cfg.clusterNode, len(cfg.clusterPeers), cfg.replInterval, owned, len(cfg.ports))
-	}
-
 	// Warm-restart checkpoints: the engine's snapshot store and the trained
 	// detector are periodically serialized into -state-dir (atomic rename,
 	// so a crash never corrupts the previous generation) and flushed one
 	// last time during shutdown, after the drain.
 	if cfg.stateDir != "" {
 		// The EIA artifact reads the snapshot published at each write, so
-		// promotions and merged cluster state reach the checkpoint.
+		// promotions reach the checkpoint.
 		store := d.engine.EIASet()
 		arts := []checkpoint.Artifact{{Name: eiaCheckpointName, Write: func(w io.Writer) error {
 			return store.Snapshot().WriteCheckpoint(w)
@@ -524,7 +435,6 @@ func runWith(ctx context.Context, cfg config, onReady func(ports []int, adminAdd
 type daemon struct {
 	admin     *adminServer
 	engine    *analysis.ParallelEngine
-	cluster   *cluster.Node
 	ckpt      *checkpoint.Manager
 	sender    *idmef.Sender
 	capture   *flowtools.Capture
@@ -534,12 +444,10 @@ type daemon struct {
 // close tears the daemon down in dependency order, skipping any component
 // that was never started: flip /healthz to draining, stop ingest and join
 // the receive loops, drain every queued flow through the analysis shards
-// (emitting their alerts), stop cluster replication — after the drain, so
-// the final replication round a peer pulls includes drain-time promotions
-// — flush the final state checkpoint, then the capture archive and the
-// alert connection, and finally stop the admin server — last, so /metrics
-// stays scrapable through the drain. The first error is reported; later
-// stages still run.
+// (emitting their alerts), flush the final state checkpoint, then the
+// capture archive and the alert connection, and finally stop the admin
+// server — last, so /metrics stays scrapable through the drain. The
+// first error is reported; later stages still run.
 func (d *daemon) close() error {
 	var firstErr error
 	keep := func(err error) {
@@ -555,9 +463,6 @@ func (d *daemon) close() error {
 	}
 	if d.engine != nil {
 		keep(d.engine.Close())
-	}
-	if d.cluster != nil {
-		keep(d.cluster.Close())
 	}
 	if d.ckpt != nil {
 		keep(d.ckpt.Close())

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -724,16 +723,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-train-flows", "-1"},
 		{"-mode", "EI", "-ttl-tolerance", "-2"},
 		{"-checkpoint-interval", "-1s"},
-		{"-replicate-interval", "-1s"},
 		// The TTL stage runs only in EI mode.
 		{"-mode", "BI", "-ttl-tolerance", "2"},
-		// A repeated peer would register its metric series twice; the
-		// node's own ID as a peer would replicate to itself.
-		{"-cluster-listen", "127.0.0.1:7000", "-cluster-peers", "127.0.0.1:7001,127.0.0.1:7001"},
-		{"-cluster-listen", "127.0.0.1:7000", "-cluster-peers", "127.0.0.1:7001, 127.0.0.1:7000"},
-		{"-cluster-node", "10.0.0.1:7000", "-cluster-peers", "10.0.0.1:7000"},
-		{"-cluster-peers", "127.0.0.1:7001"}, // no node ID
-		{"-cluster-node", "10.0.0.1:7000"},   // not in cluster mode
 		// Removed settings must fail the parse, not be silently ignored.
 		{"-heavy-hitter-threshold", "5"},
 		{"-heavy-hitter-counters", "64"},
@@ -745,6 +736,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-template-ttl", "30m"},
 		{"-orphan-max", "512"},
 		{"-eia-bloom-bits-per-entry", "10"},
+		{"-cluster-listen", "127.0.0.1:7000"},
+		{"-cluster-peers", "127.0.0.1:7001"},
+		{"-cluster-node", "10.0.0.1:7000"},
+		{"-replicate-interval", "1s"},
 	} {
 		if err := run(ctx, args); err == nil {
 			t.Errorf("run(%v): want error", args)
@@ -753,45 +748,50 @@ func TestRunRejectsBadFlags(t *testing.T) {
 }
 
 // TestParseConfigResolvesDefaults pins what parseConfig fills in: the
-// mode is case-blind, -workers 0 means one shard per port, the node ID
-// defaults to -cluster-listen, and peers are trimmed with empties dropped.
+// mode is case-blind and -workers 0 means one shard per port.
 func TestParseConfigResolvesDefaults(t *testing.T) {
-	cfg, err := parseConfig([]string{
-		"-ports", "0,0,0", "-mode", "bi",
-		"-cluster-listen", "127.0.0.1:7000", "-cluster-peers", " 127.0.0.1:7001,,127.0.0.1:7002 ",
-	})
+	cfg, err := parseConfig([]string{"-ports", "0,0,0", "-mode", "bi"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.mode != analysis.ModeBasic || cfg.workers != 3 || cfg.clusterNode != "127.0.0.1:7000" ||
-		!slices.Equal(cfg.clusterPeers, []string{"127.0.0.1:7001", "127.0.0.1:7002"}) {
+	if cfg.mode != analysis.ModeBasic || cfg.workers != 3 {
 		t.Errorf("parseConfig = %+v", cfg)
 	}
 }
 
+// reserveTCPAddr grabs a free loopback TCP address and releases it, so a
+// test can name an address that the daemon binds or that nobody serves.
+func reserveTCPAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	return addr
+}
+
 // TestRunFailedStartReleasesEverything fails the daemon's start at the
-// alert dial — nobody listens there — after the admin server, the
-// cluster node and the checkpoint manager are already up. run must
-// return the error and leave no goroutine and no listener behind.
+// alert dial — nobody listens there — after the admin server and the
+// checkpoint manager are already up. run must return the error and leave
+// no goroutine and no listener behind.
 func TestRunFailedStartReleasesEverything(t *testing.T) {
-	adminAddr, clusterAddr, alertAddr := reserveTCPAddr(t), reserveTCPAddr(t), reserveTCPAddr(t)
+	adminAddr, alertAddr := reserveTCPAddr(t), reserveTCPAddr(t)
 	testutil.ExpectNoGoroutineGrowth(t, func() {
 		err := run(context.Background(), []string{
 			"-ports", "0", "-mode", "BI", "-stats", "1h",
 			"-admin-addr", adminAddr,
 			"-state-dir", t.TempDir(), "-checkpoint-interval", "1h",
-			"-cluster-listen", clusterAddr, "-cluster-peers", reserveTCPAddr(t),
 			"-alert", alertAddr,
 		})
 		if err == nil || !strings.Contains(err.Error(), alertAddr) {
 			t.Fatalf("run = %v, want the alert dial error", err)
 		}
 	})
-	for _, addr := range []string{adminAddr, clusterAddr} {
-		if conn, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
-			conn.Close()
-			t.Errorf("%s still accepts connections after the failed start", addr)
-		}
+	if conn, err := net.DialTimeout("tcp", adminAddr, time.Second); err == nil {
+		conn.Close()
+		t.Errorf("%s still accepts connections after the failed start", adminAddr)
 	}
 }
 

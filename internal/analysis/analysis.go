@@ -63,14 +63,6 @@ type Config struct {
 	// profile. Flows with TTL zero (v5 ingest, TTL-less templates) are
 	// never assessed, so the stage is inert on TTL-less deployments.
 	TTL scan.TTLConfig
-	// PromotionFilter, when non-nil, gates EIA promotion by peer AS: a
-	// vouched source only counts toward promotion when the filter accepts
-	// the peer. Cluster mode uses this to restrict EIA *training* to the
-	// peer ASes this node owns on the ring — every node still *checks*
-	// all traffic, and replicated snapshots carry owned learning to the
-	// rest of the cluster. The filter is called from every shard and must
-	// be safe for concurrent use; nil trains on everything.
-	PromotionFilter func(peer eia.PeerAS) bool
 }
 
 // Decision is the outcome of processing one flow.
@@ -115,9 +107,6 @@ type pipeline struct {
 	// aggregate a source's flows wherever they land) and is internally
 	// stripe-locked.
 	ttl *scan.TTLProfile
-	// promote gates EIA promotion by peer AS (Config.PromotionFilter);
-	// nil trains on every peer.
-	promote func(peer eia.PeerAS) bool
 	// metrics is the owning shard's instrumentation. Stage timing uses
 	// the real clock, not the engine's replay clock: latency telemetry
 	// reports wall cost even when flows carry replayed timestamps.
@@ -177,11 +166,7 @@ func (p *pipeline) decideVerdict(peer eia.PeerAS, rec *flow.Record, v eia.Verdic
 	}
 	// Within normal behavior: vouch for the source; promote after enough
 	// confirmations so a route change stops raising suspicion (§5.2(a)).
-	// A promotion filter (cluster ring ownership) may exclude this peer
-	// from local training; the verdict above is unaffected.
-	if p.promote == nil || p.promote(peer) {
-		d.Promoted = p.eia.RecordLegal(peer, rec.Key.Src)
-	}
+	d.Promoted = p.eia.RecordLegal(peer, rec.Key.Src)
 	return d
 }
 

@@ -106,7 +106,6 @@ func newCore(cfg Config, set *eia.Set, detector *nns.Detector, shards int, metri
 			scanner:  scanner,
 			detector: detector,
 			ttl:      c.ttl,
-			promote:  cfg.PromotionFilter,
 			metrics:  &metrics.shards[i],
 		}}
 	}

@@ -30,7 +30,6 @@ import (
 // one stage it shares with the engine: the detector's KOR search is
 // approximate by design, so an exact search would disagree on purpose
 // (internal/nns pins KOR with its own reference test and a v1 golden).
-// The suite sets no PromotionFilter, so the oracle has none.
 type oracle struct {
 	cfg      Config
 	detector *nns.Detector

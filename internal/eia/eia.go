@@ -124,11 +124,10 @@ func (peer PeerAS) classify(expected PeerAS, ok bool) Verdict {
 // prefix counts and, once a Store publishes it, the Bloom tier derived
 // from the trie. A Set is built in place (NewSet, AddPrefix, Train,
 // ReadInto, ReadCheckpointInto), which is not safe for concurrent use,
-// and is then shared: NewStore adopts it, Store.Snapshot returns the
-// published one, and Merge takes and returns shared sets. A shared Set
-// is immutable, since lock-free checkers walk its trie, so AddPrefix on
-// one panics instead of corrupting live state; reading it (Len, Peers,
-// WriteCheckpoint, Merge) is safe from any goroutine.
+// and is then shared: NewStore adopts it, and Store.Snapshot returns the
+// published one. A shared Set is immutable, since lock-free checkers walk
+// its trie, so AddPrefix on one panics instead of corrupting live state;
+// reading it (Len, Peers, WriteCheckpoint) is safe from any goroutine.
 type Set struct {
 	cfg     Config
 	index   *netaddr.PrefixTrie[PeerAS]
@@ -151,7 +150,7 @@ func NewSet(cfg Config) *Set {
 // It panics on a shared Set.
 func (s *Set) AddPrefix(peer PeerAS, p netaddr.Prefix) {
 	if s.shared {
-		panic("eia: AddPrefix on a shared Set (adopted by a Store or passed to Merge)")
+		panic("eia: AddPrefix on a shared Set (adopted by a Store)")
 	}
 	s.put(peer, p, false)
 }

@@ -92,10 +92,9 @@ const (
 // WriteCheckpoint writes a versioned EIA checkpoint: the header, then
 // one "<peerAS> <family> <cidr>" row per prefix, sorted peer-major, then
 // v4 before v6, then by address, so output is stable and diffs cleanly.
-// It is the EIA state's one writer: the warm-restart artifact and every
-// cluster replication frame are these bytes, taken from a Store's
-// Snapshot. A Store's pending vouch counters are transient and not
-// saved.
+// It is the EIA state's one writer: the warm-restart artifact is these
+// bytes, taken from a Store's Snapshot. A Store's pending vouch counters
+// are transient and not saved.
 func (s *Set) WriteCheckpoint(w io.Writer) error {
 	type row struct {
 		peer PeerAS
@@ -132,12 +131,10 @@ func (s *Set) WriteCheckpoint(w io.Writer) error {
 
 // ReadCheckpointInto loads a checkpoint written by WriteCheckpoint into
 // s. It is the format's one reader: the warm-restart load from a state
-// directory and the cluster receiver, which decodes each frame into a
-// fresh NewSet(Config{}), both go through it. Malformed input — a
-// missing or unversioned header, an unsupported version, or any
-// malformed row — returns an error; it never panics, so a corrupt or
-// truncated checkpoint file fails a warm restart loudly instead of
-// poisoning the EIA state.
+// directory goes through it. Malformed input — a missing or unversioned
+// header, an unsupported version, or any malformed row — returns an
+// error; it never panics, so a corrupt or truncated checkpoint file
+// fails a warm restart loudly instead of poisoning the EIA state.
 func ReadCheckpointInto(s *Set, r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	if !sc.Scan() {

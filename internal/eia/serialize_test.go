@@ -186,3 +186,58 @@ func TestReadIntoSkipsCommentsAndErrors(t *testing.T) {
 		}
 	}
 }
+
+// checkpointBytes canonicalizes a set as its v2 checkpoint encoding; two
+// sets are equal iff their encodings are byte-identical (rows are
+// sorted, so the encoding is canonical).
+func checkpointBytes(t *testing.T, s *Set) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.WriteCheckpoint(&buf); err != nil {
+		t.Fatalf("WriteCheckpoint: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// TestMergeGoldenCheckpointRoundTrip pins the v2 checkpoint bytes of a
+// fixed dual-stack set: writing it must produce exactly the committed
+// golden, and decoding those bytes through the format's one reader and
+// re-encoding must round-trip byte-identically. A change to the row
+// codec or the sort order shows up here as a golden diff.
+func TestMergeGoldenCheckpointRoundTrip(t *testing.T) {
+	s := NewSet(Config{})
+	s.AddPrefix(2, netaddr.MustParsePrefix("4.0.0.0/8"))
+	s.AddPrefix(1, netaddr.MustParsePrefix("10.1.0.0/16"))
+	s.AddPrefix(1, netaddr.MustParsePrefix("2001:db8::/48"))
+	s.AddPrefix(4, netaddr.MustParsePrefix("192.0.2.0/24"))
+	s.AddPrefix(4, netaddr.MustParsePrefix("2001:db8:ff::/64"))
+
+	got := checkpointBytes(t, s)
+
+	goldenPath := filepath.Join("testdata", "merge_checkpoint_v2.golden")
+	golden, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("read golden: %v", err)
+	}
+	if !bytes.Equal(got, golden) {
+		t.Fatalf("checkpoint differs from %s:\n--- got ---\n%s--- want ---\n%s",
+			goldenPath, got, golden)
+	}
+
+	decoded := NewSet(Config{})
+	if err := ReadCheckpointInto(decoded, bytes.NewReader(golden)); err != nil {
+		t.Fatalf("ReadCheckpointInto(golden): %v", err)
+	}
+	if again := checkpointBytes(t, decoded); !bytes.Equal(again, golden) {
+		t.Fatalf("decode→re-encode not byte-identical:\n--- got ---\n%s--- want ---\n%s", again, golden)
+	}
+}
+
+// TestDecodeCheckpointRejectsGarbage decodes a stream that is not a
+// checkpoint into a fresh untuned set, as a warm restart would meet a
+// foreign file in the state directory: the reader must refuse it.
+func TestDecodeCheckpointRejectsGarbage(t *testing.T) {
+	if err := ReadCheckpointInto(NewSet(Config{}), strings.NewReader("not a checkpoint\n")); err == nil {
+		t.Error("ReadCheckpointInto accepted a headerless stream")
+	}
+}

@@ -65,12 +65,11 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 // its trie, acquiring no mutex and issuing no writes beyond its
 // Bloom-tier counters.
 //
-// There is one writer side, guarded by one mutex: promotions of
-// repeatedly-vouched sources (RecordLegal) and replicated snapshots
-// folded in by cluster mode (MergeSet). The writer builds a successor
+// There is one writer, guarded by one mutex: promotion of
+// repeatedly-vouched sources (RecordLegal). The writer builds a successor
 // Set — path-copying only the trie nodes it touches, sharing every
 // unchanged subtree, and deriving its Bloom tier — and publishes it with
-// one atomic pointer swap, so a batch lands whole.
+// one atomic pointer swap.
 //
 // Readers therefore never block and never retry; the price is a staleness
 // window: a Check racing a promotion may classify against the pre-swap
@@ -80,7 +79,7 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 // the swap is indistinguishable from the flow having arrived slightly
 // sooner.
 //
-// Store keeps only check, vouch and merge; everything else reads the
+// Store keeps only check and vouch; everything else reads the
 // Set that Snapshot returns. All methods are safe for concurrent use.
 type Store struct {
 	cfg     Config
@@ -128,8 +127,8 @@ func NewStore(set *Set) *Store {
 
 // Snapshot returns the published Set: one atomic load, no lock. It is
 // shared and immutable; later publications swap in a successor and leave
-// it as it was. Serialization (WriteCheckpoint), introspection
-// (Len, Peers) and cluster replication all read it.
+// it as it was. Serialization (WriteCheckpoint) and introspection
+// (Len, Peers) read it.
 func (c *Store) Snapshot() *Set { return c.snap.Load() }
 
 // SetMetrics installs runtime counters (nil restores the unregistered
@@ -301,25 +300,4 @@ func (c *Store) RecordLegal(peer PeerAS, src netaddr.Addr) bool {
 		c.metrics.Promotions.Inc()
 	}
 	return promoted
-}
-
-// MergeSet folds a remote EIA set into the store with the semantics of
-// Merge(local, remote): prefixes absent locally are added, and a prefix
-// present in both re-homes only when the remote peer AS is numerically
-// lower (the deterministic conflict rule — see Merge). The whole merge
-// lands as one snapshot swap through the normal publication path, so the
-// Bloom tier and every concurrent Check stay consistent: readers observe
-// either the pre-merge or the post-merge snapshot, never a partial
-// merge. It reports how many prefixes were added and how many re-homed.
-//
-// This is the receive side of cluster replication: the remote set is a
-// freshly decoded checkpoint, which MergeSet only reads, and folding it
-// in never blocks the Check hot path (checks are lock-free snapshot
-// reads; only other writers briefly serialize behind the merge).
-func (c *Store) MergeSet(remote *Set) (added, rehomed int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	assign, rehomed := mergeRows(c.snap.Load(), remote)
-	c.publishLocked(assign)
-	return len(assign) - rehomed, rehomed
 }

@@ -56,7 +56,7 @@ func TestBloomDisabledByDefault(t *testing.T) {
 
 // TestBloomVerdictEquivalence is the tier's contract: for a shared
 // randomized mutation-and-check schedule — training, promotions via
-// RecordLegal (some of them re-homes), batches folded in by MergeSet,
+// RecordLegal (some of them re-homes), batches published whole,
 // probes mixing known sources, near-misses and random addresses — a
 // tier-enabled store must emit exactly the verdicts of a tier-free one,
 // across Check and CheckBatch. Run at a deliberately undersized 2
@@ -107,9 +107,8 @@ func TestBloomVerdictEquivalence(t *testing.T) {
 					{peer: PeerAS(rng.Intn(nPeers)), pfx: netaddr.PrefixFrom4(netaddr.IPv4(rng.Uint32()), 16)},
 					{peer: PeerAS(rng.Intn(nPeers)), pfx: netaddr.PrefixFrom4(netaddr.IPv4(rng.Uint32()), 28)},
 				}
-				remote := setOf(exactCfg, batch)
-				probed.MergeSet(remote)
-				exact.MergeSet(remote)
+				publish(probed, batch)
+				publish(exact, batch)
 				assigns = append(assigns, batch...)
 			}
 
@@ -171,7 +170,7 @@ func TestBloomRebuildOnOverflow(t *testing.T) {
 				pfx:  netaddr.PrefixFrom4(netaddr.IPv4(rng.Uint32()), 24),
 			}
 		}
-		st.MergeSet(setOf(Config{}, batch))
+		publish(st, batch)
 		added = append(added, batch...)
 	}
 	t1 := st.snap.Load().tier
@@ -270,7 +269,7 @@ func TestBloomMetrics(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		batch = append(batch, assignment{peer: 1, pfx: netaddr.PrefixFrom4(netaddr.IPv4(rng.Uint32()), 24)})
 	}
-	st.MergeSet(setOf(Config{}, batch))
+	publish(st, batch)
 	after := m.BloomFillPermille.Value()
 	if after == before {
 		t.Errorf("fill gauge not refreshed on publication (still %d)", before)

@@ -22,6 +22,14 @@ func storeOf(t *testing.T, cfg Config, rows ...string) *Store {
 	return NewStore(set)
 }
 
+// publish lands batch in st as one snapshot swap, through the writer
+// side RecordLegal uses.
+func publish(st *Store, batch []assignment) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.publishLocked(batch)
+}
+
 // vouch calls RecordLegal for src at peer n times and reports whether
 // the last call promoted.
 func vouch(st *Store, peer PeerAS, src netaddr.Addr, n int) bool {
@@ -86,18 +94,16 @@ func TestStoreRehoming(t *testing.T) {
 	}
 }
 
-// TestStoreBatchPublish checks that MergeSet lands a whole batch in one
+// TestStoreBatchPublish checks that the writer lands a whole batch in one
 // swap and that a snapshot taken before a publication stays as it was.
 func TestStoreBatchPublish(t *testing.T) {
 	cs := NewStore(nil)
 	before := cs.Snapshot()
-	batch := NewSet(Config{})
-	batch.AddPrefix(1, netaddr.MustParsePrefix("61.0.0.0/11"))
-	batch.AddPrefix(1, netaddr.MustParsePrefix("88.32.0.0/11"))
-	batch.AddPrefix(2, netaddr.MustParsePrefix("70.0.0.0/11"))
-	if added, rehomed := cs.MergeSet(batch); added != 3 || rehomed != 0 {
-		t.Fatalf("MergeSet = (%d, %d), want (3, 0)", added, rehomed)
-	}
+	publish(cs, []assignment{
+		{peer: 1, pfx: netaddr.MustParsePrefix("61.0.0.0/11")},
+		{peer: 1, pfx: netaddr.MustParsePrefix("88.32.0.0/11")},
+		{peer: 2, pfx: netaddr.MustParsePrefix("70.0.0.0/11")},
+	})
 	after := cs.Snapshot()
 	if after.Len() != 3 || !reflect.DeepEqual(after.Peers(), []PeerAS{1, 2}) {
 		t.Errorf("after: Len = %d, Peers = %v", after.Len(), after.Peers())
@@ -152,18 +158,14 @@ func TestStoreAdoptsSetState(t *testing.T) {
 	}
 }
 
-// TestSharedSetRefusesWrites: a Set adopted by NewStore, returned by
-// Snapshot, or passed to or returned from Merge shares its trie with
-// lock-free readers, so every write path panics on it, and the store's
-// verdicts are unchanged afterwards.
+// TestSharedSetRefusesWrites: a Set adopted by NewStore or returned by
+// Snapshot shares its trie with lock-free readers, so every write path
+// panics on it, and the store's verdicts are unchanged afterwards.
 func TestSharedSetRefusesWrites(t *testing.T) {
 	adopted := NewSet(Config{})
 	adopted.AddPrefix(1, netaddr.MustParsePrefix("61.0.0.0/11"))
 	adopted.AddPrefix(2, netaddr.MustParsePrefix("70.0.0.0/11"))
 	store := NewStore(adopted)
-	a, b := NewSet(Config{}), NewSet(Config{})
-	a.AddPrefix(3, netaddr.MustParsePrefix("10.0.0.0/8"))
-	merged := Merge(a, b)
 
 	srcs := []netaddr.Addr{
 		netaddr.MustParseAddr("61.1.1.1"),
@@ -188,9 +190,6 @@ func TestSharedSetRefusesWrites(t *testing.T) {
 	sets := map[string]*Set{
 		"NewStore's input": adopted,
 		"Snapshot":         store.Snapshot(),
-		"Merge's input a":  a,
-		"Merge's input b":  b,
-		"Merge's result":   merged,
 	}
 	for setName, s := range sets {
 		for writeName, write := range writes {
@@ -206,9 +205,6 @@ func TestSharedSetRefusesWrites(t *testing.T) {
 	}
 	if after := verdicts(); !reflect.DeepEqual(after, before) {
 		t.Errorf("verdicts after refused writes = %v, want %v", after, before)
-	}
-	if got := merged.Len(); got != 1 {
-		t.Errorf("Merge's result holds %d prefixes after refused writes, want 1", got)
 	}
 }
 
@@ -341,7 +337,6 @@ func TestStoreParallelAccess(t *testing.T) {
 					if err := snap.WriteCheckpoint(&buf); err != nil {
 						t.Errorf("WriteCheckpoint: %v", err)
 					}
-					Merge(snap, NewSet(Config{}))
 				}
 			}
 		}(g)

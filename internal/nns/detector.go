@@ -3,30 +3,27 @@ package nns
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"infilter/internal/flow"
 	"infilter/internal/telemetry"
 )
 
-// Metrics are the NNS runtime counters: assessments performed, anomalous
-// verdicts, and the end-to-end query latency (encode + search). The
-// latency histogram is shared by every goroutine assessing against the
-// detector; recording is atomic, so the detector stays lock-free. The
-// zero value is a detector's uninstrumented default: its nil counters
-// discard counts.
+// Metrics are the NNS runtime counters: assessments performed and
+// anomalous verdicts. They are shared by every goroutine assessing
+// against the detector; counting is atomic, so the detector stays
+// lock-free. The engine times each assessment as its "nns" pipeline
+// stage. The zero value is a detector's uninstrumented default: its nil
+// counters discard counts.
 type Metrics struct {
 	Queries   *telemetry.Counter
 	Anomalies *telemetry.Counter
-	Latency   *telemetry.Histogram
 }
 
-// NewMetrics registers the NNS counters and latency histogram on r.
+// NewMetrics registers the NNS counters on r.
 func NewMetrics(r *telemetry.Registry) *Metrics {
 	return &Metrics{
 		Queries:   r.Counter("infilter_nns_queries_total", "Flows assessed against an NNS structure."),
 		Anomalies: r.Counter("infilter_nns_anomalies_total", "NNS assessments that returned an anomalous (attack) verdict."),
-		Latency:   r.Histogram("infilter_nns_query_latency_seconds", "NNS assessment latency (encode + approximate search).", telemetry.LatencyBuckets(), telemetry.UnitSeconds),
 	}
 }
 
@@ -239,10 +236,8 @@ func calibrate(st *Structure, build, calib []Levels, cfg DetectorConfig) int {
 // subclusters with no trained structure are anomalous by definition: the
 // detector cannot vouch for a service it never saw.
 func (d *Detector) Assess(r flow.Record) Assessment {
-	start := time.Now()
 	a := d.assess(r)
 	m := d.metrics
-	m.Latency.ObserveDuration(time.Since(start))
 	m.Queries.Inc()
 	if a.Anomalous {
 		m.Anomalies.Inc()

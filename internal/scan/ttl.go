@@ -28,7 +28,7 @@ import (
 //
 // Unlike Analyzer, one TTLProfile is shared by every pipeline shard:
 // profiles must aggregate a source's flows across shards, so the table
-// is stripe-locked instead of replicated.
+// is stripe-locked instead of copied per shard.
 type TTLProfile struct {
 	cfg     TTLConfig
 	stripes [ttlStripes]ttlStripe

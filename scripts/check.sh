@@ -12,14 +12,10 @@
 # (internal/experiment/testdata, examples/*/testdata), the v5, v9
 # and IPFIX encoders' wire bytes (internal/netflow/testdata), the NNS
 # v1 model golden and the KOR search's bit-level reference
-# (internal/nns: TestGoldenModelFile, TestSearchMatchesReference), the
-# cluster-mode e2e suite (cmd/infilterd/cluster_daemon_test.go — two-node snapshot
-# convergence against a single-node union daemon, peer-down isolation,
-# and the 3-node in-process kill-one test inside a goroutine-leak gate)
-# and every goroutine-leak test, so a pass means the sharded pipeline
-# is race-clean under concurrent load, batching changes no verdict,
-# replication converges without leaking workers, and no background
-# worker outlives its Close. benchmark/ is a module of its own that
+# (internal/nns: TestGoldenModelFile, TestSearchMatchesReference) and
+# every goroutine-leak test, so a pass means the sharded pipeline is
+# race-clean under concurrent load, batching changes no verdict, and no
+# background worker outlives its Close. benchmark/ is a module of its own that
 # compiles against internal/eia, analysis, scan and flowtools, and root
 # `go build ./...` cannot see it, so it is vetted and tested here: an API
 # deletion that breaks the benchmark fails this gate, not the next
